@@ -31,11 +31,9 @@ from .models import (
     service_diag,
     shift_matrix,
     transition_closed,
-    transition_closed_c2,
     transition_comm_b0,
     transition_mfg_b0,
     transition_open_infinite,
-    transition_blocking_b1,
 )
 from .solver import (
     NilpotencyCertificate,

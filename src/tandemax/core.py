@@ -15,7 +15,7 @@ broadcasting.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class MaxPlusMatrix:
         self._a = _as_clean_array(entries)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MaxPlusMatrix":
-        return cls(arr)
 
     @classmethod
     def null(cls, rows: int, cols: int | None = None) -> "MaxPlusMatrix":
@@ -221,6 +217,20 @@ def approx_equal(a: MaxPlusMatrix, b: MaxPlusMatrix, tol: float = 1e-9) -> bool:
         return False
     fin = ~ea
     return bool(np.all(np.abs(xa[fin] - xb[fin]) <= tol))
+
+
+def rounding_gap(tau: np.ndarray, d: np.ndarray) -> float:
+    """Largest gap allowed between two routes that sum the service times
+    tau (n x K) in different orders to results d: 0 for integer-valued
+    tau, else (n + K) * u * max|d| over finite d with u = 2**-53, as each
+    d sums at most n + K terms (Higham, "The accuracy of floating point
+    summation", SISC 1993)."""
+    tau = np.asarray(tau, dtype=np.float64)
+    if np.array_equal(tau, np.rint(tau)):
+        return 0.0
+    n, K = tau.shape
+    d = np.asarray(d, dtype=np.float64)
+    return (n + K) * 2.0**-53 * float(np.abs(d[np.isfinite(d)]).max(initial=0.0))
 
 
 # -- text fixture format ----------------------------------------------

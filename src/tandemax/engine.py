@@ -55,16 +55,6 @@ class OpLedger:
     def scalar_ops(self) -> int:
         return self.scalar_oplus + self.scalar_otimes
 
-    def merge(self, other: "OpLedger") -> None:
-        self.scalar_oplus += other.scalar_oplus
-        self.scalar_otimes += other.scalar_otimes
-        self.vector_build_ops += other.vector_build_ops
-        self.vector_reduce_ops += other.vector_reduce_ops
-        self.parallel_ops += other.parallel_ops
-        self.steps += other.steps
-        self.batches += other.batches
-        self.memory_cells = max(self.memory_cells, other.memory_cells)
-
 
 @dataclass
 class Trajectory:
@@ -76,19 +66,12 @@ class Trajectory:
     strategy: str = "serial"
 
     @property
-    def arity(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
     def departures(self) -> np.ndarray:
         """d(k) for k = 1..K, augmented history columns dropped."""
         return self.states[1:, : self.spec.n]
-
-    def state(self, k: int) -> np.ndarray:
-        return self.states[k]
 
 
 def _check_inputs(spec: TandemSpec, tau: ServiceTimes) -> None:

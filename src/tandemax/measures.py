@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, MaxPlusMatrix, ShapeError
+from .core import EPS, MaxPlusMatrix, rounding_gap
 from .models import _check_tau
 
 
@@ -28,11 +28,11 @@ class MeasureConsistencyError(ValueError):
 
 
 def sojourn_direct(d_k: np.ndarray) -> np.ndarray:
-    """s_i(k) = d_i(k) - d_1(k)."""
+    """s_i(k) = d_i(k) - d_1(k), along the last axis of one or more d(k)."""
     d = np.asarray(d_k, dtype=np.float64)
-    if d[0] == EPS:
+    if (d[..., 0] == EPS).any():
         raise ReferenceEpochError("reference epoch d_1(k) is eps")
-    return d - d[0]
+    return d - d[..., :1]
 
 
 def sojourn_matrix(t_k: MaxPlusMatrix, tau_1k: float) -> MaxPlusMatrix:
@@ -57,44 +57,36 @@ def waiting_transition(t_k: MaxPlusMatrix, tau_k, tau_prev) -> MaxPlusMatrix:
     return (p_k_inv @ t_k @ p_prev).scale(-v_prev[0])
 
 
-def waiting_from_sojourn(s_k, tau_k, check_nonneg: bool = True) -> np.ndarray:
-    """w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).
-
-    With ``check_nonneg`` (the infinite-buffer case) a negative entry
-    signals a model bug and raises; blocking callers disable the check
-    because their w includes blocking time measured the same way.
-    """
-    s = np.asarray(s_k, dtype=np.float64)
-    v = _check_tau(tau_k)
-    if s.size != v.size:
-        raise ShapeError("sojourn and service vectors must have equal length")
-    w = s.copy()
-    w[1:] -= np.cumsum(v[1:])
-    w[0] = 0.0
-    if check_nonneg and (w < 0).any():
-        i = int(np.argmax(w < 0))
-        raise MeasureConsistencyError(
-            f"negative waiting time w_{i + 1} = {w[i]} in an infinite-buffer system"
-        )
-    return w
-
-
 def trajectory_sojourn(states: np.ndarray, n: int) -> np.ndarray:
     """Sojourn vectors for k = 1..K from the raw state rows.
 
     ``states`` holds d(k) in row k (row 0 is the initial state);
     augmented history columns beyond n are ignored.
     """
-    return np.vstack([sojourn_direct(states[k, :n]) for k in range(1, states.shape[0])])
+    return sojourn_direct(states[1:, :n])
 
 
 def trajectory_waiting(
     states: np.ndarray, tau: np.ndarray, check_nonneg: bool = True
 ) -> np.ndarray:
-    """Waiting vectors for k = 1..K; tau is the n x K service matrix."""
+    """Waiting vectors for k = 1..K; tau is the n x K service matrix.
+
+    w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  With
+    ``check_nonneg`` (the infinite-buffer case) an entry below zero by
+    more than the float contract's rounding gap (``core.rounding_gap``)
+    signals a model bug and raises; blocking callers disable the check
+    because their w includes blocking time measured the same way.
+    """
     n = tau.shape[0]
-    rows = []
-    for k in range(1, states.shape[0]):
-        s = sojourn_direct(states[k, :n])
-        rows.append(waiting_from_sojourn(s, tau[:, k - 1], check_nonneg=check_nonneg))
-    return np.vstack(rows)
+    w = trajectory_sojourn(states, n)
+    w[:, 1:] -= np.cumsum(tau[1:], axis=0).T
+    w[:, 0] = 0.0
+    if check_nonneg:
+        bad = np.argwhere(w < -rounding_gap(tau, states[1:, :n]))
+        if bad.size:
+            k, i = bad[0]
+            raise MeasureConsistencyError(
+                f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]} "
+                "in an infinite-buffer system"
+            )
+    return w

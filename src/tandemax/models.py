@@ -18,12 +18,11 @@ augmented state of b+1 (resp. c) blocks of n entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, MaxPlusMatrix, ShapeError
-from .solver import star_truncated
+from .core import E, EPS, MaxPlusMatrix
 
 VARIANTS = ("closed", "open_infinite", "open_mfg", "open_comm")
 _BLOCKING = ("open_mfg", "open_comm")
@@ -225,14 +224,18 @@ def transition_comm_b0(tau_k) -> MaxPlusMatrix:
     return MaxPlusMatrix(a)
 
 
-def _block(blocks: list[list[MaxPlusMatrix]]) -> MaxPlusMatrix:
-    rows = [np.hstack([b.readonly() for b in row]) for row in blocks]
-    return MaxPlusMatrix(np.vstack(rows))
-
-
-def transition_closed_c2(tau_k) -> MaxPlusMatrix:
-    """Closed tandem, two initial customers per station (augmented 2n)."""
-    return closed_augmented(tau_k, 2)
+def _augmented(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatrix:
+    """Companion form of a recursion of order ``blocks`` in n-vectors: top
+    block row (first, eps, ..., eps, last), identity blocks on the block
+    subdiagonal that shift the history down, eps elsewhere."""
+    n = first.shape[0]
+    m = blocks * n
+    a = np.full((m, m), EPS)
+    a[:n, :n] = first
+    a[:n, m - n :] = last
+    rows = np.arange(n, m)
+    a[rows, rows - n] = E
+    return MaxPlusMatrix(a)
 
 
 def closed_augmented(tau_k, c: int) -> MaxPlusMatrix:
@@ -247,30 +250,25 @@ def closed_augmented(tau_k, c: int) -> MaxPlusMatrix:
         raise ModelConfigError("closed tandem needs n >= 2")
     if c < 2:
         raise ModelConfigError("augmented closed form needs c >= 2")
-    tk = service_diag(v)
-    null = MaxPlusMatrix.null(n)
-    top = [tk] + [null] * (c - 2) + [tk @ shift_matrix("F", n)]
-    rows = [top]
-    for j in range(c - 1):
-        row = [null] * c
-        row[j] = MaxPlusMatrix.identity(n)
-        rows.append(row)
-    return _block(rows)
-
-
-def transition_blocking_b1(tau_k, rule: str) -> MaxPlusMatrix:
-    """Blocking with unit buffers (augmented 2n)."""
-    return blocking_augmented(tau_k, rule, 1)
+    first = np.full((n, n), EPS)
+    np.fill_diagonal(first, v)
+    # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
+    last = np.full((n, n), EPS)
+    last[np.arange(n), np.arange(n) - 1] = v + E
+    return _augmented(first, last, c)
 
 
 def blocking_augmented(tau_k, rule: str, b: int) -> MaxPlusMatrix:
     """Blocking with uniform buffer capacity b >= 1 (augmented (b+1)n).
 
-    State (d(k), ..., d(k-b)); the blocking feedback enters through the
-    last block, S_k (x) GT for manufacturing and S_k (x) T_k (x) GT for
-    communication, with S_k the truncated star of T_k (x) G.  The b = 1
-    case reproduces the closed-form block matrices; larger b follows
-    the same stacking and is validated against the scalar oracle.
+    State (d(k), ..., d(k-b)); top block row (S_k (x) T_k, eps, ...,
+    feedback) with S_k the truncated star of T_k (x) G and the feedback
+    S_k (x) GT (manufacturing) or S_k (x) T_k (x) GT (communication).
+    All are written from D[i, j] = tau_i + tau_{i-1} + ... + tau_j, summed
+    in the order the star's powers sum it, so they equal the star
+    products bit for bit: S_k (x) T_k = D, the communication feedback is
+    D shifted one column right, and the manufacturing feedback is S_k
+    (e on the diagonal, D[i, j+1] below it) shifted one column right.
     """
     v = _check_tau(tau_k)
     n = v.size
@@ -280,19 +278,17 @@ def blocking_augmented(tau_k, rule: str, b: int) -> MaxPlusMatrix:
         raise ModelConfigError("augmented blocking form needs b >= 1")
     if rule not in ("manufacturing", "communication"):
         raise ModelConfigError(f"unknown blocking rule {rule!r}")
-    tk = service_diag(v)
-    g = shift_matrix("G", n)
-    gt = shift_matrix("GT", n)
-    s = star_truncated(tk @ g, n)
-    feedback = s @ gt if rule == "manufacturing" else s @ (tk @ gt)
-    null = MaxPlusMatrix.null(n)
-    top = [s @ tk] + [null] * (b - 1) + [feedback]
-    rows = [top]
-    for j in range(b):
-        row = [null] * (b + 1)
-        row[j] = MaxPlusMatrix.identity(n)
-        rows.append(row)
-    return _block(rows)
+    lower = np.tri(n, dtype=bool)
+    # adding e gives a -0.0 sum the sign the star products give it
+    d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
+    d[~lower] = EPS
+    feedback = np.full((n, n), EPS)
+    if rule == "manufacturing":
+        feedback[:, 1:] = d[:, 1:]
+        feedback[np.arange(n - 1), np.arange(1, n)] = E
+    else:
+        feedback[:, 1:] = d[:, :-1]
+    return _augmented(d, feedback, b + 1)
 
 
 def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:

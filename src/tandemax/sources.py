@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import ModelConfigError, ServiceTimes
+from .models import ServiceTimes
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tandemax.cli import ConfigError, main, parse_config, run, validate
+from tandemax.core import rounding_gap
 from tandemax.engine import simulate_serial
 from tandemax.models import TandemSpec
 from tandemax.sources import (
@@ -49,8 +50,27 @@ class TestParseConfig:
                                      "source": {"kind": "constant"}}))
 
     def test_type_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="'n'"):
-            parse_config(make_config(n="three"))
+        cases = [
+            ({"n": "three"}, "'n'"),
+            ({"source": {"kind": "uniform", "seed": 3.9}}, "seed"),
+            ({"source": {"kind": "uniform", "seed": True}}, "seed"),
+            ({"source": {"kind": "uniform", "integer_times": "false"}}, "integer_times"),
+            ({"source": {"kind": "uniform", "low": "0"}}, "low"),
+            ({"source": {"kind": "constant", "value": None}}, "value"),
+            ({"source": {"kind": "exponential", "rate": False}}, "rate"),
+            ({"source": {"kind": "trace", "path": 7}}, "path"),
+        ]
+        for overrides, key in cases:
+            with pytest.raises(ConfigError, match=key):
+                parse_config(make_config(**overrides))
+
+    @pytest.mark.parametrize("measure", ["sojourn", "waiting"])
+    def test_epsilon_initial_state_measures_rejected(self, tmp_path, measure):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(initial_state="epsilon", measures=["departures", measure],
+                                   output=str(tmp_path / "eps.csv")))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "eps.csv").exists()
 
     def test_incompatible_strategy_rejected(self):
         with pytest.raises(ConfigError, match="sparse-closed"):
@@ -187,6 +207,42 @@ class TestRun:
                                 "seed": 1, "integer_times": True})
         )
         assert validate(config, trials=5) == 0
+        assert "max gap 0, bound 0" in capsys.readouterr().out
+
+    def test_float_waiting_within_rounding_gap(self, tmp_path):
+        # departures and service prefixes are summed in different orders,
+        # so float inputs leave some w a few ulps below zero (w_3 at seed 7)
+        out = tmp_path / "f.csv"
+        config = parse_config(
+            make_config(n=8, K=2000, output=str(out), measures=["waiting"],
+                        source={"kind": "uniform", "low": 0, "high": 5, "seed": 7})
+        )
+        assert run(config) == 0
+        rows = (tmp_path / "f_waiting.csv").read_text().splitlines()[1:]
+        w = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+        tau = config.source.sample(8, 2000)
+        d = simulate_serial(config.spec, tau).departures()
+        assert -rounding_gap(tau.tau, d) <= w.min() < 0
+
+    def test_validate_float_within_rounding_gap(self, capsys, monkeypatch):
+        import tandemax.cli as cli
+
+        config = parse_config(
+            make_config(n=8, K=200, source={"kind": "uniform", "low": 0, "high": 5, "seed": 7})
+        )
+        assert validate(config, trials=2) == 0
+        assert "bound" in capsys.readouterr().out
+        real = cli.oracle_lindley
+
+        def nudged(spec, tau):
+            traj = real(spec, tau)
+            traj.states = traj.states.copy()
+            traj.states[5, 3] += 1e-9
+            return traj
+
+        monkeypatch.setattr(cli, "oracle_lindley", nudged)
+        assert validate(config, trials=1) == 1
+        assert "mismatch at k=5 i=4" in capsys.readouterr().out
 
 
 class TestMainExitCodes:
@@ -199,6 +255,14 @@ class TestMainExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text(make_config(variant="open_mfg", b=0, strategy="sparse-closed"))
         assert main(["simulate", "--config", str(cfg)]) == 2
+
+    def test_overrides_parsed_with_the_document(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(variant="closed", n=2))
+        assert main(["simulate", "--config", str(cfg), "--measures", "sojourn"]) == 2
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_io_error_is_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3

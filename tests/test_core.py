@@ -15,6 +15,7 @@ from tandemax.core import (
     oplus,
     otimes,
     parse_matrix,
+    rounding_gap,
 )
 
 scalars = st.one_of(st.just(EPS), st.integers(-20, 20).map(float))
@@ -172,3 +173,10 @@ def test_approx_equal():
     c = mat([[1.0, 0.0]])
     assert approx_equal(a, b)
     assert not approx_equal(a, c)
+
+
+def test_rounding_gap():
+    d = np.array([[EPS, 3.0], [-8.0, 5.0]])
+    assert rounding_gap(np.array([[1.0, 2.0], [0.0, 7.0]]), d) == 0.0
+    tau = np.array([[0.5, 2.0], [0.0, 7.0]])
+    assert rounding_gap(tau, d) == (2 + 2) * 2.0**-53 * 8.0

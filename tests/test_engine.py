@@ -144,6 +144,7 @@ class TestOracleEquivalence:
             ("open_mfg", {"buffer_capacity": 1}),
             ("open_comm", {"buffer_capacity": 0}),
             ("open_comm", {"buffer_capacity": 1}),
+            ("closed", {"population": 3}),
         ],
     )
     def test_matrix_equals_oracle(self, variant, kwargs):

@@ -10,7 +10,6 @@ from tandemax.measures import (
     sojourn_matrix,
     trajectory_sojourn,
     trajectory_waiting,
-    waiting_from_sojourn,
     waiting_scale_matrix,
     waiting_transition,
 )
@@ -63,16 +62,28 @@ class TestWaiting:
                 for j in range(i + 1, 4):
                     assert v[i, j] == EPS
 
+    @staticmethod
+    def _waiting(d, tau, **kw):
+        """w(1) of a one-customer trajectory with departures d(1)."""
+        states = np.vstack([np.zeros(len(d)), np.asarray(d, float)])
+        return list(trajectory_waiting(states, np.asarray(tau, float)[:, None], **kw)[0])
+
     def test_from_sojourn(self):
-        assert list(waiting_from_sojourn([0, 2], [1, 2])) == [0.0, 0.0]
-        assert list(waiting_from_sojourn([0, 3], [1, 2])) == [0.0, 1.0]
-        assert list(waiting_from_sojourn([0, 0, 0], [0, 0, 0])) == [0.0, 0.0, 0.0]
+        assert self._waiting([0, 2], [1, 2]) == [0.0, 0.0]
+        assert self._waiting([0, 3], [1, 2]) == [0.0, 1.0]
+        assert self._waiting([0, 0, 0], [0, 0, 0]) == [0.0, 0.0, 0.0]
 
     def test_negative_waiting_rejected(self):
         with pytest.raises(MeasureConsistencyError):
-            waiting_from_sojourn([0, 1], [1, 5])
+            self._waiting([0, 1], [1, 5])
         # blocking systems disable the check (w includes blocking time)
-        assert list(waiting_from_sojourn([0, 1], [1, 5], check_nonneg=False)) == [0.0, -4.0]
+        assert self._waiting([0, 1], [1, 5], check_nonneg=False) == [0.0, -4.0]
+        # float inputs may leave w below zero by the rounding gap
+        # 3 * 2**-53 * max|d| (about 2.25 ulp of 1.5 here), not more
+        ulp = 2.0**-52
+        assert self._waiting([1, 1.5 - ulp], [0.5, 0.5]) == [0.0, -ulp]
+        with pytest.raises(MeasureConsistencyError):
+            self._waiting([1, 1.5 - 4 * ulp], [0.5, 0.5])
 
 
 class TestRecursionConsistency:

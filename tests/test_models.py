@@ -11,9 +11,7 @@ from tandemax.models import (
     closed_augmented,
     service_diag,
     shift_matrix,
-    transition_blocking_b1,
     transition_closed,
-    transition_closed_c2,
     transition_comm_b0,
     transition_mfg_b0,
     transition_open_infinite,
@@ -74,14 +72,14 @@ class TestClosed:
 
 class TestClosedC2:
     def test_blocks(self):
-        t = transition_closed_c2([1, 2]).readonly()
+        t = closed_augmented([1, 2], 2).readonly()
         assert np.array_equal(t[:2, :2], MaxPlusMatrix.diag([1, 2]).readonly())
         assert np.array_equal(t[:2, 2:], np.array([[EPS, 1], [2, EPS]]))
         assert np.array_equal(t[2:, :2], MaxPlusMatrix.identity(2).readonly())
         assert np.isneginf(t[2:, 2:]).all()
 
     def test_zero_services_top_blocks(self):
-        t = transition_closed_c2([0, 0]).readonly()
+        t = closed_augmented([0, 0], 2).readonly()
         assert np.array_equal(t[:2, :2], MaxPlusMatrix.identity(2).readonly())
         assert np.array_equal(t[:2, 2:], shift_matrix("F", 2).readonly())
 
@@ -122,7 +120,7 @@ class TestBlockingB0:
 
 class TestBlockingB1:
     def test_mfg_blocks(self):
-        t = transition_blocking_b1([1, 2], "manufacturing").readonly()
+        t = blocking_augmented([1, 2], "manufacturing", 1).readonly()
         assert np.array_equal(t[:2, :2], np.array([[1, EPS], [3, 2]]))
         # top-right block is S_k (x) GT: column 2 repeats column 1 of
         # S_k, i.e. (e, tau_2) shifted; verified against the oracle
@@ -131,12 +129,12 @@ class TestBlockingB1:
         assert np.isneginf(t[2:, 2:]).all()
 
     def test_comm_top_right(self):
-        t = transition_blocking_b1([1, 2], "communication").readonly()
+        t = blocking_augmented([1, 2], "communication", 1).readonly()
         assert np.array_equal(t[:2, 2:], np.array([[EPS, 1], [EPS, 3]]))
 
     def test_bottom_blocks_fixed(self):
         for rule in ("manufacturing", "communication"):
-            t = transition_blocking_b1([4, 7, 2], rule).readonly()
+            t = blocking_augmented([4, 7, 2], rule, 1).readonly()
             assert np.array_equal(t[3:, :3], MaxPlusMatrix.identity(3).readonly())
             assert np.isneginf(t[3:, 3:]).all()
 
@@ -156,6 +154,25 @@ class TestStarConstructions:
             assert transition_open_infinite(tau) == s @ tk
             assert transition_mfg_b0(tau) == s @ (gt + tk)
             assert transition_comm_b0(tau) == s @ (tk @ (MaxPlusMatrix.identity(n) + gt))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_augmented_blocks(self, n):
+        """The augmented forms are written in closed form; their blocks
+        must equal the star-sum products bit for bit on float tau."""
+        rng = np.random.default_rng(100 + n)
+        g = shift_matrix("G", n)
+        gt = shift_matrix("GT", n)
+        for b in (1, 2, 3):
+            tau = rng.uniform(0, 5, size=n)
+            tk = service_diag(tau)
+            s = star_truncated(tk @ g, n)
+            feedback = {"manufacturing": s @ gt, "communication": s @ (tk @ gt)}
+            for rule, want in feedback.items():
+                t = blocking_augmented(tau, rule, b).readonly()
+                assert np.array_equal(t[:n, :n], (s @ tk).readonly())
+                assert np.array_equal(t[:n, b * n :], want.readonly())
+            top_right = closed_augmented(tau, b + 1).readonly()[:n, b * n :]
+            assert np.array_equal(top_right, (tk @ shift_matrix("F", n)).readonly())
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_service_shift_nilpotency(self, n):
@@ -189,9 +206,9 @@ class TestBuildTransition:
         mfg = TandemSpec("open_mfg", 2, 5)
         assert build_transition(mfg, [1, 2]) == transition_mfg_b0([1, 2])
         c2 = TandemSpec("closed", 2, 5, population=2)
-        assert build_transition(c2, [1, 2]) == transition_closed_c2([1, 2])
+        assert build_transition(c2, [1, 2]) == closed_augmented([1, 2], 2)
         b1 = TandemSpec("open_comm", 2, 5, buffer_capacity=1)
-        assert build_transition(b1, [1, 2]) == transition_blocking_b1([1, 2], "communication")
+        assert build_transition(b1, [1, 2]) == blocking_augmented([1, 2], "communication", 1)
 
     def test_arity_of_generalized_forms(self):
         spec = TandemSpec("open_comm", 2, 5, buffer_capacity=3)
@@ -200,12 +217,6 @@ class TestBuildTransition:
         spec = TandemSpec("closed", 2, 5, population=3)
         assert spec.arity == 6
         assert build_transition(spec, [1, 2]).shape == (6, 6)
-
-    def test_augmented_reduce_to_closed_forms(self):
-        assert blocking_augmented([3, 1], "manufacturing", 1) == transition_blocking_b1(
-            [3, 1], "manufacturing"
-        )
-        assert closed_augmented([3, 1], 2) == transition_closed_c2([3, 1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelConfigError):
