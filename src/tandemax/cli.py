@@ -68,10 +68,9 @@ def parse_config(document: str | dict) -> RunConfig:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     for key in ("variant", "n", "K", "source"):
         _require(key in doc, f"missing required key '{key}'")
-    _require(isinstance(doc["n"], int), "'n' must be an integer")
-    _require(isinstance(doc["K"], int), "'K' must be an integer")
-    _require(isinstance(doc.get("c", 1), int), "'c' must be an integer")
-    _require(isinstance(doc.get("b", 0), int), "'b' must be an integer")
+    for key in ("n", "K", "c", "b", "processors"):
+        _require(type(doc.get(key, 1)) is int, f"'{key}' must be an integer")
+    _require(isinstance(doc.get("count_ops", False), bool), "'count_ops' must be true or false")
     try:
         spec = TandemSpec(
             variant=doc["variant"],
@@ -103,7 +102,7 @@ def parse_config(document: str | dict) -> RunConfig:
     strategy = doc.get("strategy", "serial")
     _require(strategy in STRATEGIES, f"'strategy' must be one of {STRATEGIES}")
     processors = doc.get("processors", 1)
-    _require(isinstance(processors, int) and processors >= 1, "'processors' must be >= 1")
+    _require(processors >= 1, "'processors' must be >= 1")
     measures = tuple(doc.get("measures", ["departures"]))
     bad = set(measures) - set(MEASURES)
     _require(not bad, f"unknown measures: {sorted(bad)}")
@@ -113,7 +112,7 @@ def parse_config(document: str | dict) -> RunConfig:
         strategy=strategy,
         processors=processors,
         measures=measures,
-        count_ops=bool(doc.get("count_ops", False)),
+        count_ops=doc.get("count_ops", False),
         output_path=doc.get("output", "departures.csv"),
     )
     _check_compat(config)
@@ -219,12 +218,14 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     oracle over several seeds; nonzero exit on the first trial where a
     departure differs by more than the float contract's rounding gap
     (``core.rounding_gap``: 0 for integer-valued service times)."""
+    _require(trials >= 1, "'--trials' must be >= 1")
+    # a trace has no seed to vary, so it gives one trial
+    trials = 1 if config.source.kind == "trace" else trials
     worst = (0.0, 0.0)
     for t in range(trials):
-        source = config.source
-        if source.kind != "trace":
-            source = replace(source, seed=source.seed + t)
-        tau = source.sample(config.spec.n, config.spec.horizon)
+        tau = replace(config.source, seed=config.source.seed + t).sample(
+            config.spec.n, config.spec.horizon
+        )
         traj = simulate(config.spec, tau, config.strategy, config.processors)
         got = traj.departures()
         want = oracle_lindley(config.spec, tau).departures()
@@ -240,8 +241,6 @@ def validate(config: RunConfig, trials: int = 10) -> int:
             )
             return 1
         worst = max(worst, (float(diff.max(initial=0.0)), bound))
-        if source.kind == "trace":
-            break
     print(
         f"validate: ok ({trials} trial(s), variant={config.spec.variant}, "
         f"max gap {worst[0]:.3g}, bound {worst[1]:.3g})"
@@ -306,11 +305,11 @@ def _load_config(args) -> RunConfig:
     overrides = {
         "strategy": getattr(args, "strategy", None),
         "processors": getattr(args, "processors", None),
-        "measures": measures.split(",") if measures else None,
-        "count_ops": getattr(args, "count_ops", False),
+        "measures": None if measures is None else measures.split(","),
+        "count_ops": getattr(args, "count_ops", None),
         "output": getattr(args, "out", None),
     }
-    doc.update((key, value) for key, value in overrides.items() if value)
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
     return parse_config(doc)
 
 
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--strategy", choices=STRATEGIES)
     sim.add_argument("--processors", type=int)
     sim.add_argument("--measures", help="comma list from: " + ",".join(MEASURES))
-    sim.add_argument("--count-ops", action="store_true", dest="count_ops")
+    sim.add_argument("--count-ops", action="store_true", dest="count_ops", default=None)
 
     val = sub.add_parser("validate", help="cross-check matrix path against the oracle")
     val.add_argument("--config", required=True)

@@ -3,13 +3,18 @@
 All strategies evaluate d(k) = T_k (x) d(k-1) for k = 1..K and must
 produce bit-identical trajectories; they differ in evaluation schedule
 and in which operation counter they charge.  The max reduction is exact
-and order-free, so any schedule yields the same floats.
+and order-free, so any schedule yields the same floats.  The sums are
+made once, in one order: every T_k is written from the prefix sums
+D[i, j] = D[i, j+1] + tau_j, the order of the star S_k = (T_k (x) G)*,
+so runs of different variants on shared float tau keep the model's
+exact ordering d_comm >= d_mfg >= d_inf.
 
 Counter conventions follow the dense-triangular accounting of the
 serial algorithm: building the infinite-buffer matrix charges one
-product per triangular entry written, n(n+1)/2 per step (the diagonal
-loads are included in that figure), and the triangular product charges
-n(n+1)/2 products plus n(n-1)/2 maximizations, n^2 in total.
+product per triangular entry written, n(n+1)/2 per step (each entry is
+one addition to its right neighbour, the diagonal loads included), and
+the triangular product charges n(n+1)/2 products plus n(n-1)/2
+maximizations, n^2 in total.
 Operations on eps operands are charged like any other; only the sparse
 closed-system path specializes the count (2n per step).
 

@@ -163,152 +163,111 @@ def service_diag(tau_k) -> MaxPlusMatrix:
     return MaxPlusMatrix.diag(_check_tau(tau_k))
 
 
-def transition_closed(tau_k) -> MaxPlusMatrix:
-    """Closed tandem, one initial customer per station.
-
-    Diagonal tau_i, subdiagonal tau_i, and tau_1 in the corner (1, n);
-    equals service_diag(tau) (x) (F (+) E).
-    """
-    v = _check_tau(tau_k)
-    n = v.size
-    if n < 2:
-        raise ModelConfigError("closed tandem needs n >= 2")
-    a = np.full((n, n), EPS)
-    for i in range(n):
-        a[i, i] = v[i]
-        a[i, i - 1 if i else n - 1] = v[i]
-    return MaxPlusMatrix(a)
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    """D[i, j] = tau_i + tau_{i-1} + ... + tau_j for i >= j, eps above:
+    S_k (x) T_k with S_k = (T_k (x) G)*, summed in the star's order
+    D[i, j] = D[i, j+1] + tau_j, so it equals the star product bit for bit."""
+    lower = np.tri(v.size, dtype=bool)
+    # adding e gives a -0.0 sum the sign the star products give it
+    d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
+    d[~lower] = EPS
+    return d
 
 
-def transition_open_infinite(tau_k) -> MaxPlusMatrix:
-    """Open tandem with infinite buffers: lower-triangular prefix sums.
-
-    Entry (i, j), i >= j, is tau_j + ... + tau_i accumulated row by
-    row (t[i][j] = t[i-1][j] + tau_i), the same order the serial
-    algorithm uses, so all strategies agree bit for bit.
-    """
-    v = _check_tau(tau_k)
-    n = v.size
-    a = np.full((n, n), EPS)
-    a[0, 0] = v[0]
-    for i in range(1, n):
-        a[i, : i] = a[i - 1, : i] + v[i]
-        a[i, i] = v[i]
-    return MaxPlusMatrix(a)
-
-
-def transition_mfg_b0(tau_k) -> MaxPlusMatrix:
-    """Manufacturing blocking, zero buffers: infinite-buffer matrix with
-    the first superdiagonal raised to e."""
-    v = _check_tau(tau_k)
-    if v.size < 2:
-        raise ModelConfigError("blocking needs n >= 2")
-    a = transition_open_infinite(v).to_array()
-    for i in range(v.size - 1):
-        a[i, i + 1] = 0.0
-    return MaxPlusMatrix(a)
-
-
-def transition_comm_b0(tau_k) -> MaxPlusMatrix:
-    """Communication blocking, zero buffers.
-
-    Column j >= 2 repeats column j-1 of the infinite-buffer matrix on
-    and below row j-1 (the product with E (+) GT).
-    """
-    v = _check_tau(tau_k)
-    if v.size < 2:
-        raise ModelConfigError("blocking needs n >= 2")
-    t = transition_open_infinite(v).to_array()
-    a = t.copy()
-    a[:, 1:] = np.maximum(t[:, 1:], t[:, :-1])
-    return MaxPlusMatrix(a)
-
-
-def _augmented(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatrix:
+def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatrix:
     """Companion form of a recursion of order ``blocks`` in n-vectors: top
-    block row (first, eps, ..., eps, last), identity blocks on the block
-    subdiagonal that shift the history down, eps elsewhere."""
+    block row (first, eps, ..., eps, last), which is first (+) last when
+    there is one block, identity blocks on the block subdiagonal that
+    shift the history down, eps elsewhere."""
     n = first.shape[0]
     m = blocks * n
     a = np.full((m, m), EPS)
     a[:n, :n] = first
-    a[:n, m - n :] = last
+    np.maximum(a[:n, m - n :], last, out=a[:n, m - n :])
     rows = np.arange(n, m)
     a[rows, rows - n] = E
     return MaxPlusMatrix(a)
 
 
+def transition_closed(tau_k) -> MaxPlusMatrix:
+    """Closed tandem, one initial customer per station: closed_augmented
+    with c = 1, service_diag(tau) (x) (F (+) E).  Diagonal and
+    subdiagonal tau_i, and tau_1 in the corner (1, n)."""
+    return closed_augmented(tau_k, 1)
+
+
+def transition_open_infinite(tau_k) -> MaxPlusMatrix:
+    """Open tandem with infinite buffers: the prefix sums D, summed from i
+    down to j as the star S_k (x) T_k sums them.  The blocking matrices are
+    written from the same D, so all open variants add tau in one order."""
+    return MaxPlusMatrix(_prefix_sums(_check_tau(tau_k)))
+
+
+def transition_mfg_b0(tau_k) -> MaxPlusMatrix:
+    """Manufacturing blocking, zero buffers: blocking_augmented with b = 0,
+    the infinite-buffer matrix with the first superdiagonal raised to e."""
+    return blocking_augmented(tau_k, "manufacturing", 0)
+
+
+def transition_comm_b0(tau_k) -> MaxPlusMatrix:
+    """Communication blocking, zero buffers: blocking_augmented with b = 0,
+    column j >= 2 the max of infinite-buffer columns j and j-1."""
+    return blocking_augmented(tau_k, "communication", 0)
+
+
 def closed_augmented(tau_k, c: int) -> MaxPlusMatrix:
-    """Closed tandem with c >= 2 initial customers per station.
+    """Closed tandem with c >= 1 initial customers per station.
 
     State (d(k), ..., d(k-c+1)); top block row is
-    (T_k, eps, ..., eps, T_k (x) F), identity shifts below.
+    (T_k, eps, ..., eps, T_k (x) F), identity shifts below.  For c = 1
+    the one block is T_k (+) T_k (x) F.
     """
-    v = _check_tau(tau_k)
-    n = v.size
-    if n < 2:
-        raise ModelConfigError("closed tandem needs n >= 2")
-    if c < 2:
-        raise ModelConfigError("augmented closed form needs c >= 2")
-    first = np.full((n, n), EPS)
-    np.fill_diagonal(first, v)
-    # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
-    last = np.full((n, n), EPS)
-    last[np.arange(n), np.arange(n) - 1] = v + E
-    return _augmented(first, last, c)
+    return build_transition(TandemSpec("closed", np.size(tau_k), horizon=1, population=c), tau_k)
 
 
 def blocking_augmented(tau_k, rule: str, b: int) -> MaxPlusMatrix:
-    """Blocking with uniform buffer capacity b >= 1 (augmented (b+1)n).
+    """Blocking with uniform buffer capacity b >= 0 (augmented (b+1)n).
 
     State (d(k), ..., d(k-b)); top block row (S_k (x) T_k, eps, ...,
     feedback) with S_k the truncated star of T_k (x) G and the feedback
     S_k (x) GT (manufacturing) or S_k (x) T_k (x) GT (communication).
-    All are written from D[i, j] = tau_i + tau_{i-1} + ... + tau_j, summed
-    in the order the star's powers sum it, so they equal the star
-    products bit for bit: S_k (x) T_k = D, the communication feedback is
-    D shifted one column right, and the manufacturing feedback is S_k
-    (e on the diagonal, D[i, j+1] below it) shifted one column right.
+    For b = 0 the one block is S_k (x) T_k (+) feedback.
     """
-    v = _check_tau(tau_k)
-    n = v.size
-    if n < 2:
-        raise ModelConfigError("blocking needs n >= 2")
-    if b < 1:
-        raise ModelConfigError("augmented blocking form needs b >= 1")
     if rule not in ("manufacturing", "communication"):
         raise ModelConfigError(f"unknown blocking rule {rule!r}")
-    lower = np.tri(n, dtype=bool)
-    # adding e gives a -0.0 sum the sign the star products give it
-    d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
-    d[~lower] = EPS
-    feedback = np.full((n, n), EPS)
-    if rule == "manufacturing":
-        feedback[:, 1:] = d[:, 1:]
-        feedback[np.arange(n - 1), np.arange(1, n)] = E
-    else:
-        feedback[:, 1:] = d[:, :-1]
-    return _augmented(d, feedback, b + 1)
+    variant = "open_mfg" if rule == "manufacturing" else "open_comm"
+    spec = TandemSpec(variant, np.size(tau_k), horizon=1, buffer_capacity=b)
+    return build_transition(spec, tau_k)
 
 
 def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:
     """Transition matrix for one customer step, dispatched on the spec.
 
     The result is square of order spec.arity and acts on the (possibly
-    augmented) state vector.
+    augmented) state vector.  The open variants are written from one
+    prefix-sum table D = S_k (x) T_k, and the closed and blocking ones are
+    companion forms whose top block row holds T_k or D and the feedback.
     """
     v = _check_tau(tau_k)
     if v.size != spec.n:
         raise ModelConfigError(
             f"service vector length {v.size} != station count {spec.n}"
         )
+    n = v.size
     if spec.variant == "closed":
-        if spec.population == 1:
-            return transition_closed(v)
-        return closed_augmented(v, spec.population)
+        first = np.full((n, n), EPS)
+        np.fill_diagonal(first, v)
+        # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
+        return _companion(first, np.roll(first, -1, axis=1) + E, spec.population)
+    d = _prefix_sums(v)
     if spec.variant == "open_infinite":
-        return transition_open_infinite(v)
-    rule = "manufacturing" if spec.variant == "open_mfg" else "communication"
-    if spec.buffer_capacity == 0:
-        return transition_mfg_b0(v) if rule == "manufacturing" else transition_comm_b0(v)
-    return blocking_augmented(v, rule, spec.buffer_capacity)
+        return MaxPlusMatrix(d)
+    feedback = np.full((n, n), EPS)
+    if spec.variant == "open_mfg":
+        # S_k (x) GT: S_k (e on the diagonal, D[i, j+1] below) shifted right
+        feedback[:, 1:] = d[:, 1:]
+        feedback[np.arange(n - 1), np.arange(1, n)] = E
+    else:
+        # S_k (x) T_k (x) GT: D shifted one column right
+        feedback[:, 1:] = d[:, :-1]
+    return _companion(d, feedback, spec.buffer_capacity + 1)

@@ -59,6 +59,12 @@ class TestParseConfig:
             ({"source": {"kind": "constant", "value": None}}, "value"),
             ({"source": {"kind": "exponential", "rate": False}}, "rate"),
             ({"source": {"kind": "trace", "path": 7}}, "path"),
+            ({"n": True}, "'n'"),
+            ({"K": 4.0}, "'K'"),
+            ({"c": False}, "'c'"),
+            ({"b": True}, "'b'"),
+            ({"processors": True}, "processors"),
+            ({"count_ops": "false"}, "count_ops"),
         ]
         for overrides, key in cases:
             with pytest.raises(ConfigError, match=key):
@@ -152,6 +158,13 @@ class TestTrace:
         path.write_text("k,i,tau\n1,1,-1\n")
         with pytest.raises(SourceConfigError, match=">= 0"):
             load_trace(path, 1, 1)
+
+    def test_validate_reports_the_one_trial_run(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        dump_trace(ServiceTimeSource(kind="uniform", low=0, high=5, seed=3).sample(3, 5), path)
+        config = parse_config(make_config(K=5, source={"kind": "trace", "path": str(path)}))
+        assert validate(config, trials=10) == 0
+        assert "validate: ok (1 trial(s)" in capsys.readouterr().out
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -263,6 +276,23 @@ class TestMainExitCodes:
         out = tmp_path / "o.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_zero_processors_override_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(strategy="batched", processors=2,
+                                   output=str(tmp_path / "d.csv")))
+        assert main(["simulate", "--config", str(cfg), "--processors", "0"]) == 2
+        assert capsys.readouterr().err == "configuration error: 'processors' must be >= 1\n"
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_rejected(self, tmp_path, capsys, trials):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config())
+        assert main(["validate", "--config", str(cfg), "--trials", trials]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "configuration error: '--trials' must be >= 1\n"
 
     def test_io_error_is_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3

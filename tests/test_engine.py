@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemax.core import EPS
 from tandemax.engine import (
@@ -24,6 +26,14 @@ def constant_tau(values, K):
 def random_tau(n, K, seed, high=9):
     src = ServiceTimeSource(kind="uniform", low=0, high=high, seed=seed, integer_times=True)
     return src.sample(n, K)
+
+
+@st.composite
+def float_tau(draw):
+    n, K = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    cells = st.floats(0, 5, allow_nan=False, allow_infinity=False)
+    return ServiceTimes(np.array(draw(st.lists(cells, min_size=n * K, max_size=n * K)))
+                        .reshape(n, K))
 
 
 class TestHandTrajectories:
@@ -183,6 +193,22 @@ class TestProperties:
             ).departures()
             assert (comm >= mfg).all()
             assert (mfg >= inf).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_tau(), st.integers(0, 3), st.integers(0, 3))
+    def test_float_blocking_dominance_exact(self, tau, b, extra):
+        """d_comm(b) >= d_mfg(b') >= d_inf for b <= b', and open_mfg with
+        b >= K is open_infinite, exactly on shared float tau."""
+        n, K = tau.n, tau.horizon
+
+        def dep(variant, **kwargs):
+            return simulate_serial(TandemSpec(variant, n, K, **kwargs), tau).departures()
+
+        inf = dep("open_infinite")
+        mfg = dep("open_mfg", buffer_capacity=b + extra)
+        assert (dep("open_comm", buffer_capacity=b) >= mfg).all()
+        assert (mfg >= inf).all()
+        assert np.array_equal(dep("open_mfg", buffer_capacity=K + extra), inf)
 
     def test_closed_throughput_settles_at_bottleneck(self):
         for n in (2, 4, 8):

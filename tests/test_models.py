@@ -144,9 +144,11 @@ class TestStarConstructions:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_agreement(self, n):
+        # float draws too: every matrix sums tau in the star's order
         rng = np.random.default_rng(n)
-        for _ in range(20):
-            tau = rng.integers(0, 10, size=n).astype(float)
+        draws = [rng.integers(0, 10, size=n).astype(float) for _ in range(20)]
+        draws += [rng.uniform(0, 5, size=n) for _ in range(20)]
+        for tau in draws:
             tk = service_diag(tau)
             g = shift_matrix("G", n)
             gt = shift_matrix("GT", n)
