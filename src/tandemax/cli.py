@@ -103,15 +103,18 @@ def parse_config(document: str | dict) -> RunConfig:
     _require(strategy in STRATEGIES, f"'strategy' must be one of {STRATEGIES}")
     processors = doc.get("processors", 1)
     _require(processors >= 1, "'processors' must be >= 1")
-    measures = tuple(doc.get("measures", ["departures"]))
+    measures = doc.get("measures", ["departures"])
+    _require(isinstance(measures, list) and all(isinstance(m, str) for m in measures),
+             "'measures' must be a list of strings")
     bad = set(measures) - set(MEASURES)
     _require(not bad, f"unknown measures: {sorted(bad)}")
+    _require(isinstance(doc.get("output", ""), str), "'output' must be a string")
     config = RunConfig(
         spec=spec,
         source=source,
         strategy=strategy,
         processors=processors,
-        measures=measures,
+        measures=tuple(measures),
         count_ops=doc.get("count_ops", False),
         output_path=doc.get("output", "departures.csv"),
     )

@@ -1,26 +1,34 @@
 """State-recursion execution strategies and the scalar reference oracle.
 
-All strategies evaluate d(k) = T_k (x) d(k-1) for k = 1..K and must
-produce bit-identical trajectories; they differ in evaluation schedule
-and in which operation counter they charge.  The max reduction is exact
-and order-free, so any schedule yields the same floats.  The sums are
-made once, in one order: every T_k is written from the prefix sums
-D[i, j] = D[i, j+1] + tau_j, the order of the star S_k = (T_k (x) G)*,
-so runs of different variants on shared float tau keep the model's
-exact ordering d_comm >= d_mfg >= d_inf.
+Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; they differ
+in evaluation schedule and in which operation counter they charge.
 
-Counter conventions follow the dense-triangular accounting of the
-serial algorithm: building the infinite-buffer matrix charges one
-product per triangular entry written, n(n+1)/2 per step (each entry is
-one addition to its right neighbour, the diagonal loads included), and
-the triangular product charges n(n+1)/2 products plus n(n-1)/2
-maximizations, n^2 in total.
+``serial`` runs the factored form of T_k, O(m) per customer: S_k (x) y
+as a prefix recursion, G and GT as shifts, and the augmented identity
+blocks as a ring of past states.  Rounding is monotone, so adding tau
+to each term of a max gives the oracle's sum of tau and the max: serial
+equals the oracle bit for bit, on float tau as well, and runs of
+different variants on shared float tau keep d_comm >= d_mfg >= d_inf
+exactly.  ``vector`` and
+``batched`` evaluate the dense T_k of ``models.build_transition``, the
+paper's specification (``batched`` with P = 1 is the dense reference).
+They equal serial exactly on integer-valued tau; on float tau they add
+in another order and agree within the float contract
+``core.rounding_gap``.
+
+The counters are the paper's cost model, not the work a schedule does:
+serial charges the dense-triangular accounting of the serial algorithm.
+Building the infinite-buffer matrix charges one product per triangular
+entry written, n(n+1)/2 per step (each entry is one addition to its
+right neighbour, the diagonal loads included), and the triangular
+product charges n(n+1)/2 products plus n(n-1)/2 maximizations, n^2 in
+total; augmented variants charge a dense m x m product.
 Operations on eps operands are charged like any other; only the sparse
 closed-system path specializes the count (2n per step).
 
 ``oracle_lindley`` recomputes departures from the ordinary scalar
-max/+ recursions, independent of all matrix machinery, and accepts any
-buffer capacity b >= 0 and population c >= 1.
+max/+ recursions, with its own history array, independent of all matrix
+machinery, and accepts any buffer capacity b >= 0 and population c >= 1.
 """
 
 from __future__ import annotations
@@ -100,28 +108,83 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
+def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> None:
+    """Fill states[1:] from states[0] by the factored form of T_k, O(m)
+    per customer instead of a dense m x m build and product.
+
+    Open variants: y = tau_k (x) d(k-1) with the blocking feedback folded
+    in, y_i = tau_ik (x) (d_i(k-1) (+) d_{i+1}(k-b-1)) (communication) or
+    tau_ik (x) d_i(k-1) (+) d_{i+1}(k-b-1) (manufacturing), then
+    d(k) = S_k (x) y with S_k = (T_k (x) G)*, the in-order prefix recursion
+    z_i = y_i (+) tau_ik (x) z_{i-1}.  Closed: d(k) = T_k (x) (d(k-1) (+)
+    F (x) d(k-c)).  The identity blocks of the augmented forms are a ring
+    of the last b+1 (or c) live blocks; references before k = 0 are eps,
+    and the history columns of ``states`` are filled from the live block
+    at the end.
+
+    Each entry adds tau_ik once, to each term of a max where the oracle
+    adds it to the max, and rounding is monotone, fl(t + max(a, b)) =
+    max(fl(t + a), fl(t + b)), so the result equals ``oracle_lindley``
+    bit for bit on float tau as well.
+    """
+    n = spec.n
+    K = spec.horizon
+    variant = spec.variant
+    closed = variant == "closed"
+    lag = spec.population if closed else spec.buffer_capacity + 1
+    never = [EPS] * n
+    ring = [states[0, :n].tolist()] + [never] * (lag - 1)
+    for k, column in enumerate(tau.tau.T, 1):
+        tk = column.tolist()
+        prev = ring[(k - 1) % lag]
+        old = ring[k % lag]  # d(k - lag)
+        if closed:
+            feed = old[-1:] + old[:-1]
+        elif variant == "open_infinite":
+            feed = never
+        else:
+            feed = old[1:] + never[:1]
+        if variant == "open_mfg":
+            y = [t + p if t + p >= q else q for t, p, q in zip(tk, prev, feed)]
+        else:
+            y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
+        if not closed:
+            z = EPS
+            for i, t in enumerate(tk):
+                z += t
+                if y[i] > z:
+                    z = y[i]
+                y[i] = z
+        ring[k % lag] = y
+        states[k, :n] = y
+    for j in range(1, spec.arity // n):
+        lagged = states[1:, j * n : (j + 1) * n]  # d(k - j) for k = 1..K
+        lagged[: j - 1] = EPS
+        lagged[j - 1 :] = states[: max(K + 1 - j, 0), :n]
+
+
 def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Scalar-processor schedule: build T_k, then the triangular (or
-    dense, for augmented variants) matrix-vector product."""
+    """Scalar-processor schedule, run on the factored per-step kernel.
+
+    The ledger charges the paper's cost model of the dense serial
+    algorithm (build T_k, then the triangular, or dense for augmented
+    variants, matrix-vector product), not the kernel's own work."""
     _check_inputs(spec, tau)
     m = spec.arity
     n = spec.n
     K = spec.horizon
     states = np.empty((K + 1, m))
     states[0] = initial_state(spec)
-    ledger = OpLedger()
-    open_inf = spec.variant == "open_infinite"
-    for k in range(1, K + 1):
-        t_k = build_transition(spec, tau.column(k))
-        states[k] = matvec(t_k.readonly(), states[k - 1])
-        ledger.steps += 1
-        if open_inf:
-            ledger.scalar_otimes += _tri(n) + _tri(n)
-            ledger.scalar_oplus += _tri(n) - n
-        else:
-            ledger.scalar_otimes += m * m
-            ledger.scalar_oplus += m * (m - 1)
-    ledger.memory_cells = _tri(n) + 2 * n if open_inf else m * m + 2 * m
+    _factored_steps(spec, tau, states)
+    ledger = OpLedger(steps=K)
+    if spec.variant == "open_infinite":
+        ledger.scalar_otimes = K * (_tri(n) + _tri(n))
+        ledger.scalar_oplus = K * (_tri(n) - n)
+        ledger.memory_cells = _tri(n) + 2 * n
+    else:
+        ledger.scalar_otimes = K * m * m
+        ledger.scalar_oplus = K * m * (m - 1)
+        ledger.memory_cells = m * m + 2 * m
     return Trajectory(states, spec, ledger, strategy="serial")
 
 

@@ -65,6 +65,10 @@ class TestParseConfig:
             ({"b": True}, "'b'"),
             ({"processors": True}, "processors"),
             ({"count_ops": "false"}, "count_ops"),
+            ({"measures": 5}, "measures"),
+            ({"measures": [[1]]}, "measures"),
+            ({"measures": "sojourn"}, "measures"),
+            ({"output": 5}, "output"),
         ]
         for overrides, key in cases:
             with pytest.raises(ConfigError, match=key):
