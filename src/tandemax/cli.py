@@ -137,16 +137,12 @@ def _check_compat(config: RunConfig) -> None:
         )
 
 
-def _csv_row(values) -> str:
-    return ",".join(format_scalar(v) if isinstance(v, float) else str(v) for v in values)
-
-
 def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
     n = rows.shape[1]
     with path.open("w") as fh:
         fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n")
-        for k in range(1, rows.shape[0] + 1):
-            fh.write(_csv_row([k, *map(float, rows[k - 1])]) + "\n")
+        for k, row in enumerate(rows, start=1):
+            fh.write(f"{k}," + ",".join(map(format_scalar, row.tolist())) + "\n")
 
 
 def _count_formulas(n: int, K: int, P: int) -> dict:

@@ -115,10 +115,6 @@ class MaxPlusMatrix:
     def __getitem__(self, idx):
         return self._a[idx]
 
-    def to_array(self) -> np.ndarray:
-        """Writable copy of the raw entries."""
-        return self._a.copy()
-
     def readonly(self) -> np.ndarray:
         """The underlying read-only array (no copy)."""
         return self._a

@@ -1,13 +1,13 @@
 """Service-time sourcing: trace files and a portable seeded generator.
 
-The random kinds use a counter-based 64-bit mixing generator (the
-splitmix64 finalizer applied twice to a per-cell key derived from the
-seed and the station/customer indices), so tau_ik depends only on
-(seed, i, k) and is reproducible across platforms, iteration orders,
-and thread counts.  Uniform sampling scales the 53-bit mantissa
-fraction; exponential sampling is the inverse transform
--log(1 - u) / rate.  Integer mode rounds samples to the nearest
-integer so cross-route comparisons are exact.
+The random kinds use a counter-based generator: the splitmix64 finalizer
+applied twice to a key of (seed, station i, customer k), evaluated on
+the whole n x K index grid at once in numpy uint64 arithmetic, so tau_ik
+is the same on every platform and in every iteration order.  Uniform
+sampling scales the 53-bit mantissa fraction; exponential sampling is
+-log1p(-u) / rate per cell with the platform libm's log1p (numpy's SIMD
+log1p can differ in the last bit).  Integer mode rounds samples to the
+nearest integer so cross-route comparisons are exact.
 """
 
 from __future__ import annotations
@@ -21,21 +21,29 @@ import numpy as np
 
 from .models import ServiceTimes
 
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _uniform01(seed: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index arrays."""
+    z = np.asarray((i << np.uint64(32)) ^ k)  # a 0-d array, unlike a scalar, wraps silently
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed % 2**64)
+    z = _mix64(_mix64(z)) >> np.uint64(11)
+    return z * 2.0 ** -53
 
 
 def cell_uniform01(seed: int, i: int, k: int) -> float:
     """Deterministic u in [0, 1) for cell (station i, customer k), 1-based."""
-    key = (seed + _GOLDEN * ((i << 32) ^ k)) & _MASK
-    return (_mix64(_mix64(key)) >> 11) * 2.0 ** -53
+    return float(_uniform01(seed, np.array(i, np.uint64), np.array(k, np.uint64)))
 
 
 class SourceConfigError(ValueError):
@@ -74,20 +82,18 @@ class ServiceTimeSource:
     def sample(self, n: int, horizon: int) -> ServiceTimes:
         if self.kind == "trace":
             return load_trace(self.path, n, horizon)
-        tau = np.empty((n, horizon))
-        for i in range(1, n + 1):
-            for k in range(1, horizon + 1):
-                if self.kind == "constant":
-                    x = self.value
-                else:
-                    u = cell_uniform01(self.seed, i, k)
-                    if self.kind == "uniform":
-                        x = self.low + (self.high - self.low) * u
-                    else:
-                        x = -math.log1p(-u) / self.rate
-                tau[i - 1, k - 1] = x
+        if self.kind == "constant":
+            tau = np.full((n, horizon), self.value, dtype=float)
+        else:
+            tau = _uniform01(self.seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
+                             np.arange(1, horizon + 1, dtype=np.uint64))
+            if self.kind == "uniform":
+                tau *= self.high - self.low
+                tau += self.low
+            else:
+                tau = np.frompyfunc(math.log1p, 1, 1)(-tau).astype(float) / -self.rate
         if self.integer_times:
-            tau = np.rint(tau)
+            np.rint(tau, out=tau)
         return ServiceTimes(tau)
 
 
@@ -109,28 +115,22 @@ def load_trace(path, n: int, horizon: int) -> ServiceTimes:
             if len(row) != 3:
                 raise SourceConfigError(f"{path}:{lineno}: expected 3 fields")
             try:
-                k = int(row[0])
-                i = int(row[1])
-                x = float(row[2])
+                k, i, x = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise SourceConfigError(f"{path}:{lineno}: {exc}") from exc
             if not (1 <= i <= n and 1 <= k <= horizon):
-                raise SourceConfigError(
-                    f"{path}:{lineno}: cell (k={k}, i={i}) outside 1..{horizon} x 1..{n}"
-                )
+                raise SourceConfigError(f"{path}:{lineno}: cell (k={k}, i={i}) "
+                                        f"outside 1..{horizon} x 1..{n}")
             if not math.isfinite(x) or x < 0:
-                raise SourceConfigError(
-                    f"{path}:{lineno}: tau must be finite and >= 0, got {row[2]}"
-                )
+                raise SourceConfigError(f"{path}:{lineno}: tau must be finite "
+                                        f"and >= 0, got {row[2]}")
             if not math.isnan(tau[i - 1, k - 1]):
                 raise SourceConfigError(f"{path}:{lineno}: duplicate cell (k={k}, i={i})")
             tau[i - 1, k - 1] = x
     missing = np.argwhere(np.isnan(tau))
     if missing.size:
         i0, k0 = missing[0]
-        raise SourceConfigError(
-            f"{path}: missing cell (k={int(k0) + 1}, i={int(i0) + 1})"
-        )
+        raise SourceConfigError(f"{path}: missing cell (k={int(k0) + 1}, i={int(i0) + 1})")
     return ServiceTimes(tau)
 
 

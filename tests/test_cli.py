@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,13 +96,38 @@ class TestParseConfig:
             parse_config("{nope")
 
 
+# u at cells (station i, customer k) as the scalar Python-int splitmix64
+# gives it: ((seed + 0x9E3779B97F4A7C15 * ((i << 32) ^ k)) mod 2**64,
+# finalizer twice, top 53 bits).
+PINNED_U = {
+    0: {(1, 1): 0.9077188858688816, (16, 3000): 0.15150025018008384,
+        (5, 70000): 0.3789075687018778},
+    7: {(1, 1): 0.476472204964401, (16, 3000): 0.09775375388561414,
+        (5, 70000): 0.25051264282805996},
+    2**63 + 5: {(1, 1): 0.8418317643105325, (16, 3000): 0.8120637094043287,
+                (5, 70000): 0.5310349756645503},
+    -1: {(1, 1): 0.9079969070926105, (16, 3000): 0.7762377550210996,
+         (5, 70000): 0.8581262168984212},
+    2**70 + 3: {(1, 1): 0.10157732693534327, (16, 3000): 0.6245187371808072,
+                (5, 70000): 0.8608883315499819},
+}
+
+
 class TestPortableGenerator:
     def test_sample_matches_per_cell_derivation(self):
-        src = ServiceTimeSource(kind="uniform", low=0.0, high=1.0, seed=42)
-        tau = src.sample(3, 4).tau
-        for i in range(1, 4):
-            for k in range(1, 5):
-                assert tau[i - 1, k - 1] == cell_uniform01(42, i, k)
+        for seed, cells in PINNED_U.items():
+            src = ServiceTimeSource(kind="uniform", low=0.0, high=1.0, seed=seed)
+            tau = src.sample(16, 70000).tau
+            for (i, k), u in cells.items():
+                assert cell_uniform01(seed, i, k) == u
+                assert tau[i - 1, k - 1] == u
+        for kind in ("uniform", "exponential"):
+            src = ServiceTimeSource(kind=kind, low=0.0, high=1.0, rate=2.5, seed=42)
+            tau = src.sample(3, 40).tau
+            for i in range(1, 4):
+                for k in range(1, 41):
+                    u = cell_uniform01(42, i, k)
+                    assert tau[i - 1, k - 1] == (u if kind == "uniform" else -math.log1p(-u) / 2.5)
 
     def test_range_and_spread(self):
         us = [cell_uniform01(7, i, k) for i in range(1, 20) for k in range(1, 20)]
