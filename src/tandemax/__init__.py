@@ -6,12 +6,9 @@ from .core import (
     MaxPlusMatrix,
     NotInvertibleError,
     ShapeError,
-    approx_equal,
-    format_matrix,
     inverse,
     oplus,
     otimes,
-    parse_matrix,
 )
 from .engine import (
     OpLedger,

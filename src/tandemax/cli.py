@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import format_scalar, rounding_gap
+from .core import EPS_TOKEN, format_scalar, rounding_gap
 from .engine import STRATEGIES, Trajectory, oracle_lindley, simulate
 from .measures import trajectory_sojourn, trajectory_waiting
 from .models import ModelConfigError, TandemSpec
@@ -137,12 +137,37 @@ def _check_compat(config: RunConfig) -> None:
         )
 
 
+# Exactness is checked per block of _CHUNK_ROWS rows, and a block is
+# formatted _FORMAT_ROWS rows per `%` call. Each call's transient Python
+# objects fragment the heap, so a larger call raises the peak RSS of a
+# long run; a smaller block makes the numpy checks cost more per row.
+_CHUNK_ROWS = 128
+_FORMAT_ROWS = 32
+
+
 def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
-    n = rows.shape[1]
+    """Write rows (K x n) under a k column as CSV, each cell as
+    ``format_scalar`` gives it. A block of exact integers (|x| < 2**53,
+    not -0.0) prints as int64 digits, the same text as ``.17g``; any
+    other block goes through ``%.17g``, where `-inf` becomes the eps
+    token."""
+    K, n = rows.shape
+    int_row = "%d" + ",%d" * n + "\n"
+    float_row = "%d" + ",%.17g" * n + "\n"
     with path.open("w") as fh:
         fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n")
-        for k, row in enumerate(rows, start=1):
-            fh.write(f"{k}," + ",".join(map(format_scalar, row.tolist())) + "\n")
+        for k0 in range(0, K, _CHUNK_ROWS):
+            block = rows[k0:k0 + _CHUNK_ROWS]
+            table = np.column_stack((np.arange(k0 + 1, k0 + len(block) + 1), block))
+            exact = (np.abs(table) < 2.0**53) & (table == np.rint(table))
+            if np.all(exact & ((table != 0) | ~np.signbit(table))):
+                row, table = int_row, table.astype(np.int64)
+            else:
+                row = float_row
+            for j in range(0, len(table), _FORMAT_ROWS):
+                part = table[j:j + _FORMAT_ROWS]
+                text = row * len(part) % tuple(part.ravel().tolist())
+                fh.write(text.replace("-inf", EPS_TOKEN))
 
 
 def _count_formulas(n: int, K: int, P: int) -> dict:
@@ -220,7 +245,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     _require(trials >= 1, "'--trials' must be >= 1")
     # a trace has no seed to vary, so it gives one trial
     trials = 1 if config.source.kind == "trace" else trials
-    worst = (0.0, 0.0)
+    worst = (0.0, 0.0, 0, 0)
     for t in range(trials):
         tau = replace(config.source, seed=config.source.seed + t).sample(
             config.spec.n, config.spec.horizon
@@ -239,10 +264,12 @@ def validate(config: RunConfig, trials: int = 10) -> int:
                 f"(trial {t})"
             )
             return 1
-        worst = max(worst, (float(diff.max(initial=0.0)), bound))
+        k, i = np.unravel_index(diff.argmax(), diff.shape)
+        worst = max(worst, (float(diff[k, i]), bound, k + 1, i + 1))
+    gap, bound, k, i = worst
     print(
         f"validate: ok ({trials} trial(s), variant={config.spec.variant}, "
-        f"max gap {worst[0]:.3g}, bound {worst[1]:.3g})"
+        f"max gap {gap:.3g} at k={k} i={i}, bound {bound:.3g})"
     )
     return 0
 
@@ -341,11 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return run(_load_config(args))
-        if args.command == "validate":
-            return validate(_load_config(args), trials=args.trials)
-        return bench(args.n_list, args.k_list, args.p_list, args.out)
+        if args.command == "bench":
+            return bench(args.n_list, args.k_list, args.p_list, args.out)
+        config = _load_config(args)
+        try:
+            if args.command == "simulate":
+                return run(config)
+            return validate(config, trials=args.trials)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"n x K = {config.spec.n} x {config.spec.horizon} cells do not fit in memory ({exc})"
+            ) from exc
     except (ConfigError, ModelConfigError, SourceConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -200,21 +200,6 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a + v[None, :]).max(axis=1)
 
 
-def approx_equal(a: MaxPlusMatrix, b: MaxPlusMatrix, tol: float = 1e-9) -> bool:
-    """Tolerance comparison for float-valued service times.
-
-    eps entries must match exactly; finite entries may differ by tol.
-    """
-    if a.shape != b.shape:
-        return False
-    xa, xb = a.readonly(), b.readonly()
-    ea, eb = np.isneginf(xa), np.isneginf(xb)
-    if not np.array_equal(ea, eb):
-        return False
-    fin = ~ea
-    return bool(np.all(np.abs(xa[fin] - xb[fin]) <= tol))
-
-
 def rounding_gap(tau: np.ndarray, d: np.ndarray) -> float:
     """Largest gap allowed between two routes that sum the service times
     tau (n x K) in different orders to results d: 0 for integer-valued
@@ -229,39 +214,11 @@ def rounding_gap(tau: np.ndarray, d: np.ndarray) -> float:
     return (n + K) * 2.0**-53 * float(np.abs(d[np.isfinite(d)]).max(initial=0.0))
 
 
-# -- text fixture format ----------------------------------------------
-# One row per line, whitespace-separated entries, literal token `eps`
-# for -inf, decimal numerals otherwise.
+# -- CSV cell text ------------------------------------------------------
+# The literal token `eps` for -inf, 17 significant digits otherwise.
 
 EPS_TOKEN = "eps"
 
 
 def format_scalar(x: float) -> str:
     return EPS_TOKEN if x == EPS else format(x, ".17g")
-
-
-def parse_scalar(token: str) -> float:
-    if token == EPS_TOKEN:
-        return EPS
-    return float(token)
-
-
-def format_matrix(m: MaxPlusMatrix) -> str:
-    lines = []
-    for row in m.readonly():
-        lines.append(" ".join(format_scalar(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> MaxPlusMatrix:
-    rows = []
-    for line in text.strip().splitlines():
-        if not line.strip():
-            continue
-        rows.append([parse_scalar(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("empty matrix text")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeError("ragged rows in matrix text")
-    return MaxPlusMatrix(rows)

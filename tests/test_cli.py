@@ -1,12 +1,18 @@
 import json
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tandemax.cli import ConfigError, main, parse_config, run, validate
-from tandemax.core import rounding_gap
-from tandemax.engine import simulate_serial
+from tandemax.cli import _CHUNK_ROWS, ConfigError, _write_measure, main, parse_config, run, validate
+from tandemax.core import EPS, format_scalar, rounding_gap
+from tandemax.engine import simulate, simulate_serial
 from tandemax.models import TandemSpec
 from tandemax.sources import (
     ServiceTimeSource,
@@ -250,7 +256,7 @@ class TestRun:
                                 "seed": 1, "integer_times": True})
         )
         assert validate(config, trials=5) == 0
-        assert "max gap 0, bound 0" in capsys.readouterr().out
+        assert "max gap 0 at k=1 i=1, bound 0" in capsys.readouterr().out
 
     def test_float_waiting_within_rounding_gap(self, tmp_path):
         # departures and service prefixes are summed in different orders,
@@ -275,6 +281,20 @@ class TestRun:
         )
         assert validate(config, trials=2) == 0
         assert "bound" in capsys.readouterr().out
+        # the dense route sums in another order: the line names the cell
+        # of the largest gap over both trials
+        dense = replace(config, strategy="vector")
+        assert validate(dense, trials=2) == 0
+        line = capsys.readouterr().out
+        gap, k, i = re.search(r"^validate: ok .* max gap (\S+) at k=(\d+) i=(\d+), bound", line).groups()
+        gaps = []
+        for t in range(2):
+            tau = replace(config.source, seed=7 + t).sample(8, 200)
+            gaps.append(np.abs(simulate(dense.spec, tau, "vector").departures()
+                               - cli.oracle_lindley(config.spec, tau).departures()))
+        worst = max(g.max() for g in gaps)
+        assert worst > 0 and gap == f"{worst:.3g}"
+        assert max(g[int(k) - 1, int(i) - 1] for g in gaps) == worst
         real = cli.oracle_lindley
 
         def nudged(spec, tau):
@@ -286,6 +306,54 @@ class TestRun:
         monkeypatch.setattr(cli, "oracle_lindley", nudged)
         assert validate(config, trials=1) == 1
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
+
+
+def reference_csv(rows, prefix):
+    """The per-row writer: one format_scalar call per cell."""
+    n = rows.shape[1]
+    lines = ["k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1))]
+    for k, row in enumerate(rows.tolist(), start=1):
+        lines.append(f"{k}," + ",".join(map(format_scalar, row)))
+    return "\n".join(lines) + "\n"
+
+
+# cells whose text the integer digits would get wrong: -0 prints "-0",
+# 1e17 prints "1e+17", and the rest are not exact integers below 2**53
+TRICKY = [EPS, -0.0, 5e-324, 1e300, 2.0**53, 2.0**53 + 2, -(2.0**53), 1e17,
+          math.nan, math.inf, 0.1, -2.5]
+EXACT = [0.0, 1.0, -7.0, 2.0**53 - 1, -(2.0**53 - 1)]
+
+
+class TestWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.sampled_from([1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                           2 * _CHUNK_ROWS + 5, 3 * _CHUNK_ROWS]),
+        n=st.integers(1, 4),
+        chunks=st.lists(st.tuples(st.sampled_from(["integer", "float", "mixed"]),
+                                  st.sampled_from(TRICKY)), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the two integer-valued cells the int64 digits would print wrongly
+    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", -0.0)] * 2, seed=0)
+    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", 1e17)] * 2, seed=0)
+    def test_byte_identical_to_per_cell_writer(self, K, n, chunks, seed):
+        # each chunk is all exact integers, all non-integer or tricky
+        # values, or one tricky value among integers
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-10**6, 10**6, size=(K, n)).astype(np.float64)
+        for (kind, tricky), k0 in zip(chunks * 3, range(0, K, _CHUNK_ROWS)):
+            block = rows[k0:k0 + _CHUNK_ROWS]
+            if kind == "integer":
+                block[rng.random(block.shape) < 0.1] = rng.choice(EXACT)
+            elif kind == "float":
+                block[:] = rng.choice(TRICKY + [rng.normal()], size=block.shape)
+            else:
+                block.flat[rng.integers(block.size)] = tricky
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            _write_measure(rows, "d", path)
+            assert path.read_text() == reference_csv(rows, "d")
 
 
 class TestMainExitCodes:
@@ -323,6 +391,16 @@ class TestMainExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "configuration error: '--trials' must be >= 1\n"
+
+    def test_unallocatable_run_is_a_config_error(self, tmp_path, capsys):
+        # n x K doubles are 6.94 EiB, so the first allocation fails at once
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"variant": "open_infinite", "n": 1000000000, "K": 1000000000,
+                                   "source": {"kind": "constant", "value": 1}}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: n x K = 1000000000 x 1000000000 ")
+        assert err.count("\n") == 1
 
     def test_io_error_is_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3

@@ -9,12 +9,9 @@ from tandemax.core import (
     MaxPlusMatrix,
     NotInvertibleError,
     ShapeError,
-    approx_equal,
-    format_matrix,
     inverse,
     oplus,
     otimes,
-    parse_matrix,
     rounding_gap,
 )
 
@@ -149,30 +146,6 @@ class TestMatrices:
     def test_mul_monotone(self, a, a2, b):
         lo = a + a2  # entrywise upper bound of a
         assert np.all((a @ b).readonly() <= (lo @ b).readonly())
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        m = mat([[1.5, EPS], [EPS, -2]])
-        assert parse_matrix(format_matrix(m)) == m
-
-    def test_eps_token(self):
-        text = "eps 1\n2 eps\n"
-        m = parse_matrix(text)
-        assert m[0, 0] == EPS and m[1, 0] == 2.0
-        assert format_matrix(m) == text
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ShapeError):
-            parse_matrix("1 2\n3\n")
-
-
-def test_approx_equal():
-    a = mat([[1.0, EPS]])
-    b = mat([[1.0 + 1e-12, EPS]])
-    c = mat([[1.0, 0.0]])
-    assert approx_equal(a, b)
-    assert not approx_equal(a, c)
 
 
 def test_rounding_gap():
