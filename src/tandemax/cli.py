@@ -7,6 +7,7 @@ Configs are JSON documents; see README for the schema.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,11 +286,14 @@ def bench(n_list, k_list, p_list, out=None) -> int:
     for n in n_list:
         for K in k_list:
             spec = TandemSpec(variant="open_infinite", n=n, horizon=K)
-            tau = ServiceTimeSource(kind="constant", value=1.0).sample(n, K)
-            serial = simulate(spec, tau, "serial").ledger
-            vector = simulate(spec, tau, "vector").ledger
-            for P in p_list:
-                batched = simulate(spec, tau, "batched", P).ledger
+            try:
+                tau = ServiceTimeSource(kind="constant", value=1.0).sample(n, K)
+                serial = simulate(spec, tau, "serial").ledger
+                vector = simulate(spec, tau, "vector").ledger
+                parallel = [simulate(spec, tau, "batched", P).ledger for P in p_list]
+            except MemoryError as exc:
+                raise _unallocatable(n, K, exc) from exc
+            for P, batched in zip(p_list, parallel):
                 f = _count_formulas(n, K, P)
                 lines.append(
                     ",".join(
@@ -339,7 +343,10 @@ def _load_config(args) -> RunConfig:
     return parse_config(doc)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="tandemax", description="Max-plus tandem queueing simulator"
     )
@@ -365,6 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unallocatable(n: int, K: int, exc: MemoryError) -> ConfigError:
+    return ConfigError(f"n x K = {n} x {K} cells do not fit in memory ({exc})")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -376,9 +387,7 @@ def main(argv=None) -> int:
                 return run(config)
             return validate(config, trials=args.trials)
         except MemoryError as exc:
-            raise ConfigError(
-                f"n x K = {config.spec.n} x {config.spec.horizon} cells do not fit in memory ({exc})"
-            ) from exc
+            raise _unallocatable(config.spec.n, config.spec.horizon, exc) from exc
     except (ConfigError, ModelConfigError, SourceConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

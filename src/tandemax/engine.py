@@ -27,8 +27,11 @@ Operations on eps operands are charged like any other; only the sparse
 closed-system path specializes the count (2n per step).
 
 ``oracle_lindley`` recomputes departures from the ordinary scalar
-max/+ recursions, with its own history array, independent of all matrix
-machinery, and accepts any buffer capacity b >= 0 and population c >= 1.
+max/+ recursions, one station at a time on Python floats, looking back
+through a ring of the last ``lag`` rows (b+1 for blocking, c for
+closed).  It is independent of all matrix machinery, the factored
+kernel included, and accepts any buffer capacity b >= 0 and population
+c >= 1.
 """
 
 from __future__ import annotations
@@ -189,8 +192,9 @@ def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
 
 
 def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Closed c = 1 fast path exploiting the two-entries-per-row
-    structure: d_i(k) = tau_ik (x) (d_pred(i)(k-1) (+) d_i(k-1))."""
+    """Closed c = 1 on the factored kernel, whose step is then the
+    two-entries-per-row form d_i(k) = tau_ik (x) (d_i(k-1) (+)
+    d_pred(i)(k-1)); the ledger charges those 2n operations per step."""
     if spec.variant != "closed" or spec.population != 1:
         raise ModelConfigError("sparse path requires the closed variant with c = 1")
     _check_inputs(spec, tau)
@@ -198,14 +202,8 @@ def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     K = spec.horizon
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
-    ledger = OpLedger()
-    for k in range(1, K + 1):
-        prev = states[k - 1]
-        states[k] = tau.column(k) + np.maximum(prev, np.roll(prev, 1))
-        ledger.steps += 1
-        ledger.scalar_oplus += n
-        ledger.scalar_otimes += n
-    ledger.memory_cells = 3 * n
+    _factored_steps(spec, tau, states)
+    ledger = OpLedger(scalar_oplus=K * n, scalar_otimes=K * n, steps=K, memory_cells=3 * n)
     return Trajectory(states, spec, ledger, strategy="sparse-closed")
 
 
@@ -279,51 +277,57 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
     return Trajectory(states, spec, ledger, strategy="batched")
 
 
+# Customers per block of the oracle: tau is read and hist written one
+# block at a time, so no K x n table of Python floats is ever held.
+_ORACLE_BLOCK = 256
+
+
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     """Ground-truth departures from the ordinary scalar recursions.
 
-    Keeps the full departure history so blocking terms d_{i+1}(k-b-1)
-    and closed arrivals d_{i-1}(k-c) resolve for any b >= 0, c >= 1.
-    References to k < 0 are eps (no departures before start); k = 0 is
-    the initial-state vector.
+    Runs on Python floats, customer by customer and station by station.
+    The blocking terms d_{i+1}(k-b-1) and closed arrivals d_{i-1}(k-c)
+    come from a ring of the last ``lag`` rows (b+1, or c), so any
+    b >= 0, c >= 1 resolves.  References to k < 0 are eps (no departures
+    before start); k = 0 is the initial-state vector.
     """
     _check_inputs(spec, tau)
     n = spec.n
     K = spec.horizon
+    variant = spec.variant
     init = 0.0 if spec.initial_state == "zero" else EPS
     hist = np.empty((K + 1, n))
     hist[0] = init
-
-    def past(i: int, k: int) -> float:
-        return EPS if k < 0 else hist[k, i]
-
-    t = tau.tau
-    b = spec.buffer_capacity
-    c = spec.population
-    for k in range(1, K + 1):
-        cur = hist[k]
-        if spec.variant == "closed":
-            for i in range(n):
-                a = past(i - 1 if i else n - 1, k - c)
-                cur[i] = max(a, past(i, k - 1)) + t[i, k - 1]
-        elif spec.variant == "open_infinite":
-            for i in range(n):
-                a = EPS if i == 0 else cur[i - 1]
-                cur[i] = max(a, past(i, k - 1)) + t[i, k - 1]
-        elif spec.variant == "open_mfg":
-            for i in range(n):
-                a = EPS if i == 0 else cur[i - 1]
-                served = max(a, past(i, k - 1)) + t[i, k - 1]
-                if i < n - 1:
-                    served = max(served, past(i + 1, k - b - 1))
-                cur[i] = served
-        else:  # open_comm
-            for i in range(n):
-                a = EPS if i == 0 else cur[i - 1]
-                start = max(a, past(i, k - 1))
-                if i < n - 1:
-                    start = max(start, past(i + 1, k - b - 1))
-                cur[i] = start + t[i, k - 1]
+    lag = spec.population if variant == "closed" else spec.buffer_capacity + 1
+    ring = [[init] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
+    for k0 in range(0, K, _ORACLE_BLOCK):
+        rows = []
+        for k, t in enumerate(tau.tau[:, k0 : k0 + _ORACLE_BLOCK].T.tolist(), k0 + 1):
+            prev = ring[(k - 1) % lag]
+            old = ring[k % lag]  # row k - lag
+            if variant == "closed":
+                # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
+                arrival = old[-1:] + old[:-1]
+                cur = [max(a, p) + ti for a, p, ti in zip(arrival, prev, t)]
+            else:
+                cur = []
+                a = EPS
+                if variant == "open_infinite":
+                    for ti, p in zip(t, prev):
+                        a = max(a, p) + ti
+                        cur.append(a)
+                elif variant == "open_mfg":
+                    # q = d_{i+1}(k-b-1), eps past the last station: max(x, eps) is x
+                    for ti, p, q in zip(t, prev, old[1:] + [EPS]):
+                        a = max(max(a, p) + ti, q)
+                        cur.append(a)
+                else:  # open_comm
+                    for ti, p, q in zip(t, prev, old[1:] + [EPS]):
+                        a = max(max(a, p), q) + ti
+                        cur.append(a)
+            ring[k % lag] = cur
+            rows.append(cur)
+        hist[k0 + 1 : k0 + 1 + len(rows)] = rows
     return Trajectory(hist, spec, OpLedger(steps=K), strategy="oracle")
 
 

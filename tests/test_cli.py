@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tandemax.cli import _CHUNK_ROWS, ConfigError, _write_measure, main, parse_config, run, validate
+from tandemax.cli import (
+    _CHUNK_ROWS,
+    ConfigError,
+    _write_measure,
+    build_parser,
+    main,
+    parse_config,
+    run,
+    validate,
+)
 from tandemax.core import EPS, format_scalar, rounding_gap
 from tandemax.engine import simulate, simulate_serial
 from tandemax.models import TandemSpec
@@ -401,6 +410,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: n x K = 1000000000 x 1000000000 ")
         assert err.count("\n") == 1
+
+    def test_unallocatable_bench_is_a_config_error(self, capsys):
+        # 10**12 x 1 doubles are 7.28 TiB, so the first allocation fails at once
+        assert main(["bench", "--n-list", "1000000000000", "--k-list", "1", "--p-list", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: n x K = 1000000000000 x 1 ")
+        assert err.count("\n") == 1
+
+    def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(output=str(tmp_path / "d.csv")))
+        assert main(["simulate", "--config", str(cfg), "--count-ops"]) == 0
+        assert "scalar_otimes" in capsys.readouterr().out
+        ops = tmp_path / "d_ops.txt"
+        ops.unlink()
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert not ops.exists()
 
     def test_io_error_is_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3

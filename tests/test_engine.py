@@ -150,6 +150,16 @@ class TestStrategyEquivalence:
             simulate_closed_sparse(spec, tau).states, simulate_serial(spec, tau).states
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("initial", ["zero", "epsilon"])
+    def test_sparse_equals_oracle(self, n, initial):
+        spec = TandemSpec("closed", n, 60, initial_state=initial)
+        for tau in (random_tau(n, 60, n), random_tau(n, 60, n, high=5, integer=False)):
+            sparse = simulate_closed_sparse(spec, tau).states
+            want = oracle_lindley(spec, tau).states
+            assert np.array_equal(sparse, want)
+            assert np.array_equal(np.signbit(sparse), np.signbit(want))
+
     def test_sparse_requires_closed_c1(self):
         with pytest.raises(ModelConfigError):
             simulate_closed_sparse(TandemSpec("open_infinite", 3, 5), random_tau(3, 5, 0))
@@ -181,6 +191,25 @@ class TestOracleEquivalence:
                     simulate_serial(spec, tau).departures(),
                     oracle_lindley(spec, tau).departures(),
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4),
+           st.sampled_from(["zero", "epsilon"]))
+    def test_oracle_ring_edges(self, data, n, K, b, c, initial):
+        """With b + 1 or c up to 5 rows of lookback and K down to 1, the
+        oracle's ring reaches back past k = 0; on tau with ties and signed
+        zeros it equals serial exactly, sign of zero included."""
+        cells = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+        tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
+                           .reshape(n, K))
+        for variant, kwargs in [("closed", {"population": c}), ("open_infinite", {}),
+                                ("open_mfg", {"buffer_capacity": b}),
+                                ("open_comm", {"buffer_capacity": b})]:
+            spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
+            want = simulate_serial(spec, tau).states[:, :n]
+            got = oracle_lindley(spec, tau).states
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_oracle_history_before_start_is_eps(self):
         # blocking terms referencing k <= 0 must see e at k = 0, eps before
