@@ -5,11 +5,12 @@ in evaluation schedule and in which operation counter they charge.
 
 ``serial`` runs the factored form of T_k, O(m) per customer: S_k (x) y
 as a prefix recursion, G and GT as shifts, and the augmented identity
-blocks as a ring of past states.  Rounding is monotone, so adding tau
-to each term of a max gives the oracle's sum of tau and the max: serial
-equals the oracle bit for bit, on float tau as well, and runs of
-different variants on shared float tau keep d_comm >= d_mfg >= d_inf
-exactly.  ``vector`` and
+blocks as a ring of past states.  Distributing tau_ik over the max folds
+the product and the prefix recursion into one pass over the stations,
+one running value per station, which performs the same additions in the
+same order as the scalar recursion: serial equals the oracle bit for
+bit, on float tau as well, and runs of different variants on shared
+float tau keep d_comm >= d_mfg >= d_inf exactly.  ``vector`` and
 ``batched`` evaluate the dense T_k of ``models.build_transition``, the
 paper's specification (``batched`` with P = 1 is the dense reference).
 They equal serial exactly on integer-valued tau; on float tau they add
@@ -111,23 +112,30 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
+# Customers per block: the serial kernel and the oracle read tau and
+# write their states one block at a time, so no K x n table of Python
+# floats is ever held.
+_BLOCK = 256
+
+
 def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> None:
-    """Fill states[1:] from states[0] by the factored form of T_k, O(m)
-    per customer instead of a dense m x m build and product.
+    """Fill states[1:] from states[0] by the factored form of T_k, one
+    pass over the stations per customer instead of a dense m x m build
+    and product.
 
-    Open variants: y = tau_k (x) d(k-1) with the blocking feedback folded
-    in, y_i = tau_ik (x) (d_i(k-1) (+) d_{i+1}(k-b-1)) (communication) or
-    tau_ik (x) d_i(k-1) (+) d_{i+1}(k-b-1) (manufacturing), then
-    d(k) = S_k (x) y with S_k = (T_k (x) G)*, the in-order prefix recursion
-    z_i = y_i (+) tau_ik (x) z_{i-1}.  Closed: d(k) = T_k (x) (d(k-1) (+)
-    F (x) d(k-c)).  The identity blocks of the augmented forms are a ring
-    of the last b+1 (or c) live blocks; references before k = 0 are eps,
-    and the history columns of ``states`` are filled from the live block
-    at the end.
+    Open variants: d(k) = S_k (x) y, with y = tau_k (x) d(k-1) plus the
+    blocking feedback and S_k = (T_k (x) G)* the prefix recursion
+    z_i = y_i (+) tau_ik (x) z_{i-1}.  Distributing tau_ik over the max
+    folds both into one running value per station; with p = d_i(k-1) and
+    q = d_{i+1}(k-b-1), z_i = (z_{i-1} (+) p) (x) tau_ik (infinite
+    buffers), (z_{i-1} (+) p (+) q) (x) tau_ik (communication) or
+    (z_{i-1} (+) p) (x) tau_ik (+) q (manufacturing).  Closed: d(k) =
+    T_k (x) (d(k-1) (+) F (x) d(k-c)).  The augmented identity blocks are
+    a ring of the last b+1 (or c) live blocks, eps before k = 0; the
+    history columns of ``states`` are filled from the live block last.
 
-    Each entry adds tau_ik once, to each term of a max where the oracle
-    adds it to the max, and rounding is monotone, fl(t + max(a, b)) =
-    max(fl(t + a), fl(t + b)), so the result equals ``oracle_lindley``
+    Each entry takes one max and adds tau_ik once, the additions of the
+    scalar recursion in its order, so the result equals ``oracle_lindley``
     bit for bit on float tau as well.
     """
     n = spec.n
@@ -137,29 +145,34 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> 
     lag = spec.population if closed else spec.buffer_capacity + 1
     never = [EPS] * n
     ring = [states[0, :n].tolist()] + [never] * (lag - 1)
-    for k, column in enumerate(tau.tau.T, 1):
-        tk = column.tolist()
-        prev = ring[(k - 1) % lag]
-        old = ring[k % lag]  # d(k - lag)
-        if closed:
-            feed = old[-1:] + old[:-1]
-        elif variant == "open_infinite":
-            feed = never
-        else:
-            feed = old[1:] + never[:1]
-        if variant == "open_mfg":
-            y = [t + p if t + p >= q else q for t, p, q in zip(tk, prev, feed)]
-        else:
-            y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
-        if not closed:
-            z = EPS
-            for i, t in enumerate(tk):
-                z += t
-                if y[i] > z:
-                    z = y[i]
-                y[i] = z
-        ring[k % lag] = y
-        states[k, :n] = y
+    for k0 in range(0, K, _BLOCK):
+        rows = []
+        for k, tk in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
+            prev = ring[(k - 1) % lag]
+            old = ring[k % lag]  # d(k - lag)
+            if closed:
+                feed = old[-1:] + old[:-1]
+                y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
+            else:
+                y, z = [], EPS
+                if variant == "open_infinite":
+                    for t, p in zip(tk, prev):
+                        z = (p if p > z else z) + t
+                        y.append(z)
+                elif variant == "open_comm":
+                    for t, p, q in zip(tk, prev, old[1:] + never[:1]):
+                        z = p if p > z else z
+                        z = (q if q > z else z) + t
+                        y.append(z)
+                else:  # open_mfg
+                    for t, p, q in zip(tk, prev, old[1:] + never[:1]):
+                        z = (p if p > z else z) + t
+                        if q > z:
+                            z = q
+                        y.append(z)
+            ring[k % lag] = y
+            rows.append(y)
+        states[k0 + 1 : k0 + 1 + len(rows), :n] = rows
     for j in range(1, spec.arity // n):
         lagged = states[1:, j * n : (j + 1) * n]  # d(k - j) for k = 1..K
         lagged[: j - 1] = EPS
@@ -277,11 +290,6 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
     return Trajectory(states, spec, ledger, strategy="batched")
 
 
-# Customers per block of the oracle: tau is read and hist written one
-# block at a time, so no K x n table of Python floats is ever held.
-_ORACLE_BLOCK = 256
-
-
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     """Ground-truth departures from the ordinary scalar recursions.
 
@@ -300,9 +308,9 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     hist[0] = init
     lag = spec.population if variant == "closed" else spec.buffer_capacity + 1
     ring = [[init] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
-    for k0 in range(0, K, _ORACLE_BLOCK):
+    for k0 in range(0, K, _BLOCK):
         rows = []
-        for k, t in enumerate(tau.tau[:, k0 : k0 + _ORACLE_BLOCK].T.tolist(), k0 + 1):
+        for k, t in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
             prev = ring[(k - 1) % lag]
             old = ring[k % lag]  # row k - lag
             if variant == "closed":
@@ -337,13 +345,19 @@ STRATEGIES = ("serial", "sparse-closed", "vector", "batched")
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
-    """Dispatch over the execution strategies."""
+    """Dispatch over the execution strategies.  A departure that
+    overflows float64 to +inf is a configuration error (eps is legal)."""
     if strategy == "serial":
-        return simulate_serial(spec, tau)
-    if strategy == "sparse-closed":
-        return simulate_closed_sparse(spec, tau)
-    if strategy == "vector":
-        return simulate_vectorized(spec, tau)
-    if strategy == "batched":
-        return simulate_batched(spec, tau, processors)
-    raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        traj = simulate_serial(spec, tau)
+    elif strategy == "sparse-closed":
+        traj = simulate_closed_sparse(spec, tau)
+    elif strategy == "vector":
+        traj = simulate_vectorized(spec, tau)
+    elif strategy == "batched":
+        traj = simulate_batched(spec, tau, processors)
+    else:
+        raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    over = np.argwhere(np.isposinf(traj.states[:, : spec.n]))
+    if over.size:
+        raise ModelConfigError(f"departure d_{over[0, 1] + 1}({over[0, 0]}) overflows float64")
+    return traj

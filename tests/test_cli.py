@@ -418,6 +418,19 @@ class TestMainExitCodes:
         assert err.startswith("configuration error: n x K = 1000000000000 x 1 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_overflowing_departures_are_a_config_error(self, tmp_path, capsys, command):
+        # d_2(1) = 1e308 + 1e308 overflows to +inf
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(K=4, source={"kind": "constant", "value": 1e308},
+                                   output=str(out)))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: departure d_2(1) overflows float64\n"
+        assert not out.exists()
+
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
         assert build_parser() is build_parser()
         cfg = tmp_path / "c.json"

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +213,37 @@ class TestOracleEquivalence:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("K", [255, 256, 257, 513])
+    @pytest.mark.parametrize(
+        "variant,kwargs",
+        [
+            ("open_infinite", {}),
+            ("open_mfg", {"buffer_capacity": 0}),
+            ("open_mfg", {"buffer_capacity": 3}),
+            ("open_comm", {"buffer_capacity": 0}),
+            ("open_comm", {"buffer_capacity": 3}),
+            ("closed", {"population": 1}),
+            ("closed", {"population": 4}),
+        ],
+    )
+    @pytest.mark.parametrize("initial", ["zero", "epsilon"])
+    def test_block_boundaries(self, K, variant, kwargs, initial):
+        """Serial and the oracle move tau and d in blocks of 256 customers;
+        across block edges, with a ring up to 4 rows deep, serial equals
+        the oracle exactly (sign of zero included) and the dense route
+        exactly on integer tau."""
+        n = 3
+        spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
+        signed = np.random.default_rng(K).choice([0.0, -0.0, 1.0, 2.5], size=(n, K))
+        for tau in (random_tau(n, K, K, high=5, integer=False), ServiceTimes(signed)):
+            got = simulate_serial(spec, tau).states[:, :n]
+            want = oracle_lindley(spec, tau).states
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        tau = random_tau(n, K, K)
+        assert np.array_equal(simulate_serial(spec, tau).states,
+                              simulate_batched(spec, tau, 1).states)
+
     def test_oracle_history_before_start_is_eps(self):
         # blocking terms referencing k <= 0 must see e at k = 0, eps before
         spec = TandemSpec("open_mfg", 2, 2, buffer_capacity=2)
@@ -282,6 +315,16 @@ class TestProperties:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ModelConfigError):
             simulate_serial(TandemSpec("open_infinite", 3, 5), random_tau(2, 5, 0))
+
+    @pytest.mark.parametrize("variant,strategy,cell", [("open_infinite", "serial", "d_2(1)"),
+                                                       ("closed", "sparse-closed", "d_1(2)")])
+    def test_overflow_to_inf_rejected(self, variant, strategy, cell):
+        spec = TandemSpec(variant, 3, 4)
+        message = rf"^departure {re.escape(cell)} overflows float64$"
+        with pytest.raises(ModelConfigError, match=message):
+            simulate(spec, constant_tau([1e308] * 3, 4), strategy)
+        eps = replace(spec, initial_state="epsilon")
+        assert np.isneginf(simulate(eps, constant_tau([1e308] * 3, 4), strategy).states).all()
 
     def test_dispatch_unknown_strategy(self):
         with pytest.raises(ModelConfigError):
