@@ -297,7 +297,10 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     The blocking terms d_{i+1}(k-b-1) and closed arrivals d_{i-1}(k-c)
     come from a ring of the last ``lag`` rows (b+1, or c), so any
     b >= 0, c >= 1 resolves.  References to k < 0 are eps (no departures
-    before start); k = 0 is the initial-state vector.
+    before start); k = 0 is the initial-state vector.  Each max(a, b)
+    is written ``b if b > a else a``: CPython's ``max`` returns b only
+    when b > a, so this is the same function, ties of +-0.0 and NaN
+    included, without a call per cell.
     """
     _check_inputs(spec, tau)
     n = spec.n
@@ -316,22 +319,24 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
             if variant == "closed":
                 # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
                 arrival = old[-1:] + old[:-1]
-                cur = [max(a, p) + ti for a, p, ti in zip(arrival, prev, t)]
+                cur = [(p if p > a else a) + ti for a, p, ti in zip(arrival, prev, t)]
             else:
                 cur = []
                 a = EPS
                 if variant == "open_infinite":
                     for ti, p in zip(t, prev):
-                        a = max(a, p) + ti
+                        a = (p if p > a else a) + ti
                         cur.append(a)
                 elif variant == "open_mfg":
                     # q = d_{i+1}(k-b-1), eps past the last station: max(x, eps) is x
                     for ti, p, q in zip(t, prev, old[1:] + [EPS]):
-                        a = max(max(a, p) + ti, q)
+                        a = (p if p > a else a) + ti
+                        a = q if q > a else a
                         cur.append(a)
                 else:  # open_comm
                     for ti, p, q in zip(t, prev, old[1:] + [EPS]):
-                        a = max(max(a, p), q) + ti
+                        a = p if p > a else a
+                        a = (q if q > a else a) + ti
                         cur.append(a)
             ring[k % lag] = cur
             rows.append(cur)
@@ -346,17 +351,19 @@ def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
     """Dispatch over the execution strategies.  A departure that
-    overflows float64 to +inf is a configuration error (eps is legal)."""
-    if strategy == "serial":
-        traj = simulate_serial(spec, tau)
-    elif strategy == "sparse-closed":
-        traj = simulate_closed_sparse(spec, tau)
-    elif strategy == "vector":
-        traj = simulate_vectorized(spec, tau)
-    elif strategy == "batched":
-        traj = simulate_batched(spec, tau, processors)
-    else:
-        raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    overflows float64 to +inf is a configuration error (eps is legal),
+    reported here rather than as a numpy overflow warning."""
+    with np.errstate(over="ignore"):
+        if strategy == "serial":
+            traj = simulate_serial(spec, tau)
+        elif strategy == "sparse-closed":
+            traj = simulate_closed_sparse(spec, tau)
+        elif strategy == "vector":
+            traj = simulate_vectorized(spec, tau)
+        elif strategy == "batched":
+            traj = simulate_batched(spec, tau, processors)
+        else:
+            raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     over = np.argwhere(np.isposinf(traj.states[:, : spec.n]))
     if over.size:
         raise ModelConfigError(f"departure d_{over[0, 1] + 1}({over[0, 0]}) overflows float64")

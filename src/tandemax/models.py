@@ -166,10 +166,14 @@ def service_diag(tau_k) -> MaxPlusMatrix:
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
     """D[i, j] = tau_i + tau_{i-1} + ... + tau_j for i >= j, eps above:
     S_k (x) T_k with S_k = (T_k (x) G)*, summed in the star's order
-    D[i, j] = D[i, j+1] + tau_j, so it equals the star product bit for bit."""
+    D[i, j] = D[i, j+1] + tau_j, so it equals the star product bit for bit.
+    A sum that overflows to +inf is a configuration error."""
     lower = np.tri(v.size, dtype=bool)
     # adding e gives a -0.0 sum the sign the star products give it
-    d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
+    with np.errstate(over="ignore"):
+        d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
+    if np.isposinf(d).any():
+        raise ModelConfigError("a prefix sum of the service times overflows float64")
     d[~lower] = EPS
     return d
 

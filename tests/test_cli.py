@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,7 +334,24 @@ TRICKY = [EPS, -0.0, 5e-324, 1e300, 2.0**53, 2.0**53 + 2, -(2.0**53), 1e17,
 EXACT = [0.0, 1.0, -7.0, 2.0**53 - 1, -(2.0**53 - 1)]
 
 
+# integers at the encoder's edges: every digit width 1-16 with both
+# signs, 10**j - 1 and 10**j, the uint32 limit 2**32 - 1 and 2**32, and 0
+EDGES = sorted({s * v for s in (1, -1) for v in
+                [0, 2**32 - 1, 2**32, 2**53 - 1]
+                + [10**j - 1 for j in range(1, 16)] + [10**j for j in range(16)]})
+
+
 class TestWriter:
+    @pytest.mark.parametrize("top", sorted({abs(e) for e in EDGES}))
+    def test_integer_edges(self, tmp_path, top):
+        # one block whose largest magnitude is top, holding every smaller
+        # edge, as one column and as one row
+        cells = np.array([e for e in EDGES if abs(e) <= top], dtype=np.float64)
+        path = tmp_path / "m.csv"
+        for rows in (cells[:, None], cells[None, :]):
+            _write_measure(rows, "d", path)
+            assert path.read_text() == reference_csv(rows, "d")
+
     @settings(max_examples=60, deadline=None)
     @given(
         K=st.sampled_from([1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
@@ -429,6 +447,28 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "configuration error: departure d_2(1) overflows float64\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,strategy", [("simulate", "vector"),
+                                                  ("simulate", "batched"),
+                                                  ("validate", "vector")])
+    @pytest.mark.parametrize("n,message", [
+        # tau_1 + tau_2 in T_1, or d_1(1) + tau_1 in the dense product
+        pytest.param(3, "a prefix sum of the service times overflows float64", id="sum"),
+        pytest.param(1, "departure d_1(2) overflows float64", id="product"),
+    ])
+    def test_overflow_on_dense_routes_is_a_config_error(self, tmp_path, capsys, command,
+                                                        strategy, n, message):
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(n=n, K=4, strategy=strategy, output=str(out),
+                                   source={"kind": "constant", "value": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
         assert not out.exists()
 
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys):

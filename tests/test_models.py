@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,14 @@ class TestBuildTransition:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelConfigError):
             build_transition(TandemSpec("open_infinite", 3, 5), [1, 2])
+
+    @pytest.mark.parametrize("variant", ["open_infinite", "open_mfg", "open_comm"])
+    def test_overflowing_prefix_sum_rejected(self, variant):
+        # tau_1 + tau_2 overflows to +inf; no numpy overflow warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ModelConfigError, match="prefix sum .* overflows float64$"):
+                build_transition(TandemSpec(variant, 3, 5), [1e308, 1e308, 1.0])
 
 
 class TestSpecValidation:
