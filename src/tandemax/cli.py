@@ -253,12 +253,12 @@ def run(config: RunConfig) -> int:
     out = Path(config.output_path)
     if "departures" in config.measures or not config.measures:
         _write_measure(traj.departures(), "d", out)
-    blocking = config.spec.variant in ("open_mfg", "open_comm")
     if "sojourn" in config.measures:
         s = trajectory_sojourn(traj.states, config.spec.n)
         _write_measure(s, "s", out.with_name(out.stem + "_sojourn.csv"))
     if "waiting" in config.measures:
-        w = trajectory_waiting(traj.states, tau.tau, check_nonneg=not blocking)
+        nonneg = config.spec.variant == "open_infinite"
+        w = trajectory_waiting(traj.states, tau.tau, check_nonneg=nonneg)
         _write_measure(w, "w", out.with_name(out.stem + "_waiting.csv"))
     if config.count_ops:
         report = op_report(traj, config.processors)

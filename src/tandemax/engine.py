@@ -1,7 +1,11 @@
 """State-recursion execution strategies and the scalar reference oracle.
 
 Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; they differ
-in evaluation schedule and in which operation counter they charge.
+in evaluation schedule and in which operation counter they charge.  A
+trajectory holds the departures d(0..K) only, n columns for every
+variant: the augmented history of earlier rows that makes the blocking
+and closed recursions first order lives in the serial kernel's ring, or
+in the dense routes' state vector, never in the trajectory.
 
 ``serial`` runs the factored form of T_k, O(m) per customer: S_k (x) y
 as a prefix recursion, G and GT as shifts, and the augmented identity
@@ -75,7 +79,9 @@ class OpLedger:
 
 @dataclass
 class Trajectory:
-    """State vectors d(k) for k = 0..K (row k) plus the op ledger."""
+    """Departures d(k) for k = 0..K (row k, n columns; row 0 is the
+    initial state) plus the op ledger.  The augmented history of the
+    blocking and closed variants is not stored."""
 
     states: np.ndarray
     spec: TandemSpec
@@ -87,8 +93,8 @@ class Trajectory:
         return self.states.shape[0] - 1
 
     def departures(self) -> np.ndarray:
-        """d(k) for k = 1..K, augmented history columns dropped."""
-        return self.states[1:, : self.spec.n]
+        """d(k) for k = 1..K."""
+        return self.states[1:]
 
 
 def _check_inputs(spec: TandemSpec, tau: ServiceTimes) -> None:
@@ -118,10 +124,10 @@ def _tri(m: int) -> int:
 _BLOCK = 256
 
 
-def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> None:
-    """Fill states[1:] from states[0] by the factored form of T_k, one
-    pass over the stations per customer instead of a dense m x m build
-    and product.
+def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
+    """Departures d(0..K), a (K+1) x n array, by the factored form of T_k:
+    one pass over the stations per customer instead of a dense m x m
+    build and product.
 
     Open variants: d(k) = S_k (x) y, with y = tau_k (x) d(k-1) plus the
     blocking feedback and S_k = (T_k (x) G)* the prefix recursion
@@ -131,8 +137,8 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> 
     buffers), (z_{i-1} (+) p (+) q) (x) tau_ik (communication) or
     (z_{i-1} (+) p) (x) tau_ik (+) q (manufacturing).  Closed: d(k) =
     T_k (x) (d(k-1) (+) F (x) d(k-c)).  The augmented identity blocks are
-    a ring of the last b+1 (or c) live blocks, eps before k = 0; the
-    history columns of ``states`` are filled from the live block last.
+    a ring of the last b+1 (or c) departure rows, eps before k = 0; the
+    augmented history exists only there.
 
     Each entry takes one max and adds tau_ik once, the additions of the
     scalar recursion in its order, so the result equals ``oracle_lindley``
@@ -143,8 +149,10 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> 
     variant = spec.variant
     closed = variant == "closed"
     lag = spec.population if closed else spec.buffer_capacity + 1
+    states = np.empty((K + 1, n))
+    states[0] = initial_state(spec)[:n]
     never = [EPS] * n
-    ring = [states[0, :n].tolist()] + [never] * (lag - 1)
+    ring = [states[0].tolist()] + [never] * (lag - 1)
     for k0 in range(0, K, _BLOCK):
         rows = []
         for k, tk in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
@@ -172,11 +180,8 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray) -> 
                         y.append(z)
             ring[k % lag] = y
             rows.append(y)
-        states[k0 + 1 : k0 + 1 + len(rows), :n] = rows
-    for j in range(1, spec.arity // n):
-        lagged = states[1:, j * n : (j + 1) * n]  # d(k - j) for k = 1..K
-        lagged[: j - 1] = EPS
-        lagged[j - 1 :] = states[: max(K + 1 - j, 0), :n]
+        states[k0 + 1 : k0 + 1 + len(rows)] = rows
+    return states
 
 
 def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
@@ -189,9 +194,7 @@ def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     m = spec.arity
     n = spec.n
     K = spec.horizon
-    states = np.empty((K + 1, m))
-    states[0] = initial_state(spec)
-    _factored_steps(spec, tau, states)
+    states = _factored_steps(spec, tau)
     ledger = OpLedger(steps=K)
     if spec.variant == "open_infinite":
         ledger.scalar_otimes = K * (_tri(n) + _tri(n))
@@ -213,9 +216,7 @@ def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     _check_inputs(spec, tau)
     n = spec.n
     K = spec.horizon
-    states = np.empty((K + 1, n))
-    states[0] = initial_state(spec)
-    _factored_steps(spec, tau, states)
+    states = _factored_steps(spec, tau)
     ledger = OpLedger(scalar_oplus=K * n, scalar_otimes=K * n, steps=K, memory_cells=3 * n)
     return Trajectory(states, spec, ledger, strategy="sparse-closed")
 
@@ -238,25 +239,28 @@ def simulate_vectorized(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     element one vector add and a recursive-doubling max.
 
     For the open-infinite variant row i only needs its first i entries;
-    augmented variants reduce over the full row.
+    augmented variants reduce over the full row.  The augmented state is
+    one m-vector; each step stores its first n entries.
     """
     _check_inputs(spec, tau)
     m = spec.arity
     K = spec.horizon
-    states = np.empty((K + 1, m))
-    states[0] = initial_state(spec)
+    state = initial_state(spec)
+    states = np.empty((K + 1, spec.n))
+    states[0] = state[: spec.n]
     ledger = OpLedger()
     open_inf = spec.variant == "open_infinite"
     for k in range(1, K + 1):
         t = build_transition(spec, tau.column(k)).readonly()
         ledger.vector_build_ops += m
-        prev = states[k - 1]
+        prev, state = state, np.empty(m)
         for i in range(m):
             width = i + 1 if open_inf else m
             seg = t[i, :width] + prev[:width]
             ledger.vector_reduce_ops += 1
-            states[k, i], stages = _doubling_max(seg)
+            state[i], stages = _doubling_max(seg)
             ledger.vector_reduce_ops += stages
+        states[k] = state[: spec.n]
         ledger.steps += 1
     ledger.memory_cells = (_tri(m) if open_inf else m * m) + 2 * m
     return Trajectory(states, spec, ledger, strategy="vector")
@@ -266,14 +270,16 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
     """SIMD schedule in ceil(K/P) batches: each batch builds its P
     transition matrices up front (independent, parallelizable), then
     applies them to the state in customer order with one row per
-    processor (2m parallel operations per vector)."""
+    processor (2m parallel operations per vector).  The augmented state
+    is one m-vector; each step stores its first n entries."""
     if processors < 1:
         raise ModelConfigError("processor count must be >= 1")
     _check_inputs(spec, tau)
     m = spec.arity
     K = spec.horizon
-    states = np.empty((K + 1, m))
-    states[0] = initial_state(spec)
+    state = initial_state(spec)
+    states = np.empty((K + 1, spec.n))
+    states[0] = state[: spec.n]
     ledger = OpLedger()
     k = 1
     while k <= K:
@@ -281,7 +287,8 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
         mats = [build_transition(spec, tau.column(j)).readonly() for j in batch]
         ledger.parallel_ops += _tri(m)
         for j, t in zip(batch, mats):
-            states[j] = matvec(t, states[j - 1])
+            state = matvec(t, state)
+            states[j] = state[: spec.n]
             ledger.parallel_ops += 2 * m
             ledger.steps += 1
         ledger.batches += 1
@@ -364,7 +371,7 @@ def simulate(
             traj = simulate_batched(spec, tau, processors)
         else:
             raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    over = np.argwhere(np.isposinf(traj.states[:, : spec.n]))
+    over = np.argwhere(np.isposinf(traj.states))
     if over.size:
         raise ModelConfigError(f"departure d_{over[0, 1] + 1}({over[0, 0]}) overflows float64")
     return traj

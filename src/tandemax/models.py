@@ -194,10 +194,10 @@ def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatri
 
 
 def transition_closed(tau_k) -> MaxPlusMatrix:
-    """Closed tandem, one initial customer per station: closed_augmented
-    with c = 1, service_diag(tau) (x) (F (+) E).  Diagonal and
+    """Closed tandem, one initial customer per station: the closed
+    transition with c = 1, service_diag(tau) (x) (F (+) E).  Diagonal and
     subdiagonal tau_i, and tau_1 in the corner (1, n)."""
-    return closed_augmented(tau_k, 1)
+    return build_transition(TandemSpec("closed", np.size(tau_k), horizon=1), tau_k)
 
 
 def transition_open_infinite(tau_k) -> MaxPlusMatrix:
@@ -208,40 +208,16 @@ def transition_open_infinite(tau_k) -> MaxPlusMatrix:
 
 
 def transition_mfg_b0(tau_k) -> MaxPlusMatrix:
-    """Manufacturing blocking, zero buffers: blocking_augmented with b = 0,
-    the infinite-buffer matrix with the first superdiagonal raised to e."""
-    return blocking_augmented(tau_k, "manufacturing", 0)
+    """Manufacturing blocking, zero buffers: the open_mfg transition with
+    b = 0, the infinite-buffer matrix with the first superdiagonal raised
+    to e."""
+    return build_transition(TandemSpec("open_mfg", np.size(tau_k), horizon=1), tau_k)
 
 
 def transition_comm_b0(tau_k) -> MaxPlusMatrix:
-    """Communication blocking, zero buffers: blocking_augmented with b = 0,
-    column j >= 2 the max of infinite-buffer columns j and j-1."""
-    return blocking_augmented(tau_k, "communication", 0)
-
-
-def closed_augmented(tau_k, c: int) -> MaxPlusMatrix:
-    """Closed tandem with c >= 1 initial customers per station.
-
-    State (d(k), ..., d(k-c+1)); top block row is
-    (T_k, eps, ..., eps, T_k (x) F), identity shifts below.  For c = 1
-    the one block is T_k (+) T_k (x) F.
-    """
-    return build_transition(TandemSpec("closed", np.size(tau_k), horizon=1, population=c), tau_k)
-
-
-def blocking_augmented(tau_k, rule: str, b: int) -> MaxPlusMatrix:
-    """Blocking with uniform buffer capacity b >= 0 (augmented (b+1)n).
-
-    State (d(k), ..., d(k-b)); top block row (S_k (x) T_k, eps, ...,
-    feedback) with S_k the truncated star of T_k (x) G and the feedback
-    S_k (x) GT (manufacturing) or S_k (x) T_k (x) GT (communication).
-    For b = 0 the one block is S_k (x) T_k (+) feedback.
-    """
-    if rule not in ("manufacturing", "communication"):
-        raise ModelConfigError(f"unknown blocking rule {rule!r}")
-    variant = "open_mfg" if rule == "manufacturing" else "open_comm"
-    spec = TandemSpec(variant, np.size(tau_k), horizon=1, buffer_capacity=b)
-    return build_transition(spec, tau_k)
+    """Communication blocking, zero buffers: the open_comm transition with
+    b = 0, column j >= 2 the max of infinite-buffer columns j and j-1."""
+    return build_transition(TandemSpec("open_comm", np.size(tau_k), horizon=1), tau_k)
 
 
 def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:
@@ -251,6 +227,14 @@ def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:
     augmented) state vector.  The open variants are written from one
     prefix-sum table D = S_k (x) T_k, and the closed and blocking ones are
     companion forms whose top block row holds T_k or D and the feedback.
+
+    Closed, c >= 1 customers per station: state (d(k), ..., d(k-c+1)),
+    top block row (T_k, eps, ..., eps, T_k (x) F); for c = 1 the one
+    block is T_k (+) T_k (x) F.  Blocking with buffer capacity b >= 0:
+    state (d(k), ..., d(k-b)), top block row (S_k (x) T_k, eps, ...,
+    feedback) with S_k the truncated star of T_k (x) G and the feedback
+    S_k (x) GT (open_mfg) or S_k (x) T_k (x) GT (open_comm); for b = 0
+    the one block is S_k (x) T_k (+) feedback.
     """
     v = _check_tau(tau_k)
     if v.size != spec.n:

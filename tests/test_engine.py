@@ -123,6 +123,30 @@ STRATEGY_SPECS = pytest.mark.parametrize(
 )
 
 
+class TestTrajectoryLayout:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TandemSpec("open_mfg", 3, 12, buffer_capacity=2),
+            TandemSpec("open_comm", 3, 12, buffer_capacity=3),
+            TandemSpec("closed", 3, 12, population=2),
+            TandemSpec("closed", 3, 12),
+        ],
+        ids=["mfg-b2", "comm-b3", "closed-c2", "closed-c1"],
+    )
+    def test_states_hold_departures_only(self, spec):
+        """Every strategy and the oracle store d(0..K) in n columns, the
+        augmented history left out; departures() is rows 1..K."""
+        tau = random_tau(spec.n, spec.horizon, 5)
+        trajs = [simulate_serial(spec, tau), simulate_vectorized(spec, tau),
+                 simulate_batched(spec, tau, 3), oracle_lindley(spec, tau)]
+        if spec.variant == "closed" and spec.population == 1:
+            trajs.append(simulate_closed_sparse(spec, tau))
+        for traj in trajs:
+            assert traj.states.shape == (spec.horizon + 1, spec.n), traj.strategy
+            assert np.array_equal(traj.departures(), traj.states[1:])
+
+
 class TestStrategyEquivalence:
     @STRATEGY_SPECS
     def test_all_strategies_bit_identical(self, spec):
@@ -135,8 +159,8 @@ class TestStrategyEquivalence:
     @STRATEGY_SPECS
     def test_float_serial_within_rounding_gap_of_dense(self, spec):
         """On float tau the factored serial kernel and the dense T_k route
-        (batched with P = 1) sum in different orders; augmented columns
-        included, they agree within the float contract."""
+        (batched with P = 1) sum in different orders; every departure,
+        d(0) included, agrees within the float contract."""
         tau = random_tau(spec.n, spec.horizon, 7, high=5, integer=False)
         serial = simulate_serial(spec, tau).states
         dense = simulate_batched(spec, tau, 1).states
@@ -208,7 +232,7 @@ class TestOracleEquivalence:
                                 ("open_mfg", {"buffer_capacity": b}),
                                 ("open_comm", {"buffer_capacity": b})]:
             spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
-            want = simulate_serial(spec, tau).states[:, :n]
+            want = simulate_serial(spec, tau).states
             got = oracle_lindley(spec, tau).states
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -236,7 +260,7 @@ class TestOracleEquivalence:
         spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
         signed = np.random.default_rng(K).choice([0.0, -0.0, 1.0, 2.5], size=(n, K))
         for tau in (random_tau(n, K, K, high=5, integer=False), ServiceTimes(signed)):
-            got = simulate_serial(spec, tau).states[:, :n]
+            got = simulate_serial(spec, tau).states
             want = oracle_lindley(spec, tau).states
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -8,9 +8,7 @@ from tandemax.models import (
     ModelConfigError,
     ServiceTimes,
     TandemSpec,
-    blocking_augmented,
     build_transition,
-    closed_augmented,
     service_diag,
     shift_matrix,
     transition_closed,
@@ -72,16 +70,20 @@ class TestClosed:
             transition_closed([1])
 
 
+def transition(variant, tau, **kwargs):
+    return build_transition(TandemSpec(variant, len(tau), 1, **kwargs), tau).readonly()
+
+
 class TestClosedC2:
     def test_blocks(self):
-        t = closed_augmented([1, 2], 2).readonly()
+        t = transition("closed", [1, 2], population=2)
         assert np.array_equal(t[:2, :2], MaxPlusMatrix.diag([1, 2]).readonly())
         assert np.array_equal(t[:2, 2:], np.array([[EPS, 1], [2, EPS]]))
         assert np.array_equal(t[2:, :2], MaxPlusMatrix.identity(2).readonly())
         assert np.isneginf(t[2:, 2:]).all()
 
     def test_zero_services_top_blocks(self):
-        t = closed_augmented([0, 0], 2).readonly()
+        t = transition("closed", [0, 0], population=2)
         assert np.array_equal(t[:2, :2], MaxPlusMatrix.identity(2).readonly())
         assert np.array_equal(t[:2, 2:], shift_matrix("F", 2).readonly())
 
@@ -122,7 +124,7 @@ class TestBlockingB0:
 
 class TestBlockingB1:
     def test_mfg_blocks(self):
-        t = blocking_augmented([1, 2], "manufacturing", 1).readonly()
+        t = transition("open_mfg", [1, 2], buffer_capacity=1)
         assert np.array_equal(t[:2, :2], np.array([[1, EPS], [3, 2]]))
         # top-right block is S_k (x) GT: column 2 repeats column 1 of
         # S_k, i.e. (e, tau_2) shifted; verified against the oracle
@@ -131,12 +133,12 @@ class TestBlockingB1:
         assert np.isneginf(t[2:, 2:]).all()
 
     def test_comm_top_right(self):
-        t = blocking_augmented([1, 2], "communication", 1).readonly()
+        t = transition("open_comm", [1, 2], buffer_capacity=1)
         assert np.array_equal(t[:2, 2:], np.array([[EPS, 1], [EPS, 3]]))
 
     def test_bottom_blocks_fixed(self):
-        for rule in ("manufacturing", "communication"):
-            t = blocking_augmented([4, 7, 2], rule, 1).readonly()
+        for variant in ("open_mfg", "open_comm"):
+            t = transition(variant, [4, 7, 2], buffer_capacity=1)
             assert np.array_equal(t[3:, :3], MaxPlusMatrix.identity(3).readonly())
             assert np.isneginf(t[3:, 3:]).all()
 
@@ -170,12 +172,12 @@ class TestStarConstructions:
             tau = rng.uniform(0, 5, size=n)
             tk = service_diag(tau)
             s = star_truncated(tk @ g, n)
-            feedback = {"manufacturing": s @ gt, "communication": s @ (tk @ gt)}
-            for rule, want in feedback.items():
-                t = blocking_augmented(tau, rule, b).readonly()
+            feedback = {"open_mfg": s @ gt, "open_comm": s @ (tk @ gt)}
+            for variant, want in feedback.items():
+                t = transition(variant, tau, buffer_capacity=b)
                 assert np.array_equal(t[:n, :n], (s @ tk).readonly())
                 assert np.array_equal(t[:n, b * n :], want.readonly())
-            top_right = closed_augmented(tau, b + 1).readonly()[:n, b * n :]
+            top_right = transition("closed", tau, population=b + 1)[:n, b * n :]
             assert np.array_equal(top_right, (tk @ shift_matrix("F", n)).readonly())
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -210,9 +212,13 @@ class TestBuildTransition:
         mfg = TandemSpec("open_mfg", 2, 5)
         assert build_transition(mfg, [1, 2]) == transition_mfg_b0([1, 2])
         c2 = TandemSpec("closed", 2, 5, population=2)
-        assert build_transition(c2, [1, 2]) == closed_augmented([1, 2], 2)
+        assert build_transition(c2, [1, 2]) == MaxPlusMatrix(
+            [[1, EPS, EPS, 1], [EPS, 2, 2, EPS], [e, EPS, EPS, EPS], [EPS, e, EPS, EPS]]
+        )
         b1 = TandemSpec("open_comm", 2, 5, buffer_capacity=1)
-        assert build_transition(b1, [1, 2]) == blocking_augmented([1, 2], "communication", 1)
+        assert build_transition(b1, [1, 2]) == MaxPlusMatrix(
+            [[1, EPS, EPS, 1], [3, 2, EPS, 3], [e, EPS, EPS, EPS], [EPS, e, EPS, EPS]]
+        )
 
     def test_arity_of_generalized_forms(self):
         spec = TandemSpec("open_comm", 2, 5, buffer_capacity=3)
