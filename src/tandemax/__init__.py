@@ -27,18 +27,11 @@ from .models import (
     build_transition,
     service_diag,
     shift_matrix,
-    transition_closed,
     transition_comm_b0,
     transition_mfg_b0,
     transition_open_infinite,
 )
-from .solver import (
-    NilpotencyCertificate,
-    NotNilpotentError,
-    nilpotency_index,
-    solve_implicit,
-    star_truncated,
-)
+from .solver import NilpotencyCertificate, nilpotency_index, star_truncated
 from .sources import ServiceTimeSource, dump_trace, load_trace
 
 __version__ = "0.1.0"

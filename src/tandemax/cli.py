@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EPS_TOKEN, format_scalar, rounding_gap
+from .core import EPS, rounding_gap
 from .engine import STRATEGIES, Trajectory, oracle_lindley, simulate
 from .measures import trajectory_sojourn, trajectory_waiting
 from .models import ModelConfigError, TandemSpec
@@ -136,6 +136,16 @@ def _check_compat(config: RunConfig) -> None:
             "sojourn/waiting measures are defined for open variants "
             "with initial_state 'zero' only",
         )
+
+
+# -- CSV cell text ------------------------------------------------------
+# The literal token `eps` for -inf, 17 significant digits otherwise.
+
+EPS_TOKEN = "eps"
+
+
+def format_scalar(x: float) -> str:
+    return EPS_TOKEN if x == EPS else format(x, ".17g")
 
 
 # Exactness is checked per block of _CHUNK_ROWS rows. An exact-integer
@@ -271,7 +281,8 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     """Compare the matrix-recursion trajectory against the scalar
     oracle over several seeds; nonzero exit on the first trial where a
     departure differs by more than the float contract's rounding gap
-    (``core.rounding_gap``: 0 for integer-valued service times)."""
+    (``core.rounding_gap``: 0 for integer-valued service times whose
+    total is below 2**53)."""
     _require(trials >= 1, "'--trials' must be >= 1")
     # a trace has no seed to vary, so it gives one trial
     trials = 1 if config.source.kind == "trace" else trials
@@ -283,7 +294,8 @@ def validate(config: RunConfig, trials: int = 10) -> int:
         traj = simulate(config.spec, tau, config.strategy, config.processors)
         got = traj.departures()
         want = oracle_lindley(config.spec, tau).departures()
-        diff = np.abs(np.subtract(got, want, out=np.zeros_like(got), where=got != want))
+        diff = np.subtract(got, want, out=np.zeros_like(got), where=got != want)
+        np.abs(diff, out=diff)
         bound = rounding_gap(tau.tau, want)
         over = np.argwhere(diff > bound)
         if over.size:

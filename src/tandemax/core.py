@@ -65,7 +65,7 @@ class MaxPlusMatrix:
 
     Immutable after construction.  ``A + B`` is entrywise oplus,
     ``A @ B`` the max-plus product (also accepts a 1-D numpy vector on
-    the right and returns a 1-D vector), ``A ** p`` the p-th power.
+    the right and returns a 1-D vector).
     Equality is exact on values; eps compares equal to eps.
     """
 
@@ -149,16 +149,6 @@ class MaxPlusMatrix:
             return np.full(self.rows, EPS)
         return matvec(self._a, vec)
 
-    def __pow__(self, p: int) -> "MaxPlusMatrix":
-        if self.rows != self.cols:
-            raise ShapeError("matrix power requires a square matrix")
-        if p < 0:
-            raise ValueError("matrix power requires a nonnegative exponent")
-        out = MaxPlusMatrix.identity(self.rows)
-        for _ in range(p):
-            out = out @ self
-        return out
-
     def scale(self, scalar: float) -> "MaxPlusMatrix":
         """Scalar multiplication: add ``scalar`` to every finite entry."""
         if scalar == EPS:
@@ -203,22 +193,17 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def rounding_gap(tau: np.ndarray, d: np.ndarray) -> float:
     """Largest gap allowed between two routes that sum the service times
     tau (n x K) in different orders to results d: 0 for integer-valued
-    tau, else (n + K) * u * max|d| over finite d with u = 2**-53, as each
-    d sums at most n + K terms (Higham, "The accuracy of floating point
-    summation", SISC 1993)."""
+    tau summing to less than 2**53, as every partial sum and every d is
+    then an exact integer, else (n + K) * u * max|d| over finite d with
+    u = 2**-53, as each d sums at most n + K terms (Higham, "The accuracy
+    of floating point summation", SISC 1993)."""
     tau = np.asarray(tau, dtype=np.float64)
-    if np.array_equal(tau, np.rint(tau)):
+    # row by row, and max|d| as max(max d, -min d): no temporary as large as tau or d
+    if all(np.array_equal(row, np.rint(row)) for row in tau) and tau.sum() < 2.0**53:
         return 0.0
     n, K = tau.shape
     d = np.asarray(d, dtype=np.float64)
-    return (n + K) * 2.0**-53 * float(np.abs(d[np.isfinite(d)]).max(initial=0.0))
-
-
-# -- CSV cell text ------------------------------------------------------
-# The literal token `eps` for -inf, 17 significant digits otherwise.
-
-EPS_TOKEN = "eps"
-
-
-def format_scalar(x: float) -> str:
-    return EPS_TOKEN if x == EPS else format(x, ".17g")
+    finite = np.isfinite(d)
+    top = max(0.0, float(d.max(where=finite, initial=0.0)),
+              -float(d.min(where=finite, initial=0.0)))
+    return (n + K) * 2.0**-53 * top

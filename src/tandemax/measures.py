@@ -60,8 +60,8 @@ def waiting_transition(t_k: MaxPlusMatrix, tau_k, tau_prev) -> MaxPlusMatrix:
 def trajectory_sojourn(states: np.ndarray, n: int) -> np.ndarray:
     """Sojourn vectors for k = 1..K from the raw state rows.
 
-    ``states`` holds d(k) in row k (row 0 is the initial state);
-    augmented history columns beyond n are ignored.
+    ``states`` is the (K + 1) x n departure table of a ``Trajectory``:
+    d(k) in row k, row 0 the initial state.
     """
     return sojourn_direct(states[1:, :n])
 

@@ -193,13 +193,6 @@ def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatri
     return MaxPlusMatrix(a)
 
 
-def transition_closed(tau_k) -> MaxPlusMatrix:
-    """Closed tandem, one initial customer per station: the closed
-    transition with c = 1, service_diag(tau) (x) (F (+) E).  Diagonal and
-    subdiagonal tau_i, and tau_1 in the corner (1, n)."""
-    return build_transition(TandemSpec("closed", np.size(tau_k), horizon=1), tau_k)
-
-
 def transition_open_infinite(tau_k) -> MaxPlusMatrix:
     """Open tandem with infinite buffers: the prefix sums D, summed from i
     down to j as the star S_k (x) T_k sums them.  The blocking matrices are

@@ -1,23 +1,16 @@
 """Implicit linear equations x = A (x) x (+) b for nilpotent A.
 
 A square matrix A is nilpotent when some power A^p is the all-eps
-matrix; the equation then has the unique solution
-x = b (+) A b (+) ... (+) A^(p-1) b.  The truncated star sum
-E (+) A (+) ... (+) A^(p-1) is also exposed because the tandem-model
-builders need it directly.
+matrix; ``nilpotency_index`` finds the least such p.  The equation then
+has the unique solution x = A* (x) b, where A* = E (+) A (+) ... (+)
+A^(p-1) is the truncated star sum ``star_truncated(A, p)`` (Lemma 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MaxPlusMatrix, ShapeError
-
-
-class NotNilpotentError(ValueError):
-    """A is not nilpotent within the search bound; no unique solution."""
 
 
 @dataclass(frozen=True)
@@ -69,26 +62,3 @@ def star_truncated(A: MaxPlusMatrix, p: int) -> MaxPlusMatrix:
         power = power @ A
         out = out + power
     return out
-
-
-def solve_implicit(A: MaxPlusMatrix, b: np.ndarray) -> np.ndarray:
-    """Unique solution of x = A (x) x (+) b for nilpotent A.
-
-    Evaluated Horner-style (x <- A x (+) b, repeated p-1 times from
-    x = b), which avoids materializing matrix powers and gives the same
-    result by distributivity.
-    """
-    if A.rows != A.cols:
-        raise ShapeError("coefficient matrix must be square")
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.size != A.rows:
-        raise ShapeError(f"right-hand side length {b.size} != order {A.rows}")
-    cert = nilpotency_index(A, A.rows)
-    if not cert.nilpotent:
-        raise NotNilpotentError(
-            f"matrix is not nilpotent within bound {A.rows}; solution may not be unique"
-        )
-    x = b.copy()
-    for _ in range(cert.index - 1):
-        x = np.maximum(A @ x, b)
-    return x

@@ -41,11 +41,6 @@ def _uniform01(seed: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     return z * 2.0 ** -53
 
 
-def cell_uniform01(seed: int, i: int, k: int) -> float:
-    """Deterministic u in [0, 1) for cell (station i, customer k), 1-based."""
-    return float(_uniform01(seed, np.array(i, np.uint64), np.array(k, np.uint64)))
-
-
 class SourceConfigError(ValueError):
     """Invalid service-time source description."""
 

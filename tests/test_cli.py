@@ -16,18 +16,19 @@ from tandemax.cli import (
     ConfigError,
     _write_measure,
     build_parser,
+    format_scalar,
     main,
     parse_config,
     run,
     validate,
 )
-from tandemax.core import EPS, format_scalar, rounding_gap
+from tandemax.core import EPS, rounding_gap
 from tandemax.engine import simulate, simulate_serial
 from tandemax.models import TandemSpec
 from tandemax.sources import (
     ServiceTimeSource,
     SourceConfigError,
-    cell_uniform01,
+    _uniform01,
     dump_trace,
     load_trace,
 )
@@ -129,24 +130,29 @@ PINNED_U = {
 }
 
 
+def cell_u(seed, i, k):
+    """u at one cell, from the generator on 0-d uint64 index arrays."""
+    return float(_uniform01(seed, np.array(i, np.uint64), np.array(k, np.uint64)))
+
+
 class TestPortableGenerator:
     def test_sample_matches_per_cell_derivation(self):
         for seed, cells in PINNED_U.items():
             src = ServiceTimeSource(kind="uniform", low=0.0, high=1.0, seed=seed)
             tau = src.sample(16, 70000).tau
             for (i, k), u in cells.items():
-                assert cell_uniform01(seed, i, k) == u
+                assert cell_u(seed, i, k) == u
                 assert tau[i - 1, k - 1] == u
         for kind in ("uniform", "exponential"):
             src = ServiceTimeSource(kind=kind, low=0.0, high=1.0, rate=2.5, seed=42)
             tau = src.sample(3, 40).tau
             for i in range(1, 4):
                 for k in range(1, 41):
-                    u = cell_uniform01(42, i, k)
+                    u = cell_u(42, i, k)
                     assert tau[i - 1, k - 1] == (u if kind == "uniform" else -math.log1p(-u) / 2.5)
 
     def test_range_and_spread(self):
-        us = [cell_uniform01(7, i, k) for i in range(1, 20) for k in range(1, 20)]
+        us = [cell_u(7, i, k) for i in range(1, 20) for k in range(1, 20)]
         assert all(0 <= u < 1 for u in us)
         assert 0.4 < sum(us) / len(us) < 0.6
 
@@ -219,6 +225,21 @@ class TestTrace:
             load_trace(path, 1, 1)
 
 
+def assert_waiting_below_zero_within_gap(tmp_path, source):
+    """`simulate` writes the n=8, K=2000 waiting table of an open_infinite
+    run; some w sit below 0, by no more than the rounding gap."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(make_config(n=8, K=2000, output=str(tmp_path / "f.csv"),
+                               measures=["waiting"], source=source))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "f_waiting.csv").read_text().splitlines()[1:]
+    w = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+    config = parse_config(cfg.read_text())
+    tau = config.source.sample(8, 2000)
+    d = simulate_serial(config.spec, tau).departures()
+    assert -rounding_gap(tau.tau, d) <= w.min() < 0
+
+
 class TestRun:
     def test_departures_csv(self, tmp_path):
         out = tmp_path / "dep.csv"
@@ -271,17 +292,8 @@ class TestRun:
     def test_float_waiting_within_rounding_gap(self, tmp_path):
         # departures and service prefixes are summed in different orders,
         # so float inputs leave some w a few ulps below zero (w_3 at seed 7)
-        out = tmp_path / "f.csv"
-        config = parse_config(
-            make_config(n=8, K=2000, output=str(out), measures=["waiting"],
-                        source={"kind": "uniform", "low": 0, "high": 5, "seed": 7})
-        )
-        assert run(config) == 0
-        rows = (tmp_path / "f_waiting.csv").read_text().splitlines()[1:]
-        w = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
-        tau = config.source.sample(8, 2000)
-        d = simulate_serial(config.spec, tau).departures()
-        assert -rounding_gap(tau.tau, d) <= w.min() < 0
+        assert_waiting_below_zero_within_gap(
+            tmp_path, {"kind": "uniform", "low": 0, "high": 5, "seed": 7})
 
     def test_validate_float_within_rounding_gap(self, capsys, monkeypatch):
         import tandemax.cli as cli
@@ -316,6 +328,26 @@ class TestRun:
         monkeypatch.setattr(cli, "oracle_lindley", nudged)
         assert validate(config, trials=1) == 1
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
+
+
+# integer service times on [0, 10**14]: at n = 8 the departures pass 2**53
+# near k = 160, where float additions round, so the routes may differ
+BIG_INTEGERS = {"kind": "uniform", "low": 0, "high": 10**14, "seed": 1, "integer_times": True}
+
+
+class TestIntegersPast2To53:
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_validate_dense_route_within_rounding_gap(self, tmp_path, capsys, strategy):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(n=8, K=200, strategy=strategy, processors=3,
+                                   source=BIG_INTEGERS))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        line = capsys.readouterr().out
+        gap, bound = re.search(r"^validate: ok .* max gap (\S+) at .*, bound (\S+)\)", line).groups()
+        assert 0 < float(gap) <= float(bound)
+
+    def test_waiting_within_rounding_gap(self, tmp_path):
+        assert_waiting_below_zero_within_gap(tmp_path, dict(BIG_INTEGERS, seed=2))
 
 
 def reference_csv(rows, prefix):

@@ -93,10 +93,10 @@ class TestMatrices:
 
     def test_pow(self):
         a = mat([[EPS, EPS], [5, EPS]])
-        assert a ** 0 == MaxPlusMatrix.identity(2)
-        assert (a ** 2).is_null()
+        assert MaxPlusMatrix.identity(2) @ a == a
+        assert (a @ a).is_null()
         d = mat([[1, EPS], [EPS, 1]])
-        assert d ** 3 == mat([[3, EPS], [EPS, 3]])
+        assert d @ d @ d == mat([[3, EPS], [EPS, 3]])
 
     def test_diag(self):
         assert MaxPlusMatrix.diag([1, 2, 3]) == mat(
@@ -153,3 +153,8 @@ def test_rounding_gap():
     assert rounding_gap(np.array([[1.0, 2.0], [0.0, 7.0]]), d) == 0.0
     tau = np.array([[0.5, 2.0], [0.0, 7.0]])
     assert rounding_gap(tau, d) == (2 + 2) * 2.0**-53 * 8.0
+    # integers stay exact while their total, and so every sum, is below 2**53
+    below = np.array([[2.0**52, 1.0], [2.0**52 - 2, 0.0]])
+    assert rounding_gap(below, d) == 0.0
+    at = np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]])
+    assert rounding_gap(at, d) == (2 + 2) * 2.0**-53 * 8.0

@@ -11,7 +11,6 @@ from tandemax.models import (
     build_transition,
     service_diag,
     shift_matrix,
-    transition_closed,
     transition_comm_b0,
     transition_mfg_b0,
     transition_open_infinite,
@@ -47,31 +46,30 @@ class TestServiceDiag:
             service_diag([EPS])
 
 
+def transition(variant, tau, **kwargs):
+    return build_transition(TandemSpec(variant, len(tau), 1, **kwargs), tau).readonly()
+
+
 class TestClosed:
     def test_pattern(self):
-        assert transition_closed([1, 2, 3]) == MaxPlusMatrix(
-            [[1, EPS, 1], [2, 2, EPS], [EPS, 3, 3]]
-        )
+        assert np.array_equal(transition("closed", [1, 2, 3]),
+                              [[1, EPS, 1], [2, 2, EPS], [EPS, 3, 3]])
 
     def test_n2(self):
-        assert transition_closed([1, 2]) == MaxPlusMatrix([[1, 1], [2, 2]])
+        assert np.array_equal(transition("closed", [1, 2]), [[1, 1], [2, 2]])
 
     def test_zero_services(self):
         f_plus_e = shift_matrix("F", 3) + MaxPlusMatrix.identity(3)
-        assert transition_closed([0, 0, 0]) == f_plus_e
+        assert np.array_equal(transition("closed", [0, 0, 0]), f_plus_e.readonly())
 
     def test_matches_construction(self):
         tau = [2, 5, 1, 4]
         built = service_diag(tau) @ (shift_matrix("F", 4) + MaxPlusMatrix.identity(4))
-        assert transition_closed(tau) == built
+        assert np.array_equal(transition("closed", tau), built.readonly())
 
     def test_n1_rejected(self):
         with pytest.raises(ModelConfigError):
-            transition_closed([1])
-
-
-def transition(variant, tau, **kwargs):
-    return build_transition(TandemSpec(variant, len(tau), 1, **kwargs), tau).readonly()
+            transition("closed", [1])
 
 
 class TestClosedC2:
@@ -208,7 +206,9 @@ class TestDominanceAndShape:
 class TestBuildTransition:
     def test_dispatch(self):
         closed = TandemSpec("closed", 3, 5)
-        assert build_transition(closed, [1, 2, 3]) == transition_closed([1, 2, 3])
+        assert build_transition(closed, [1, 2, 3]) == MaxPlusMatrix(
+            [[1, EPS, 1], [2, 2, EPS], [EPS, 3, 3]]
+        )
         mfg = TandemSpec("open_mfg", 2, 5)
         assert build_transition(mfg, [1, 2]) == transition_mfg_b0([1, 2])
         c2 = TandemSpec("closed", 2, 5, population=2)

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandemax.core import EPS, MaxPlusMatrix, ShapeError
-from tandemax.solver import (
-    NotNilpotentError,
-    nilpotency_index,
-    solve_implicit,
-    star_truncated,
-)
+from tandemax.solver import nilpotency_index, star_truncated
 
 
 def subdiagonal(alphas):
@@ -50,8 +45,11 @@ class TestNilpotency:
         a = subdiagonal([0, 0, 0])
         p = nilpotency_index(a).index
         assert p == 4
-        for q in range(1, p):
-            assert not (a ** q).is_null()
+        power = a
+        for _ in range(1, p):
+            assert not power.is_null()
+            power = power @ a
+        assert power.is_null()
 
 
 class TestStar:
@@ -71,28 +69,36 @@ class TestStar:
             star_truncated(MaxPlusMatrix.null(2), 0)
 
 
+def solve(a, b):
+    """Lemma 1: x = A* (x) b, with A* the star truncated at the nilpotency index."""
+    return star_truncated(a, nilpotency_index(a).index) @ b
+
+
 class TestSolveImplicit:
     def test_two_station_example(self):
         a = MaxPlusMatrix([[EPS, EPS], [1, EPS]])
-        x = solve_implicit(a, np.array([0.0, 0.0]))
+        x = solve(a, np.array([0.0, 0.0]))
         assert list(x) == [0.0, 1.0]
 
     def test_null_collapses_to_b(self):
         b = np.array([3.0, EPS, 7.0])
-        assert np.array_equal(solve_implicit(MaxPlusMatrix.null(3), b), b)
+        assert np.array_equal(solve(MaxPlusMatrix.null(3), b), b)
 
     def test_cascade(self):
         a = subdiagonal([2, 3])
-        x = solve_implicit(a, np.array([0.0, EPS, EPS]))
+        x = solve(a, np.array([0.0, EPS, EPS]))
         assert list(x) == [0.0, 2.0, 5.0]
 
     def test_not_nilpotent_rejected(self):
-        with pytest.raises(NotNilpotentError):
-            solve_implicit(MaxPlusMatrix.identity(2), np.array([0.0, 0.0]))
+        # A = E has no nilpotency index, and x = x (+) b has many solutions
+        a, b = MaxPlusMatrix.identity(2), np.array([0.0, 0.0])
+        assert nilpotency_index(a).index is None
+        for x in (b, b + 1):
+            assert np.array_equal(np.maximum(a @ x, b), x)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            solve_implicit(MaxPlusMatrix.null(2), np.array([0.0]))
+            solve(MaxPlusMatrix.null(2), np.array([0.0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,12 +107,10 @@ def test_fixed_point_residual_and_uniqueness(n, seed):
     rng = np.random.default_rng(seed)
     a = random_strictly_lower(rng, n)
     b = rng.integers(-9, 10, size=n).astype(float)
-    x = solve_implicit(a, b)
+    p = nilpotency_index(a).index
+    x = star_truncated(a, p) @ b
     # fixed-point residual, exact
     assert np.array_equal(np.maximum(a @ x, b), x)
-    # star route agrees when truncated at the nilpotency index
-    p = nilpotency_index(a).index
-    assert np.array_equal(star_truncated(a, p) @ b, x)
     # iteration from an arbitrary start converges to the same point in p steps
     y = rng.integers(-50, 50, size=n).astype(float)
     for _ in range(p):
