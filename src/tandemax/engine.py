@@ -15,14 +15,16 @@ one running value per station, which performs the same additions in the
 same order as the scalar recursion: serial equals the oracle bit for
 bit, on float tau as well, and runs of different variants on shared
 float tau keep d_comm >= d_mfg >= d_inf exactly.  ``vector`` and
-``batched`` evaluate the dense T_k of ``models.build_transition``, the
-paper's specification (``batched`` with P = 1 is the dense reference).
-They equal serial exactly on integer-valued tau; on float tau they add
-in another order and agree within the float contract
-``core.rounding_gap``.
+``batched`` run one dense kernel, the product with the T_k of
+``models.build_transition``, the paper's specification, and differ only
+in the counters they charge.  They equal serial exactly on
+integer-valued tau; on float tau they add in another order and agree
+within the float contract ``core.rounding_gap``.
 
-The counters are the paper's cost model, not the work a schedule does:
-serial charges the dense-triangular accounting of the serial algorithm.
+The counters are the paper's cost model, charged by formula, not the
+work a schedule does: the vector schedule's recursive-doubling stages
+are counted, not executed, and serial charges the dense-triangular
+accounting of the serial algorithm.
 Building the infinite-buffer matrix charges one product per triangular
 entry written, n(n+1)/2 per step (each entry is one addition to its
 right neighbour, the diagonal loads included), and the triangular
@@ -56,7 +58,7 @@ class OpLedger:
     ``vector_ops`` is the Algorithm-2 unit (whole-row shift, vector
     add, or one recursive-doubling stage); ``parallel_ops`` the
     Algorithm-3 unit.  ``memory_cells`` is the peak working set in
-    cells, reported but never asserted.
+    cells of the schedule the ledger models, not of the kernel that ran.
     """
 
     scalar_oplus: int = 0
@@ -116,6 +118,12 @@ def initial_state(spec: TandemSpec) -> np.ndarray:
 
 def _tri(m: int) -> int:
     return m * (m + 1) // 2
+
+
+def _dense_cells(spec: TandemSpec) -> int:
+    """Cells of one dense T_k: the triangle for open_infinite, else m x m."""
+    m = spec.arity
+    return _tri(m) if spec.variant == "open_infinite" else m * m
 
 
 # Customers per block: the serial kernel and the oracle read tau and
@@ -195,15 +203,13 @@ def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     n = spec.n
     K = spec.horizon
     states = _factored_steps(spec, tau)
-    ledger = OpLedger(steps=K)
+    ledger = OpLedger(steps=K, memory_cells=_dense_cells(spec) + 2 * m)
     if spec.variant == "open_infinite":
         ledger.scalar_otimes = K * (_tri(n) + _tri(n))
         ledger.scalar_oplus = K * (_tri(n) - n)
-        ledger.memory_cells = _tri(n) + 2 * n
     else:
         ledger.scalar_otimes = K * m * m
         ledger.scalar_oplus = K * m * (m - 1)
-        ledger.memory_cells = m * m + 2 * m
     return Trajectory(states, spec, ledger, strategy="serial")
 
 
@@ -221,80 +227,60 @@ def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     return Trajectory(states, spec, ledger, strategy="sparse-closed")
 
 
-def _doubling_max(segment: np.ndarray) -> tuple[float, int]:
-    """Max of a segment by recursive doubling; returns (max, stages)."""
-    s = segment.copy()
-    m = s.size
-    stages = 0
-    while m > 1:
-        h = m // 2
-        s[:h] = np.maximum(s[:h], s[m - h : m])
-        m -= h
-        stages += 1
-    return s[0], stages
+def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
+    """Departures d(0..K), a (K+1) x n array, by the dense product
+    d(k) = T_k (x) d(k-1) on the augmented state, one m-vector; each step
+    stores its first n entries.  The kernel of ``vector`` and ``batched``."""
+    state = initial_state(spec)
+    states = np.empty((spec.horizon + 1, spec.n))
+    states[0] = state[: spec.n]
+    for k in range(1, spec.horizon + 1):
+        state = matvec(build_transition(spec, tau.column(k)).readonly(), state)
+        states[k] = state[: spec.n]
+    return states
 
 
 def simulate_vectorized(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Vector-processor schedule: whole-row shifts build T_k, then per
-    element one vector add and a recursive-doubling max.
+    """Vector-processor schedule (Algorithm 2) on the dense kernel.
 
-    For the open-infinite variant row i only needs its first i entries;
-    augmented variants reduce over the full row.  The augmented state is
-    one m-vector; each step stores its first n entries.
+    The ledger charges, per step, m whole-row shifts to build T_k, and
+    per row one vector add plus the ceil(log2 w) stages of a
+    recursive-doubling max over its w entries: w = i for row i = 1..m
+    of the open-infinite variant, w = m for augmented variants.  The
+    stages are counted, not executed.
     """
     _check_inputs(spec, tau)
     m = spec.arity
     K = spec.horizon
-    state = initial_state(spec)
-    states = np.empty((K + 1, spec.n))
-    states[0] = state[: spec.n]
-    ledger = OpLedger()
-    open_inf = spec.variant == "open_infinite"
-    for k in range(1, K + 1):
-        t = build_transition(spec, tau.column(k)).readonly()
-        ledger.vector_build_ops += m
-        prev, state = state, np.empty(m)
-        for i in range(m):
-            width = i + 1 if open_inf else m
-            seg = t[i, :width] + prev[:width]
-            ledger.vector_reduce_ops += 1
-            state[i], stages = _doubling_max(seg)
-            ledger.vector_reduce_ops += stages
-        states[k] = state[: spec.n]
-        ledger.steps += 1
-    ledger.memory_cells = (_tri(m) if open_inf else m * m) + 2 * m
-    return Trajectory(states, spec, ledger, strategy="vector")
+    widths = range(1, m + 1) if spec.variant == "open_infinite" else [m] * m
+    ledger = OpLedger(
+        vector_build_ops=K * m,
+        vector_reduce_ops=K * sum(1 + (w - 1).bit_length() for w in widths),
+        steps=K,
+        memory_cells=_dense_cells(spec) + 2 * m,
+    )
+    return Trajectory(_dense_steps(spec, tau), spec, ledger, strategy="vector")
 
 
 def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Trajectory:
-    """SIMD schedule in ceil(K/P) batches: each batch builds its P
-    transition matrices up front (independent, parallelizable), then
-    applies them to the state in customer order with one row per
-    processor (2m parallel operations per vector).  The augmented state
-    is one m-vector; each step stores its first n entries."""
+    """SIMD schedule (Algorithm 3) in ceil(K/P) batches, on the dense
+    kernel.  The ledger charges each batch m(m+1)/2 parallel operations
+    to build its P transition matrices up front (independent, one per
+    processor), and each step 2m to apply its matrix, one row per
+    processor."""
     if processors < 1:
         raise ModelConfigError("processor count must be >= 1")
     _check_inputs(spec, tau)
     m = spec.arity
     K = spec.horizon
-    state = initial_state(spec)
-    states = np.empty((K + 1, spec.n))
-    states[0] = state[: spec.n]
-    ledger = OpLedger()
-    k = 1
-    while k <= K:
-        batch = range(k, min(k + processors - 1, K) + 1)
-        mats = [build_transition(spec, tau.column(j)).readonly() for j in batch]
-        ledger.parallel_ops += _tri(m)
-        for j, t in zip(batch, mats):
-            state = matvec(t, state)
-            states[j] = state[: spec.n]
-            ledger.parallel_ops += 2 * m
-            ledger.steps += 1
-        ledger.batches += 1
-        k += processors
-    ledger.memory_cells = processors * (_tri(m) if spec.variant == "open_infinite" else m * m) + 2 * m
-    return Trajectory(states, spec, ledger, strategy="batched")
+    batches = -(-K // processors)
+    ledger = OpLedger(
+        parallel_ops=batches * _tri(m) + 2 * m * K,
+        steps=K,
+        batches=batches,
+        memory_cells=processors * _dense_cells(spec) + 2 * m,
+    )
+    return Trajectory(_dense_steps(spec, tau), spec, ledger, strategy="batched")
 
 
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
@@ -359,8 +345,9 @@ def simulate(
 ) -> Trajectory:
     """Dispatch over the execution strategies.  A departure that
     overflows float64 to +inf is a configuration error (eps is legal),
-    reported here rather than as a numpy overflow warning."""
-    with np.errstate(over="ignore"):
+    reported here rather than as a numpy warning: the overflow itself,
+    or the later eps + inf = nan of a dense product that reads it."""
+    with np.errstate(over="ignore", invalid="ignore"):
         if strategy == "serial":
             traj = simulate_serial(spec, tau)
         elif strategy == "sparse-closed":

@@ -329,6 +329,37 @@ class TestRun:
         assert validate(config, trials=1) == 1
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
 
+    def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
+        """The compare runs 256 rows at a time; the mismatch and the max-gap
+        cell it names are still the row-major first, across and within
+        blocks."""
+        import tandemax.cli as cli
+
+        config = parse_config(make_config(K=600, source={"kind": "uniform", "low": 0,
+                                                          "high": 5, "seed": 3}))
+        real = cli.oracle_lindley
+        tau = config.source.sample(3, 600)
+        bound = rounding_gap(tau.tau, real(config.spec, tau).departures())
+        step = 2.0 ** math.floor(math.log2(bound))  # exact on every departure
+
+        def nudged(late):
+            def oracle(spec, tau):
+                traj = real(spec, tau)
+                traj.states = traj.states.copy()
+                traj.states[100, 1] += step / 2
+                traj.states[[520, 590], [2, 0]] += late
+                return traj
+            return oracle
+
+        for late, gap, cell in [(step, step, "k=520 i=3"), (step / 2, step / 2, "k=100 i=2")]:
+            monkeypatch.setattr(cli, "oracle_lindley", nudged(late))
+            assert validate(config, trials=1) == 0
+            assert capsys.readouterr().out.endswith(
+                f"max gap {gap:.3g} at {cell}, bound {bound:.3g})\n")
+        monkeypatch.setattr(cli, "oracle_lindley", nudged(1.0))
+        assert validate(config, trials=1) == 1
+        assert capsys.readouterr().out.startswith("mismatch at k=520 i=3: ")
+
 
 # integer service times on [0, 10**14]: at n = 8 the departures pass 2**53
 # near k = 160, where float additions round, so the routes may differ
@@ -484,17 +515,22 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command,strategy", [("simulate", "vector"),
                                                   ("simulate", "batched"),
                                                   ("validate", "vector")])
-    @pytest.mark.parametrize("n,message", [
+    @pytest.mark.parametrize("model,value,message", [
         # tau_1 + tau_2 in T_1, or d_1(1) + tau_1 in the dense product
-        pytest.param(3, "a prefix sum of the service times overflows float64", id="sum"),
-        pytest.param(1, "departure d_1(2) overflows float64", id="product"),
+        pytest.param({"n": 3, "K": 4}, 1e308,
+                     "a prefix sum of the service times overflows float64", id="sum"),
+        pytest.param({"n": 1, "K": 4}, 1e308, "departure d_1(2) overflows float64",
+                     id="product"),
+        # d_2(2) = 3 x 6e307; the next product adds the eps of T_3 to it
+        pytest.param({"variant": "open_comm", "b": 1, "n": 2, "K": 6}, 6e307,
+                     "departure d_2(2) overflows float64", id="augmented"),
     ])
     def test_overflow_on_dense_routes_is_a_config_error(self, tmp_path, capsys, command,
-                                                        strategy, n, message):
+                                                        strategy, model, value, message):
         out = tmp_path / "d.csv"
         cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(n=n, K=4, strategy=strategy, output=str(out),
-                                   source={"kind": "constant", "value": 1e308}))
+        cfg.write_text(make_config(**model, strategy=strategy, output=str(out),
+                                   source={"kind": "constant", "value": value}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([command, "--config", str(cfg)]) == 2

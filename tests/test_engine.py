@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tandemax.core import EPS, rounding_gap
 from tandemax.engine import (
+    OpLedger,
     initial_state,
     oracle_lindley,
     simulate,
@@ -109,6 +110,26 @@ class TestCounters:
         full = n * (n + 1) // 2 + 2 * P * n
         last = n * (n + 1) // 2 + 2 * 2 * n
         assert traj.ledger.parallel_ops == 2 * full + last
+
+    @pytest.mark.parametrize("variant,kwargs,vector,batched", [
+        # n = 3, K = 10, P = 4: batches of 4, 4 and 2
+        ("open_mfg", {"buffer_capacity": 2}, (90, 450, 99), (315, 3, 342)),
+        ("open_comm", {"buffer_capacity": 3}, (120, 600, 168), (474, 3, 600)),
+        ("closed", {"population": 2}, (60, 240, 48), (183, 3, 156)),
+        ("closed", {"population": 1}, (30, 90, 15), (78, 3, 42)),
+    ])
+    def test_augmented_dense_ledgers(self, variant, kwargs, vector, batched):
+        """Every ledger field of the dense schedules on augmented variants,
+        as a run that executed each doubling stage and batch counted them."""
+        n, K, P = 3, 10, 4
+        spec = TandemSpec(variant, n, K, **kwargs)
+        tau = random_tau(n, K, 5)
+        build, reduce, cells = vector
+        assert simulate_vectorized(spec, tau).ledger == OpLedger(
+            vector_build_ops=build, vector_reduce_ops=reduce, steps=K, memory_cells=cells)
+        ops, batches, cells = batched
+        assert simulate_batched(spec, tau, P).ledger == OpLedger(
+            parallel_ops=ops, steps=K, batches=batches, memory_cells=cells)
 
 
 STRATEGY_SPECS = pytest.mark.parametrize(
@@ -224,7 +245,8 @@ class TestOracleEquivalence:
     def test_oracle_ring_edges(self, data, n, K, b, c, initial):
         """With b + 1 or c up to 5 rows of lookback and K down to 1, the
         oracle's ring reaches back past k = 0; on tau with ties and signed
-        zeros it equals serial exactly, sign of zero included."""
+        zeros it equals serial exactly, sign of zero included, and so do
+        the dense routes."""
         cells = st.sampled_from([0.0, -0.0, 1.0, 2.5])
         tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
                            .reshape(n, K))
@@ -233,9 +255,11 @@ class TestOracleEquivalence:
                                 ("open_comm", {"buffer_capacity": b})]:
             spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
             want = simulate_serial(spec, tau).states
-            got = oracle_lindley(spec, tau).states
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            dense = [simulate_batched(spec, tau, P).states for P in (1, 2, 3)]
+            for got in [oracle_lindley(spec, tau).states, simulate_vectorized(spec, tau).states,
+                        *dense]:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("K", [255, 256, 257, 513])
     @pytest.mark.parametrize(
