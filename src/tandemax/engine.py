@@ -7,17 +7,21 @@ variant: the augmented history of earlier rows that makes the blocking
 and closed recursions first order lives in the serial kernel's ring, or
 in the dense routes' state vector, never in the trajectory.
 
-``serial`` runs the factored form of T_k, O(m) per customer: S_k (x) y
-as a prefix recursion, G and GT as shifts, and the augmented identity
-blocks as a ring of past states.  Distributing tau_ik over the max folds
-the product and the prefix recursion into one pass over the stations,
-one running value per station, which performs the same additions in the
-same order as the scalar recursion: serial equals the oracle bit for
-bit, on float tau as well, and runs of different variants on shared
-float tau keep d_comm >= d_mfg >= d_inf exactly.  ``vector`` and
-``batched`` run one dense kernel, the product with the T_k of
-``models.build_transition``, the paper's specification, and differ only
-in the counters they charge.  They equal serial exactly on
+``serial`` runs open_infinite on exact tau (``core.is_exact``: integer
+valued, total below 2**53) as one max-plus prefix scan per station, a
+cumsum and a maximum.accumulate over the K customers; every sum is then
+exact, so the order of the additions does not matter.  Every other run
+takes the factored form of T_k, O(m) per customer: S_k (x) y as a
+prefix recursion, G and GT as shifts, and the augmented identity blocks
+as a ring of past states.  Distributing tau_ik over the max folds the
+product and the prefix recursion into one pass over the stations, one
+running value per station, which performs the same additions in the
+same order as the scalar recursion.  Either way serial equals the
+oracle bit for bit, on float tau as well, and runs of different
+variants on shared float tau keep d_comm >= d_mfg >= d_inf exactly.
+``vector`` and ``batched`` run one dense kernel, the product with the
+T_k of ``models.build_transition``, the paper's specification, and
+differ only in the counters they charge.  They equal serial exactly on
 integer-valued tau; on float tau they add in another order and agree
 within the float contract ``core.rounding_gap``.
 
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, matvec
+from .core import EPS, is_exact, matvec
 from .models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 
 
@@ -192,8 +196,41 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     return states
 
 
+def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
+    """Departures d(0..K) of open_infinite, a (K+1) x n array, by one
+    max-plus prefix scan per station (Greenberg, Lubachevsky & Mitrani,
+    "Algorithms for unboundedly parallel simulations", ACM TOCS 1991).
+
+    Station i is the Lindley recursion d_i(k) = (a_k (+) d_i(k-1)) (x)
+    tau_ik with arrivals a_k = d_{i-1}(k), eps for station 1.  Unrolled
+    over k, with C_k = tau_i1 + ... + tau_ik and C_0 = 0,
+    d_i(k) = C_k + max(d_i(0), max_{j <= k} (a_j - C_{j-1})): one cumsum
+    and one maximum.accumulate per station, on K-vectors only.  It adds
+    in another order from the scalar recursion, so it equals
+    ``_factored_steps`` only when every sum is exact: callers take it
+    only when ``is_exact(tau)``.
+    """
+    K = spec.horizon
+    states = np.empty((K + 1, spec.n))
+    states[0] = initial_state(spec)[: spec.n]
+    c = np.zeros(K + 1)  # C_0..C_K
+    d = np.full(K, EPS)  # a_1..a_K, then d_i(1..K)
+    x = np.empty(K)
+    for i, row in enumerate(tau.tau):
+        np.cumsum(row, out=c[1:])
+        np.subtract(d, c[:-1], out=x)
+        np.maximum.accumulate(x, out=x)
+        np.maximum(x, states[0, i], out=x)
+        np.add(c[1:], x, out=d)
+        states[1:, i] = d
+    return states
+
+
 def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Scalar-processor schedule, run on the factored per-step kernel.
+    """Scalar-processor schedule.  Open_infinite on exact tau
+    (``core.is_exact``) runs as a per-station prefix scan; every other
+    run takes the factored per-step kernel.  Both equal the oracle bit
+    for bit.
 
     The ledger charges the paper's cost model of the dense serial
     algorithm (build T_k, then the triangular, or dense for augmented
@@ -202,7 +239,10 @@ def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     m = spec.arity
     n = spec.n
     K = spec.horizon
-    states = _factored_steps(spec, tau)
+    if spec.variant == "open_infinite" and is_exact(tau.tau):
+        states = _prefix_scan(spec, tau)
+    else:
+        states = _factored_steps(spec, tau)
     ledger = OpLedger(steps=K, memory_cells=_dense_cells(spec) + 2 * m)
     if spec.variant == "open_infinite":
         ledger.scalar_otimes = K * (_tri(n) + _tri(n))
@@ -227,16 +267,28 @@ def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     return Trajectory(states, spec, ledger, strategy="sparse-closed")
 
 
+def _overflow(k: int, i: int) -> ModelConfigError:
+    """The error for departure d_{i+1}(k), which overflowed float64 to +inf."""
+    return ModelConfigError(f"departure d_{i + 1}({k}) overflows float64")
+
+
 def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, by the dense product
     d(k) = T_k (x) d(k-1) on the augmented state, one m-vector; each step
-    stores its first n entries.  The kernel of ``vector`` and ``batched``."""
+    stores its first n entries.  The kernel of ``vector`` and ``batched``.
+
+    Stops at the first step whose live block holds +inf, which every
+    later product would carry on as nan; the history blocks are copies
+    of earlier live blocks, so +inf cannot appear there first."""
     state = initial_state(spec)
     states = np.empty((spec.horizon + 1, spec.n))
     states[0] = state[: spec.n]
     for k in range(1, spec.horizon + 1):
         state = matvec(build_transition(spec, tau.column(k)).readonly(), state)
         states[k] = state[: spec.n]
+        over = np.isposinf(states[k])
+        if over.any():
+            raise _overflow(k, int(over.argmax()))
     return states
 
 
@@ -267,7 +319,7 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
     kernel.  The ledger charges each batch m(m+1)/2 parallel operations
     to build its P transition matrices up front (independent, one per
     processor), and each step 2m to apply its matrix, one row per
-    processor."""
+    processor; the working set holds one batch, min(P, K) matrices."""
     if processors < 1:
         raise ModelConfigError("processor count must be >= 1")
     _check_inputs(spec, tau)
@@ -278,7 +330,7 @@ def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Tr
         parallel_ops=batches * _tri(m) + 2 * m * K,
         steps=K,
         batches=batches,
-        memory_cells=processors * _dense_cells(spec) + 2 * m,
+        memory_cells=min(processors, K) * _dense_cells(spec) + 2 * m,
     )
     return Trajectory(_dense_steps(spec, tau), spec, ledger, strategy="batched")
 
@@ -345,8 +397,9 @@ def simulate(
 ) -> Trajectory:
     """Dispatch over the execution strategies.  A departure that
     overflows float64 to +inf is a configuration error (eps is legal),
-    reported here rather than as a numpy warning: the overflow itself,
-    or the later eps + inf = nan of a dense product that reads it."""
+    reported here, or by the dense kernel at the step it happens, rather
+    than as a numpy warning: the overflow itself, or the eps + inf = nan
+    of a dense product that reads it."""
     with np.errstate(over="ignore", invalid="ignore"):
         if strategy == "serial":
             traj = simulate_serial(spec, tau)
@@ -360,5 +413,5 @@ def simulate(
             raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     over = np.argwhere(np.isposinf(traj.states))
     if over.size:
-        raise ModelConfigError(f"departure d_{over[0, 1] + 1}({over[0, 0]}) overflows float64")
+        raise _overflow(*over[0])
     return traj

@@ -10,6 +10,7 @@ from tandemax.core import (
     NotInvertibleError,
     ShapeError,
     inverse,
+    is_exact,
     oplus,
     otimes,
     rounding_gap,
@@ -158,3 +159,11 @@ def test_rounding_gap():
     assert rounding_gap(below, d) == 0.0
     at = np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]])
     assert rounding_gap(at, d) == (2 + 2) * 2.0**-53 * 8.0
+
+
+def test_is_exact():
+    # integer-valued tau is exact while its total stays below 2**53
+    assert is_exact(np.array([[2.0**52, 1.0], [2.0**52 - 2, 0.0]]))
+    assert not is_exact(np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]]))
+    assert not is_exact(np.array([[0.5, 2.0], [0.0, 7.0]]))
+    assert is_exact(np.array([[-0.0, 0.0], [3.0, 0.0]]))

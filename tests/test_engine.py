@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tandemax.core import EPS, rounding_gap
+from tandemax import engine
+from tandemax.core import EPS, is_exact, rounding_gap
 from tandemax.engine import (
     OpLedger,
+    _factored_steps,
+    _prefix_scan,
     initial_state,
     oracle_lindley,
     simulate,
@@ -18,7 +21,7 @@ from tandemax.engine import (
     simulate_serial,
     simulate_vectorized,
 )
-from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec
+from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 from tandemax.sources import ServiceTimeSource
 
 
@@ -110,6 +113,16 @@ class TestCounters:
         full = n * (n + 1) // 2 + 2 * P * n
         last = n * (n + 1) // 2 + 2 * 2 * n
         assert traj.ledger.parallel_ops == 2 * full + last
+
+    def test_batched_memory_with_more_processors_than_customers(self):
+        """P > K: no batch holds more than K matrices, so the working set
+        is K dense triangles plus two m-vectors, as at P = K."""
+        n, K = 3, 1
+        spec = TandemSpec("open_infinite", n, K)
+        tau = random_tau(n, K, 4)
+        ledger = simulate_batched(spec, tau, 7).ledger
+        assert ledger.memory_cells == 6 + 2 * 3
+        assert ledger == simulate_batched(spec, tau, K).ledger
 
     @pytest.mark.parametrize("variant,kwargs,vector,batched", [
         # n = 3, K = 10, P = 4: batches of 4, 4 and 2
@@ -292,6 +305,39 @@ class TestOracleEquivalence:
         assert np.array_equal(simulate_serial(spec, tau).states,
                               simulate_batched(spec, tau, 1).states)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 8),
+           st.sampled_from(["zero", "epsilon"]), st.booleans())
+    def test_prefix_scan_equals_kernel(self, data, n, K, initial, large):
+        """On exact tau the open_infinite prefix scan equals the factored
+        kernel exactly, sign of zero included: small tau with ties and
+        signed zeros, or large integers whose total is 2**53 - 1."""
+        cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0]),
+                                   min_size=n * K, max_size=n * K))
+        tau = np.array(cells).reshape(n, K)
+        if large:
+            # scale to a total just below 2**53, the rest into one cell
+            tau *= (2**53 - 1) // max(1, int(tau.sum()))
+            tau.flat[data.draw(st.integers(0, n * K - 1))] += 2**53 - 1 - int(tau.sum())
+            assert tau.sum() == 2**53 - 1
+        tau = ServiceTimes(tau)
+        assert is_exact(tau.tau)
+        spec = TandemSpec("open_infinite", n, K, initial_state=initial)
+        got, want = _prefix_scan(spec, tau), _factored_steps(spec, tau)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_inexact_tau_takes_kernel(self):
+        """Integer tau whose sums pass 2**53 round differently in the scan;
+        serial takes the kernel there and equals the oracle bit for bit."""
+        src = ServiceTimeSource(kind="uniform", low=0, high=10**14, seed=1, integer_times=True)
+        tau = src.sample(8, 200)
+        spec = TandemSpec("open_infinite", 8, 200)
+        want = oracle_lindley(spec, tau).states
+        assert not is_exact(tau.tau)
+        assert not np.array_equal(_prefix_scan(spec, tau), want)
+        assert np.array_equal(simulate_serial(spec, tau).states, want)
+
     def test_oracle_history_before_start_is_eps(self):
         # blocking terms referencing k <= 0 must see e at k = 0, eps before
         spec = TandemSpec("open_mfg", 2, 2, buffer_capacity=2)
@@ -373,6 +419,22 @@ class TestProperties:
             simulate(spec, constant_tau([1e308] * 3, 4), strategy)
         eps = replace(spec, initial_state="epsilon")
         assert np.isneginf(simulate(eps, constant_tau([1e308] * 3, 4), strategy).states).all()
+
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
+        """The dense kernel raises at the first step whose departures
+        overflow, d_2(2) here, and builds no later transition matrix."""
+        built = []
+
+        def counting(spec, tau_k):
+            built.append(1)
+            return build_transition(spec, tau_k)
+
+        monkeypatch.setattr(engine, "build_transition", counting)
+        spec = TandemSpec("open_comm", 2, 1000, buffer_capacity=1)
+        with pytest.raises(ModelConfigError, match=r"^departure d_2\(2\) overflows float64$"):
+            simulate(spec, constant_tau([6e307] * 2, 1000), strategy, processors=3)
+        assert len(built) == 2
 
     def test_dispatch_unknown_strategy(self):
         with pytest.raises(ModelConfigError):
