@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EPS, rounding_gap
+from .core import rounding_gap
 from .engine import STRATEGIES, Trajectory, oracle_lindley, simulate
 from .measures import trajectory_sojourn, trajectory_waiting
 from .models import ModelConfigError, TandemSpec
@@ -41,7 +41,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {
-    "variant", "n", "K", "c", "b", "initial_state",
+    "variant", "n", "K", "c", "b",
     "source", "strategy", "processors", "measures", "count_ops", "output",
 }
 _SOURCE_KEYS = {"kind", "value", "low", "high", "rate", "path", "seed", "integer_times"}
@@ -79,7 +79,6 @@ def parse_config(document: str | dict) -> RunConfig:
             horizon=doc["K"],
             population=doc.get("c", 1),
             buffer_capacity=doc.get("b", 0),
-            initial_state=doc.get("initial_state", "zero"),
         )
     except ModelConfigError as exc:
         raise ConfigError(str(exc)) from exc
@@ -125,27 +124,11 @@ def parse_config(document: str | dict) -> RunConfig:
 
 def _check_compat(config: RunConfig) -> None:
     spec = config.spec
-    if config.strategy == "sparse-closed":
-        _require(
-            spec.variant == "closed" and spec.population == 1,
-            "strategy 'sparse-closed' requires the closed variant with c = 1",
-        )
-    if spec.variant == "closed" or spec.initial_state == "epsilon":
-        _require(
-            set(config.measures) <= {"departures"},
-            "sojourn/waiting measures are defined for open variants "
-            "with initial_state 'zero' only",
-        )
-
-
-# -- CSV cell text ------------------------------------------------------
-# The literal token `eps` for -inf, 17 significant digits otherwise.
-
-EPS_TOKEN = "eps"
-
-
-def format_scalar(x: float) -> str:
-    return EPS_TOKEN if x == EPS else format(x, ".17g")
+    closed_c1 = spec.variant == "closed" and spec.population == 1
+    _require(config.strategy != "sparse-closed" or closed_c1,
+             "strategy 'sparse-closed' requires the closed variant with c = 1")
+    _require(spec.variant != "closed" or set(config.measures) <= {"departures"},
+             "sojourn/waiting measures are defined for open variants only")
 
 
 # Exactness is checked per block of _CHUNK_ROWS rows. An exact-integer
@@ -188,11 +171,10 @@ def _int_csv(table: np.ndarray) -> str:
 
 
 def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
-    """Write rows (K x n) under a k column as CSV, each cell as
-    ``format_scalar`` gives it, one block of _CHUNK_ROWS rows at a time.
-    A block of exact integers (|x| < 2**53, not -0.0) is encoded by
-    ``_int_csv``, the same text as ``.17g``; any other block goes
-    through ``%.17g``, where `-inf` becomes the eps token."""
+    """Write rows (K x n) under a k column as CSV, each cell as ``.17g``
+    text, one block of _CHUNK_ROWS rows at a time. A block of exact
+    integers (|x| < 2**53, not -0.0) is encoded by ``_int_csv``; any
+    other block goes through ``%.17g``."""
     K, n = rows.shape
     float_row = "%d" + ",%.17g" * n + "\n"
     with path.open("w") as fh:
@@ -206,8 +188,7 @@ def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
                 continue
             for j in range(0, len(table), _FORMAT_ROWS):
                 part = table[j:j + _FORMAT_ROWS]
-                text = float_row * len(part) % tuple(part.ravel().tolist())
-                fh.write(text.replace("-inf", EPS_TOKEN))
+                fh.write(float_row * len(part) % tuple(part.ravel().tolist()))
 
 
 def _count_formulas(n: int, K: int, P: int) -> dict:
@@ -299,13 +280,13 @@ def validate(config: RunConfig, trials: int = 10) -> int:
         top = (0.0, 0, 0)
         for k0 in range(0, len(got), _CHUNK_ROWS):
             g, w = got[k0:k0 + _CHUNK_ROWS], want[k0:k0 + _CHUNK_ROWS]
-            diff = np.abs(np.subtract(g, w, out=np.zeros_like(g), where=g != w))
+            diff = np.abs(g - w)
             over = np.argwhere(diff > bound)
             if over.size:
                 k, i = over[0]
                 print(
-                    f"mismatch at k={k0 + k + 1} i={i + 1}: matrix={format_scalar(g[k, i])} "
-                    f"oracle={format_scalar(w[k, i])} gap {diff[k, i]:.3g} > bound {bound:.3g} "
+                    f"mismatch at k={k0 + k + 1} i={i + 1}: matrix={g[k, i]:.17g} "
+                    f"oracle={w[k, i]:.17g} gap {diff[k, i]:.3g} > bound {bound:.3g} "
                     f"(trial {t})"
                 )
                 return 1
@@ -377,7 +358,10 @@ def _int_list(text: str) -> list[int]:
 def _load_config(args) -> RunConfig:
     """Merge the command-line overrides into the config document, then
     parse it once."""
-    doc = _decode(Path(args.config).read_text())
+    try:
+        doc = _decode(Path(args.config).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not valid UTF-8 ({exc.reason})") from exc
     measures = getattr(args, "measures", None)
     overrides = {
         "strategy": getattr(args, "strategy", None),

@@ -85,8 +85,8 @@ class OpLedger:
 
 @dataclass
 class Trajectory:
-    """Departures d(k) for k = 0..K (row k, n columns; row 0 is the
-    initial state) plus the op ledger.  The augmented history of the
+    """Departures d(k) for k = 0..K (row k, n columns; row 0 is
+    d(0) = e) plus the op ledger.  The augmented history of the
     blocking and closed variants is not stored."""
 
     states: np.ndarray
@@ -112,11 +112,10 @@ def _check_inputs(spec: TandemSpec, tau: ServiceTimes) -> None:
 
 
 def initial_state(spec: TandemSpec) -> np.ndarray:
-    """d(0) in augmented form: live block per the spec convention,
-    history blocks eps (no departures before time zero)."""
+    """d(0) in augmented form: live block e (every station empty at time
+    zero), history blocks eps (no departures before time zero)."""
     d0 = np.full(spec.arity, EPS)
-    if spec.initial_state == "zero":
-        d0[: spec.n] = 0.0
+    d0[: spec.n] = 0.0
     return d0
 
 
@@ -351,11 +350,10 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     n = spec.n
     K = spec.horizon
     variant = spec.variant
-    init = 0.0 if spec.initial_state == "zero" else EPS
     hist = np.empty((K + 1, n))
-    hist[0] = init
+    hist[0] = 0.0
     lag = spec.population if variant == "closed" else spec.buffer_capacity + 1
-    ring = [[init] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
+    ring = [[0.0] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
     for k0 in range(0, K, _BLOCK):
         rows = []
         for k, t in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):

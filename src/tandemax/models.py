@@ -43,10 +43,8 @@ class TandemSpec:
     values but the matrix derivations assume uniformity, so mixed
     values are rejected here.
 
-    ``initial_state`` selects the d(0) convention: "zero" is the
-    all-e vector (the convention that yields finite departures);
-    "epsilon" keeps d(0) all-eps for study of the literal serial
-    algorithm.
+    Every run starts from d(0) = e, the all-zero vector: with no input
+    term, d(k) = T_k (x) d(k-1) maps an all-eps d(0) to all-eps d(k).
     """
 
     variant: str
@@ -54,7 +52,6 @@ class TandemSpec:
     horizon: int
     population: int = 1
     buffer_capacity: int = 0
-    initial_state: str = "zero"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -65,8 +62,6 @@ class TandemSpec:
             raise ModelConfigError("station count n must be >= 1")
         if self.horizon < 1:
             raise ModelConfigError("horizon K must be >= 1")
-        if self.initial_state not in ("zero", "epsilon"):
-            raise ModelConfigError("initial_state must be 'zero' or 'epsilon'")
         if self.variant == "closed":
             if self.population < 1:
                 raise ModelConfigError("closed variant needs population c >= 1")

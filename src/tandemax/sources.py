@@ -86,7 +86,8 @@ class ServiceTimeSource:
                 tau *= self.high - self.low
                 tau += self.low
             else:
-                tau = np.frompyfunc(math.log1p, 1, 1)(-tau).astype(float) / -self.rate
+                with np.errstate(over="ignore"):  # ServiceTimes rejects the +inf
+                    tau = np.frompyfunc(math.log1p, 1, 1)(-tau).astype(float) / -self.rate
         if self.integer_times:
             np.rint(tau, out=tau)
         return ServiceTimes(tau)
@@ -99,29 +100,32 @@ def load_trace(path, n: int, horizon: int) -> ServiceTimes:
     """Load a dense service-time trace from a `k,i,tau` CSV."""
     path = Path(path)
     tau = np.full((n, horizon), np.nan)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TRACE_HEADER:
-            raise SourceConfigError(f"{path}: expected header 'k,i,tau'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SourceConfigError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                k, i, x = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise SourceConfigError(f"{path}:{lineno}: {exc}") from exc
-            if not (1 <= i <= n and 1 <= k <= horizon):
-                raise SourceConfigError(f"{path}:{lineno}: cell (k={k}, i={i}) "
-                                        f"outside 1..{horizon} x 1..{n}")
-            if not math.isfinite(x) or x < 0:
-                raise SourceConfigError(f"{path}:{lineno}: tau must be finite "
-                                        f"and >= 0, got {row[2]}")
-            if not math.isnan(tau[i - 1, k - 1]):
-                raise SourceConfigError(f"{path}:{lineno}: duplicate cell (k={k}, i={i})")
-            tau[i - 1, k - 1] = x
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != TRACE_HEADER:
+                raise SourceConfigError(f"{path}: expected header 'k,i,tau'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise SourceConfigError(f"{path}:{lineno}: expected 3 fields")
+                try:
+                    k, i, x = int(row[0]), int(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise SourceConfigError(f"{path}:{lineno}: {exc}") from exc
+                if not (1 <= i <= n and 1 <= k <= horizon):
+                    raise SourceConfigError(f"{path}:{lineno}: cell (k={k}, i={i}) "
+                                            f"outside 1..{horizon} x 1..{n}")
+                if not math.isfinite(x) or x < 0:
+                    raise SourceConfigError(f"{path}:{lineno}: tau must be finite "
+                                            f"and >= 0, got {row[2]}")
+                if not math.isnan(tau[i - 1, k - 1]):
+                    raise SourceConfigError(f"{path}:{lineno}: duplicate cell (k={k}, i={i})")
+                tau[i - 1, k - 1] = x
+    except UnicodeDecodeError as exc:
+        raise SourceConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     missing = np.argwhere(np.isnan(tau))
     if missing.size:
         i0, k0 = missing[0]

@@ -16,7 +16,6 @@ from tandemax.cli import (
     ConfigError,
     _write_measure,
     build_parser,
-    format_scalar,
     main,
     parse_config,
     run,
@@ -59,6 +58,8 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(make_config(bogus=1))
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['initial_state'\]$"):
+            parse_config(make_config(initial_state="zero"))
         with pytest.raises(ConfigError, match="source"):
             parse_config(make_config(source={"kind": "constant", "oops": 2}))
 
@@ -92,14 +93,6 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(make_config(**overrides))
 
-    @pytest.mark.parametrize("measure", ["sojourn", "waiting"])
-    def test_epsilon_initial_state_measures_rejected(self, tmp_path, measure):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(initial_state="epsilon", measures=["departures", measure],
-                                   output=str(tmp_path / "eps.csv")))
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert not (tmp_path / "eps.csv").exists()
-
     def test_incompatible_strategy_rejected(self):
         with pytest.raises(ConfigError, match="sparse-closed"):
             parse_config(make_config(variant="open_mfg", b=0, strategy="sparse-closed"))
@@ -111,6 +104,14 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{nope")
+
+    def test_readme_schema_parses(self):
+        # the example under "Config schema" in README, without its // comments
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1)
+        config = parse_config(re.sub(r"\s*//.*", "", block))
+        assert config.spec == TandemSpec("open_infinite", 3, 100)
+        assert config.measures == ("departures", "sojourn", "waiting")
 
 
 # u at cells (station i, customer k) as the scalar Python-int splitmix64
@@ -382,11 +383,11 @@ class TestIntegersPast2To53:
 
 
 def reference_csv(rows, prefix):
-    """The per-row writer: one format_scalar call per cell."""
+    """The per-row writer: one ``.17g`` format call per cell."""
     n = rows.shape[1]
     lines = ["k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1))]
     for k, row in enumerate(rows.tolist(), start=1):
-        lines.append(f"{k}," + ",".join(map(format_scalar, row)))
+        lines.append(f"{k}," + ",".join(format(x, ".17g") for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -538,6 +539,34 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_overflowing_samples_are_a_config_error(self, tmp_path, capsys, command):
+        # -log1p(-u) / 1e-320 overflows to +inf for every u above about 1e-12
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(n=2, K=3, output=str(out),
+                                   source={"kind": "exponential", "rate": 1e-320}))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: service times must be finite and >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["config", "trace"])
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"k,i,tau\n1,1,\xff\n")
+        if bad == "config":
+            cfg.write_bytes(b'{"variant":"\xff"}')
+        else:
+            cfg.write_text(make_config(n=1, K=1, source={"kind": "trace", "path": str(trace)}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        path = cfg if bad == "config" else trace
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}: not valid UTF-8 (invalid start byte)\n")
 
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
         assert build_parser() is build_parser()

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,13 +61,6 @@ class TestHandTrajectories:
         spec = TandemSpec("open_mfg", 2, 3)
         traj = oracle_lindley(spec, constant_tau([1, 3], 3))
         assert traj.departures().tolist() == [[1, 4], [4, 7], [7, 10]]
-
-    def test_epsilon_initial_state_annihilates(self):
-        # the literal serial-algorithm initialization, kept for study
-        spec = TandemSpec("open_infinite", 2, 3, initial_state="epsilon")
-        traj = simulate_serial(spec, constant_tau([1, 2], 3))
-        assert np.isneginf(traj.departures()).all()
-        assert np.isneginf(oracle_lindley(spec, constant_tau([1, 2], 3)).departures()).all()
 
 
 class TestInitialState:
@@ -211,9 +203,8 @@ class TestStrategyEquivalence:
         )
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
-    @pytest.mark.parametrize("initial", ["zero", "epsilon"])
-    def test_sparse_equals_oracle(self, n, initial):
-        spec = TandemSpec("closed", n, 60, initial_state=initial)
+    def test_sparse_equals_oracle(self, n):
+        spec = TandemSpec("closed", n, 60)
         for tau in (random_tau(n, 60, n), random_tau(n, 60, n, high=5, integer=False)):
             sparse = simulate_closed_sparse(spec, tau).states
             want = oracle_lindley(spec, tau).states
@@ -253,9 +244,8 @@ class TestOracleEquivalence:
                 )
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4),
-           st.sampled_from(["zero", "epsilon"]))
-    def test_oracle_ring_edges(self, data, n, K, b, c, initial):
+    @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4))
+    def test_oracle_ring_edges(self, data, n, K, b, c):
         """With b + 1 or c up to 5 rows of lookback and K down to 1, the
         oracle's ring reaches back past k = 0; on tau with ties and signed
         zeros it equals serial exactly, sign of zero included, and so do
@@ -266,7 +256,7 @@ class TestOracleEquivalence:
         for variant, kwargs in [("closed", {"population": c}), ("open_infinite", {}),
                                 ("open_mfg", {"buffer_capacity": b}),
                                 ("open_comm", {"buffer_capacity": b})]:
-            spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
+            spec = TandemSpec(variant, n, K, **kwargs)
             want = simulate_serial(spec, tau).states
             dense = [simulate_batched(spec, tau, P).states for P in (1, 2, 3)]
             for got in [oracle_lindley(spec, tau).states, simulate_vectorized(spec, tau).states,
@@ -287,14 +277,13 @@ class TestOracleEquivalence:
             ("closed", {"population": 4}),
         ],
     )
-    @pytest.mark.parametrize("initial", ["zero", "epsilon"])
-    def test_block_boundaries(self, K, variant, kwargs, initial):
+    def test_block_boundaries(self, K, variant, kwargs):
         """Serial and the oracle move tau and d in blocks of 256 customers;
         across block edges, with a ring up to 4 rows deep, serial equals
         the oracle exactly (sign of zero included) and the dense route
         exactly on integer tau."""
         n = 3
-        spec = TandemSpec(variant, n, K, initial_state=initial, **kwargs)
+        spec = TandemSpec(variant, n, K, **kwargs)
         signed = np.random.default_rng(K).choice([0.0, -0.0, 1.0, 2.5], size=(n, K))
         for tau in (random_tau(n, K, K, high=5, integer=False), ServiceTimes(signed)):
             got = simulate_serial(spec, tau).states
@@ -306,9 +295,8 @@ class TestOracleEquivalence:
                               simulate_batched(spec, tau, 1).states)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.integers(1, 5), st.integers(1, 8),
-           st.sampled_from(["zero", "epsilon"]), st.booleans())
-    def test_prefix_scan_equals_kernel(self, data, n, K, initial, large):
+    @given(st.data(), st.integers(1, 5), st.integers(1, 8), st.booleans())
+    def test_prefix_scan_equals_kernel(self, data, n, K, large):
         """On exact tau the open_infinite prefix scan equals the factored
         kernel exactly, sign of zero included: small tau with ties and
         signed zeros, or large integers whose total is 2**53 - 1."""
@@ -322,7 +310,7 @@ class TestOracleEquivalence:
             assert tau.sum() == 2**53 - 1
         tau = ServiceTimes(tau)
         assert is_exact(tau.tau)
-        spec = TandemSpec("open_infinite", n, K, initial_state=initial)
+        spec = TandemSpec("open_infinite", n, K)
         got, want = _prefix_scan(spec, tau), _factored_steps(spec, tau)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -417,8 +405,6 @@ class TestProperties:
         message = rf"^departure {re.escape(cell)} overflows float64$"
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, constant_tau([1e308] * 3, 4), strategy)
-        eps = replace(spec, initial_state="epsilon")
-        assert np.isneginf(simulate(eps, constant_tau([1e308] * 3, 4), strategy).states).all()
 
     @pytest.mark.parametrize("strategy", ["vector", "batched"])
     def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
