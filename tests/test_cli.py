@@ -93,6 +93,17 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=key):
                 parse_config(make_config(**overrides))
 
+    @pytest.mark.parametrize("measure", ["sojourn", "waiting"])
+    def test_epsilon_initial_state_measures_rejected(self, tmp_path, capsys, measure):
+        # the all-eps d(0) setting is gone; a config that still asks for it exits 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(initial_state="epsilon", measures=["departures", measure],
+                                   output=str(tmp_path / "eps.csv")))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: unknown config keys: ['initial_state']\n")
+        assert not (tmp_path / "eps.csv").exists()
+
     def test_incompatible_strategy_rejected(self):
         with pytest.raises(ConfigError, match="sparse-closed"):
             parse_config(make_config(variant="open_mfg", b=0, strategy="sparse-closed"))
