@@ -15,10 +15,6 @@ from .engine import (
     Trajectory,
     oracle_lindley,
     simulate,
-    simulate_batched,
-    simulate_closed_sparse,
-    simulate_serial,
-    simulate_vectorized,
 )
 from .models import (
     ModelConfigError,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import rounding_gap
-from .engine import STRATEGIES, Trajectory, oracle_lindley, simulate
+from .engine import STRATEGIES, Trajectory, check_strategy, oracle_lindley, simulate
 from .measures import trajectory_sojourn, trajectory_waiting
 from .models import ModelConfigError, TandemSpec
 from .sources import ServiceTimeSource, SourceConfigError
@@ -100,16 +100,20 @@ def parse_config(document: str | dict) -> RunConfig:
         raise ConfigError(f"source: {exc}") from exc
 
     strategy = doc.get("strategy", "serial")
-    _require(strategy in STRATEGIES, f"'strategy' must be one of {STRATEGIES}")
     processors = doc.get("processors", 1)
-    _require(processors >= 1, "'processors' must be >= 1")
+    try:
+        check_strategy(spec, strategy, processors)
+    except ModelConfigError as exc:
+        raise ConfigError(str(exc)) from exc
     measures = doc.get("measures", ["departures"])
     _require(isinstance(measures, list) and all(isinstance(m, str) for m in measures),
              "'measures' must be a list of strings")
     bad = set(measures) - set(MEASURES)
     _require(not bad, f"unknown measures: {sorted(bad)}")
+    _require(spec.variant != "closed" or set(measures) <= {"departures"},
+             "sojourn/waiting measures are defined for open variants only")
     _require(isinstance(doc.get("output", ""), str), "'output' must be a string")
-    config = RunConfig(
+    return RunConfig(
         spec=spec,
         source=source,
         strategy=strategy,
@@ -118,17 +122,6 @@ def parse_config(document: str | dict) -> RunConfig:
         count_ops=doc.get("count_ops", False),
         output_path=doc.get("output", "departures.csv"),
     )
-    _check_compat(config)
-    return config
-
-
-def _check_compat(config: RunConfig) -> None:
-    spec = config.spec
-    closed_c1 = spec.variant == "closed" and spec.population == 1
-    _require(config.strategy != "sparse-closed" or closed_c1,
-             "strategy 'sparse-closed' requires the closed variant with c = 1")
-    _require(spec.variant != "closed" or set(config.measures) <= {"departures"},
-             "sojourn/waiting measures are defined for open variants only")
 
 
 # Exactness is checked per block of _CHUNK_ROWS rows. An exact-integer
@@ -248,8 +241,7 @@ def run(config: RunConfig) -> int:
         s = trajectory_sojourn(traj.states, config.spec.n)
         _write_measure(s, "s", out.with_name(out.stem + "_sojourn.csv"))
     if "waiting" in config.measures:
-        nonneg = config.spec.variant == "open_infinite"
-        w = trajectory_waiting(traj.states, tau.tau, check_nonneg=nonneg)
+        w = trajectory_waiting(traj.states, tau.tau)
         _write_measure(w, "w", out.with_name(out.stem + "_waiting.csv"))
     if config.count_ops:
         report = op_report(traj, config.processors)
@@ -315,6 +307,7 @@ def bench(n_list, k_list, p_list, out=None) -> int:
         for K in k_list:
             spec = TandemSpec(variant="open_infinite", n=n, horizon=K)
             try:
+                _check_size(n, K)
                 tau = ServiceTimeSource(kind="constant", value=1.0).sample(n, K)
                 serial = simulate(spec, tau, "serial").ledger
                 vector = simulate(spec, tau, "vector").ledger
@@ -403,6 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(n: int, K: int) -> None:
+    """numpy raises ValueError, not MemoryError, for an array whose byte
+    count passes its index type; reject the (K+1) x n float64 table of
+    departures before any array is made."""
+    if (K + 1) * n * 8 > np.iinfo(np.intp).max:
+        raise MemoryError("more than numpy's largest array")
+
+
 def _unallocatable(n: int, K: int, exc: MemoryError) -> ConfigError:
     return ConfigError(f"n x K = {n} x {K} cells do not fit in memory ({exc})")
 
@@ -414,6 +415,7 @@ def main(argv=None) -> int:
             return bench(args.n_list, args.k_list, args.p_list, args.out)
         config = _load_config(args)
         try:
+            _check_size(config.spec.n, config.spec.horizon)
             if args.command == "simulate":
                 return run(config)
             return validate(config, trials=args.trials)

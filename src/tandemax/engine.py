@@ -7,42 +7,33 @@ variant: the augmented history of earlier rows that makes the blocking
 and closed recursions first order lives in the serial kernel's ring, or
 in the dense routes' state vector, never in the trajectory.
 
-``serial`` runs open_infinite on exact tau (``core.is_exact``: integer
-valued, total below 2**53) as one max-plus prefix scan per station, a
-cumsum and a maximum.accumulate over the K customers; every sum is then
-exact, so the order of the additions does not matter.  Every other run
-takes the factored form of T_k, O(m) per customer: S_k (x) y as a
-prefix recursion, G and GT as shifts, and the augmented identity blocks
-as a ring of past states.  Distributing tau_ik over the max folds the
-product and the prefix recursion into one pass over the stations, one
-running value per station, which performs the same additions in the
-same order as the scalar recursion.  Either way serial equals the
-oracle bit for bit, on float tau as well, and runs of different
-variants on shared float tau keep d_comm >= d_mfg >= d_inf exactly.
-``vector`` and ``batched`` run one dense kernel, the product with the
-T_k of ``models.build_transition``, the paper's specification, and
-differ only in the counters they charge.  They equal serial exactly on
-integer-valued tau; on float tau they add in another order and agree
+``simulate`` is the one place that runs a strategy.  It applies the
+strategy rules (``check_strategy``, which the CLI's config parser
+applies too), picks one of three kernels and charges the strategy's
+cost model (``_ledger``).  ``vector`` and ``batched`` take the dense
+kernel, the product with the T_k of ``models.build_transition``, the
+paper's specification.  Open_infinite on exact tau (``core.is_exact``:
+integer valued, total below 2**53) takes one max-plus prefix scan per
+station, a cumsum and a maximum.accumulate over the K customers; every
+sum is then exact, so the order of the additions does not matter.
+Every other run takes the factored form of T_k, O(m) per customer:
+S_k (x) y as a prefix recursion, G and GT as shifts, and the augmented
+identity blocks as a ring of past states.  Distributing tau_ik over the
+max folds the product and the prefix recursion into one pass over the
+stations, one running value per station, which performs the same
+additions in the same order as the scalar recursion.  Either way
+serial and sparse-closed equal the oracle bit for bit, on float tau as
+well, and runs of different variants on shared float tau keep
+d_comm >= d_mfg >= d_inf exactly.  The dense kernel equals them exactly
+on integer-valued tau; on float tau it adds in another order and agrees
 within the float contract ``core.rounding_gap``.
-
-The counters are the paper's cost model, charged by formula, not the
-work a schedule does: the vector schedule's recursive-doubling stages
-are counted, not executed, and serial charges the dense-triangular
-accounting of the serial algorithm.
-Building the infinite-buffer matrix charges one product per triangular
-entry written, n(n+1)/2 per step (each entry is one addition to its
-right neighbour, the diagonal loads included), and the triangular
-product charges n(n+1)/2 products plus n(n-1)/2 maximizations, n^2 in
-total; augmented variants charge a dense m x m product.
-Operations on eps operands are charged like any other; only the sparse
-closed-system path specializes the count (2n per step).
 
 ``oracle_lindley`` recomputes departures from the ordinary scalar
 max/+ recursions, one station at a time on Python floats, looking back
 through a ring of the last ``lag`` rows (b+1 for blocking, c for
-closed).  It is independent of all matrix machinery, the factored
-kernel included, and accepts any buffer capacity b >= 0 and population
-c >= 1.
+closed, at most K+1).  It is independent of all matrix machinery, the
+factored kernel included, and accepts any buffer capacity b >= 0 and
+population c >= 1.
 """
 
 from __future__ import annotations
@@ -112,21 +103,14 @@ def _check_inputs(spec: TandemSpec, tau: ServiceTimes) -> None:
 
 
 def initial_state(spec: TandemSpec) -> np.ndarray:
-    """d(0) in augmented form: live block e (every station empty at time
-    zero), history blocks eps (no departures before time zero)."""
-    d0 = np.full(spec.arity, EPS)
-    d0[: spec.n] = 0.0
-    return d0
+    """d(0) = e: every station empty at time zero.  The history before
+    it, the augmented blocks d(-1), ..., is eps (no departures before
+    time zero), so a lag past K + 1 reads eps only."""
+    return np.zeros(spec.n)
 
 
 def _tri(m: int) -> int:
     return m * (m + 1) // 2
-
-
-def _dense_cells(spec: TandemSpec) -> int:
-    """Cells of one dense T_k: the triangle for open_infinite, else m x m."""
-    m = spec.arity
-    return _tri(m) if spec.variant == "open_infinite" else m * m
 
 
 # Customers per block: the serial kernel and the oracle read tau and
@@ -148,8 +132,8 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     buffers), (z_{i-1} (+) p (+) q) (x) tau_ik (communication) or
     (z_{i-1} (+) p) (x) tau_ik (+) q (manufacturing).  Closed: d(k) =
     T_k (x) (d(k-1) (+) F (x) d(k-c)).  The augmented identity blocks are
-    a ring of the last b+1 (or c) departure rows, eps before k = 0; the
-    augmented history exists only there.
+    a ring of the last b+1 (or c) departure rows, eps before k = 0, at
+    most K + 1 of them; the augmented history exists only there.
 
     Each entry takes one max and adds tau_ik once, the additions of the
     scalar recursion in its order, so the result equals ``oracle_lindley``
@@ -159,9 +143,9 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     K = spec.horizon
     variant = spec.variant
     closed = variant == "closed"
-    lag = spec.population if closed else spec.buffer_capacity + 1
+    lag = min(spec.population if closed else spec.buffer_capacity + 1, K + 1)
     states = np.empty((K + 1, n))
-    states[0] = initial_state(spec)[:n]
+    states[0] = initial_state(spec)
     never = [EPS] * n
     ring = [states[0].tolist()] + [never] * (lag - 1)
     for k0 in range(0, K, _BLOCK):
@@ -206,12 +190,12 @@ def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     d_i(k) = C_k + max(d_i(0), max_{j <= k} (a_j - C_{j-1})): one cumsum
     and one maximum.accumulate per station, on K-vectors only.  It adds
     in another order from the scalar recursion, so it equals
-    ``_factored_steps`` only when every sum is exact: callers take it
-    only when ``is_exact(tau)``.
+    ``_factored_steps`` only when every sum is exact: ``simulate`` takes
+    it only when ``is_exact(tau)``.
     """
     K = spec.horizon
     states = np.empty((K + 1, spec.n))
-    states[0] = initial_state(spec)[: spec.n]
+    states[0] = initial_state(spec)
     c = np.zeros(K + 1)  # C_0..C_K
     d = np.full(K, EPS)  # a_1..a_K, then d_i(1..K)
     x = np.empty(K)
@@ -225,47 +209,6 @@ def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     return states
 
 
-def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Scalar-processor schedule.  Open_infinite on exact tau
-    (``core.is_exact``) runs as a per-station prefix scan; every other
-    run takes the factored per-step kernel.  Both equal the oracle bit
-    for bit.
-
-    The ledger charges the paper's cost model of the dense serial
-    algorithm (build T_k, then the triangular, or dense for augmented
-    variants, matrix-vector product), not the kernel's own work."""
-    _check_inputs(spec, tau)
-    m = spec.arity
-    n = spec.n
-    K = spec.horizon
-    if spec.variant == "open_infinite" and is_exact(tau.tau):
-        states = _prefix_scan(spec, tau)
-    else:
-        states = _factored_steps(spec, tau)
-    ledger = OpLedger(steps=K, memory_cells=_dense_cells(spec) + 2 * m)
-    if spec.variant == "open_infinite":
-        ledger.scalar_otimes = K * (_tri(n) + _tri(n))
-        ledger.scalar_oplus = K * (_tri(n) - n)
-    else:
-        ledger.scalar_otimes = K * m * m
-        ledger.scalar_oplus = K * m * (m - 1)
-    return Trajectory(states, spec, ledger, strategy="serial")
-
-
-def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Closed c = 1 on the factored kernel, whose step is then the
-    two-entries-per-row form d_i(k) = tau_ik (x) (d_i(k-1) (+)
-    d_pred(i)(k-1)); the ledger charges those 2n operations per step."""
-    if spec.variant != "closed" or spec.population != 1:
-        raise ModelConfigError("sparse path requires the closed variant with c = 1")
-    _check_inputs(spec, tau)
-    n = spec.n
-    K = spec.horizon
-    states = _factored_steps(spec, tau)
-    ledger = OpLedger(scalar_oplus=K * n, scalar_otimes=K * n, steps=K, memory_cells=3 * n)
-    return Trajectory(states, spec, ledger, strategy="sparse-closed")
-
-
 def _overflow(k: int, i: int) -> ModelConfigError:
     """The error for departure d_{i+1}(k), which overflowed float64 to +inf."""
     return ModelConfigError(f"departure d_{i + 1}({k}) overflows float64")
@@ -273,13 +216,15 @@ def _overflow(k: int, i: int) -> ModelConfigError:
 
 def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, by the dense product
-    d(k) = T_k (x) d(k-1) on the augmented state, one m-vector; each step
-    stores its first n entries.  The kernel of ``vector`` and ``batched``.
+    d(k) = T_k (x) d(k-1) on the augmented state, one m-vector: d(0)
+    followed by eps history blocks.  Each step stores its first n
+    entries.  The kernel of ``vector`` and ``batched``.
 
     Stops at the first step whose live block holds +inf, which every
     later product would carry on as nan; the history blocks are copies
     of earlier live blocks, so +inf cannot appear there first."""
-    state = initial_state(spec)
+    state = np.full(spec.arity, EPS)
+    state[: spec.n] = initial_state(spec)
     states = np.empty((spec.horizon + 1, spec.n))
     states[0] = state[: spec.n]
     for k in range(1, spec.horizon + 1):
@@ -291,57 +236,14 @@ def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     return states
 
 
-def simulate_vectorized(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Vector-processor schedule (Algorithm 2) on the dense kernel.
-
-    The ledger charges, per step, m whole-row shifts to build T_k, and
-    per row one vector add plus the ceil(log2 w) stages of a
-    recursive-doubling max over its w entries: w = i for row i = 1..m
-    of the open-infinite variant, w = m for augmented variants.  The
-    stages are counted, not executed.
-    """
-    _check_inputs(spec, tau)
-    m = spec.arity
-    K = spec.horizon
-    widths = range(1, m + 1) if spec.variant == "open_infinite" else [m] * m
-    ledger = OpLedger(
-        vector_build_ops=K * m,
-        vector_reduce_ops=K * sum(1 + (w - 1).bit_length() for w in widths),
-        steps=K,
-        memory_cells=_dense_cells(spec) + 2 * m,
-    )
-    return Trajectory(_dense_steps(spec, tau), spec, ledger, strategy="vector")
-
-
-def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Trajectory:
-    """SIMD schedule (Algorithm 3) in ceil(K/P) batches, on the dense
-    kernel.  The ledger charges each batch m(m+1)/2 parallel operations
-    to build its P transition matrices up front (independent, one per
-    processor), and each step 2m to apply its matrix, one row per
-    processor; the working set holds one batch, min(P, K) matrices."""
-    if processors < 1:
-        raise ModelConfigError("processor count must be >= 1")
-    _check_inputs(spec, tau)
-    m = spec.arity
-    K = spec.horizon
-    batches = -(-K // processors)
-    ledger = OpLedger(
-        parallel_ops=batches * _tri(m) + 2 * m * K,
-        steps=K,
-        batches=batches,
-        memory_cells=min(processors, K) * _dense_cells(spec) + 2 * m,
-    )
-    return Trajectory(_dense_steps(spec, tau), spec, ledger, strategy="batched")
-
-
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     """Ground-truth departures from the ordinary scalar recursions.
 
     Runs on Python floats, customer by customer and station by station.
     The blocking terms d_{i+1}(k-b-1) and closed arrivals d_{i-1}(k-c)
-    come from a ring of the last ``lag`` rows (b+1, or c), so any
-    b >= 0, c >= 1 resolves.  References to k < 0 are eps (no departures
-    before start); k = 0 is the initial-state vector.  Each max(a, b)
+    come from a ring of the last ``lag`` rows (b+1, or c, at most K+1),
+    so any b >= 0, c >= 1 resolves.  References to k < 0 are eps (no
+    departures before start); k = 0 is the initial-state vector.  Each max(a, b)
     is written ``b if b > a else a``: CPython's ``max`` returns b only
     when b > a, so this is the same function, ties of +-0.0 and NaN
     included, without a call per cell.
@@ -352,7 +254,7 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     variant = spec.variant
     hist = np.empty((K + 1, n))
     hist[0] = 0.0
-    lag = spec.population if variant == "closed" else spec.buffer_capacity + 1
+    lag = min(spec.population if variant == "closed" else spec.buffer_capacity + 1, K + 1)
     ring = [[0.0] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
     for k0 in range(0, K, _BLOCK):
         rows = []
@@ -390,26 +292,103 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
 STRATEGIES = ("serial", "sparse-closed", "vector", "batched")
 
 
+def check_strategy(spec: TandemSpec, strategy: str, processors: int) -> None:
+    """The strategy rules, which ``simulate`` and the CLI's config
+    parser both apply."""
+    if strategy not in STRATEGIES:
+        raise ModelConfigError(f"'strategy' must be one of {STRATEGIES}")
+    if strategy == "sparse-closed" and (spec.variant != "closed" or spec.population != 1):
+        raise ModelConfigError("strategy 'sparse-closed' requires the closed variant with c = 1")
+    if processors < 1:
+        raise ModelConfigError("'processors' must be >= 1")
+
+
+def _ledger(spec: TandemSpec, strategy: str, processors: int) -> OpLedger:
+    """The paper's cost model of one run, charged by formula, not the
+    work of the kernel that ran.  A dense T_k is a triangle of m(m+1)/2
+    cells for open_infinite, else m x m.
+
+    serial: the dense serial algorithm, build T_k, then the triangular
+    (or, for augmented variants, dense) matrix-vector product.  Building
+    the infinite-buffer matrix charges one product per triangular entry
+    written, n(n+1)/2 per step (each entry is one addition to its right
+    neighbour, the diagonal loads included), and the triangular product
+    n(n+1)/2 products plus n(n-1)/2 maximizations, n^2 in total;
+    augmented variants charge a dense m x m product.  Operations on eps
+    operands are charged like any other.
+
+    sparse-closed: the two-entries-per-row step of closed c = 1,
+    d_i(k) = tau_ik (x) (d_i(k-1) (+) d_pred(i)(k-1)), 2n per step.
+
+    vector (Algorithm 2): per step, m whole-row shifts to build T_k, and
+    per row one vector add plus the ceil(log2 w) stages of a
+    recursive-doubling max over its w entries: w = i for row i = 1..m of
+    open_infinite, w = m for augmented variants.  The stages are
+    counted, not executed.
+
+    batched (Algorithm 3), ceil(K/P) batches: each batch m(m+1)/2
+    parallel operations to build its P transition matrices up front
+    (independent, one per processor), and each step 2m to apply its
+    matrix, one row per processor; the working set holds one batch,
+    min(P, K) matrices.
+    """
+    m, n, K = spec.arity, spec.n, spec.horizon
+    infinite = spec.variant == "open_infinite"
+    cells = _tri(m) if infinite else m * m
+    if strategy == "sparse-closed":
+        return OpLedger(scalar_oplus=K * n, scalar_otimes=K * n, steps=K, memory_cells=3 * n)
+    if strategy == "serial":
+        oplus, otimes = (_tri(n) - n, 2 * _tri(n)) if infinite else (m * (m - 1), m * m)
+        return OpLedger(scalar_oplus=K * oplus, scalar_otimes=K * otimes,
+                        steps=K, memory_cells=cells + 2 * m)
+    if strategy == "vector":
+        if infinite:
+            stages = sum((w - 1).bit_length() for w in range(1, m + 1))
+        else:
+            stages = m * (m - 1).bit_length()
+        return OpLedger(vector_build_ops=K * m, vector_reduce_ops=K * (m + stages),
+                        steps=K, memory_cells=cells + 2 * m)
+    batches = -(-K // processors)
+    return OpLedger(parallel_ops=batches * _tri(m) + 2 * m * K, steps=K, batches=batches,
+                    memory_cells=min(processors, K) * cells + 2 * m)
+
+
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
-    """Dispatch over the execution strategies.  A departure that
-    overflows float64 to +inf is a configuration error (eps is legal),
-    reported here, or by the dense kernel at the step it happens, rather
-    than as a numpy warning: the overflow itself, or the eps + inf = nan
-    of a dense product that reads it."""
+    """Run one strategy: check its rules and tau's shape, run its kernel
+    and charge its cost model.  A departure that overflows float64 to
+    +inf is a configuration error (eps is legal), reported here, or by
+    the dense kernel at the step it happens, rather than as a numpy
+    warning: the overflow itself, or the eps + inf = nan of a dense
+    product that reads it."""
+    check_strategy(spec, strategy, processors)
+    _check_inputs(spec, tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        if strategy == "serial":
-            traj = simulate_serial(spec, tau)
-        elif strategy == "sparse-closed":
-            traj = simulate_closed_sparse(spec, tau)
-        elif strategy == "vector":
-            traj = simulate_vectorized(spec, tau)
-        elif strategy == "batched":
-            traj = simulate_batched(spec, tau, processors)
+        if strategy in ("vector", "batched"):
+            states = _dense_steps(spec, tau)
+        elif spec.variant == "open_infinite" and is_exact(tau.tau):
+            states = _prefix_scan(spec, tau)
         else:
-            raise ModelConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    over = np.argwhere(np.isposinf(traj.states))
+            states = _factored_steps(spec, tau)
+    over = np.argwhere(np.isposinf(states))
     if over.size:
         raise _overflow(*over[0])
-    return traj
+    return Trajectory(states, spec, _ledger(spec, strategy, processors), strategy)
+
+
+# One entry point per strategy, for callers that name it.
+def simulate_serial(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
+    return simulate(spec, tau, "serial")
+
+
+def simulate_closed_sparse(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
+    return simulate(spec, tau, "sparse-closed")
+
+
+def simulate_vectorized(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
+    return simulate(spec, tau, "vector")
+
+
+def simulate_batched(spec: TandemSpec, tau: ServiceTimes, processors: int) -> Trajectory:
+    return simulate(spec, tau, "batched", processors)

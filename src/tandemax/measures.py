@@ -8,7 +8,9 @@ builds alongside the direct definitions, so the two routes can be
 cross-checked exactly.
 
 For blocking systems the waiting figures include server blocking time
-as well; callers should label them accordingly.
+as well; callers should label them accordingly.  They are >= 0 in every
+open variant, and ``trajectory_waiting`` checks that within the float
+contract.
 """
 
 from __future__ import annotations
@@ -66,27 +68,20 @@ def trajectory_sojourn(states: np.ndarray, n: int) -> np.ndarray:
     return sojourn_direct(states[1:, :n])
 
 
-def trajectory_waiting(
-    states: np.ndarray, tau: np.ndarray, check_nonneg: bool = True
-) -> np.ndarray:
+def trajectory_waiting(states: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Waiting vectors for k = 1..K; tau is the n x K service matrix.
 
-    w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  With
-    ``check_nonneg`` (the infinite-buffer case) an entry below zero by
-    more than the float contract's rounding gap (``core.rounding_gap``)
-    signals a model bug and raises; blocking callers disable the check
-    because their w includes blocking time measured the same way.
+    w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  Every open
+    variant has d_i(k) >= d_{i-1}(k) + tau_ik, since blocking only adds
+    time, so an entry below zero by more than the float contract's
+    rounding gap (``core.rounding_gap``) signals a model bug and raises.
     """
     n = tau.shape[0]
     w = trajectory_sojourn(states, n)
     w[:, 1:] -= np.cumsum(tau[1:], axis=0).T
     w[:, 0] = 0.0
-    if check_nonneg:
-        bad = np.argwhere(w < -rounding_gap(tau, states[1:, :n]))
-        if bad.size:
-            k, i = bad[0]
-            raise MeasureConsistencyError(
-                f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]} "
-                "in an infinite-buffer system"
-            )
+    bad = np.argwhere(w < -rounding_gap(tau, states[1:, :n]))
+    if bad.size:
+        k, i = bad[0]
+        raise MeasureConsistencyError(f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]}")
     return w

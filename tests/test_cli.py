@@ -23,7 +23,7 @@ from tandemax.cli import (
 )
 from tandemax.core import EPS, rounding_gap
 from tandemax.engine import simulate, simulate_serial
-from tandemax.models import TandemSpec
+from tandemax.models import ModelConfigError, TandemSpec
 from tandemax.sources import (
     ServiceTimeSource,
     SourceConfigError,
@@ -103,6 +103,21 @@ class TestParseConfig:
         assert capsys.readouterr().err == (
             "configuration error: unknown config keys: ['initial_state']\n")
         assert not (tmp_path / "eps.csv").exists()
+
+    @pytest.mark.parametrize("strategy,processors,message", [
+        ("sparse-closed", 1, "strategy 'sparse-closed' requires the closed variant with c = 1"),
+        ("batched", 0, "'processors' must be >= 1"),
+        ("warp", 1, "'strategy' must be one of ('serial', 'sparse-closed', 'vector', 'batched')"),
+    ])
+    def test_strategy_rules_stated_once(self, strategy, processors, message):
+        """The config parser and simulate apply one rule set, word for word."""
+        text = f"^{re.escape(message)}$"
+        with pytest.raises(ConfigError, match=text):
+            parse_config(make_config(strategy=strategy, processors=processors))
+        spec = TandemSpec("open_infinite", 3, 10)
+        tau = ServiceTimeSource(kind="constant", value=1.0).sample(3, 10)
+        with pytest.raises(ModelConfigError, match=text):
+            simulate(spec, tau, strategy, processors)
 
     def test_incompatible_strategy_rejected(self):
         with pytest.raises(ConfigError, match="sparse-closed"):
@@ -503,6 +518,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: n x K = 1000000000 x 1000000000 ")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("model", [
+        # n past numpy's largest dimension, and an n x K table past its largest size
+        {"n": 10**23, "K": 3, "source": {"kind": "constant", "value": 1}},
+        {"n": 2, "K": 10**23, "source": {"kind": "uniform", "low": 0, "high": 1}},
+    ], ids=["n", "K"])
+    def test_beyond_numpy_array_limits_is_a_config_error(self, tmp_path, capsys, command, model):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"variant": "open_infinite", **model}))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: n x K = {model['n']} x {model['K']} "
+                                "cells do not fit in memory (more than numpy's largest array)\n")
 
     def test_unallocatable_bench_is_a_config_error(self, capsys):
         # 10**12 x 1 doubles are 7.28 TiB, so the first allocation fails at once

@@ -65,7 +65,7 @@ class TestHandTrajectories:
     def test_epsilon_initial_state_annihilates(self, monkeypatch):
         # d(k) = T_k (x) d(k-1) has no input term, so eps is a fixed point:
         # the reason every run starts from d(0) = e
-        monkeypatch.setattr(engine, "initial_state", lambda s: np.full(s.arity, EPS))
+        monkeypatch.setattr(engine, "initial_state", lambda s: np.full(s.n, EPS))
         for variant in ("open_infinite", "open_mfg", "open_comm", "closed"):
             spec = TandemSpec(variant, 2, 3)
             for tau in (constant_tau([1, 2], 3), constant_tau([1.5, 2.5], 3)):
@@ -75,10 +75,28 @@ class TestHandTrajectories:
 
 class TestInitialState:
     def test_augmented_history_is_eps(self):
+        # d(0) is the n live entries only; the routes supply the eps history
         spec = TandemSpec("open_mfg", 3, 5, buffer_capacity=1)
         d0 = initial_state(spec)
-        assert list(d0[:3]) == [0.0, 0.0, 0.0]
-        assert np.isneginf(d0[3:]).all()
+        assert d0.shape == (3,)
+        assert list(d0) == [0.0, 0.0, 0.0]
+        assert not np.signbit(d0).any()
+
+    @pytest.mark.parametrize("variant", ["open_mfg", "open_comm", "closed"])
+    @pytest.mark.parametrize("value", [7, 8, 13, 10**11])  # K + 1, K + 2, K + 7, 10^11
+    def test_lag_past_horizon_reads_eps(self, variant, value):
+        """b + 1 or c past K + 1 looks back to rows before k = 0 only, all
+        eps: serial and the oracle give the states of the lag = K + 1 run,
+        and hold no ring rows beyond K + 1."""
+        n, K = 3, 6
+        key = "population" if variant == "closed" else "buffer_capacity"
+        spec = TandemSpec(variant, n, K, **{key: value})
+        ref = TandemSpec(variant, n, K, **{key: K + 1 if variant == "closed" else K})
+        for tau in (random_tau(n, K, 3), random_tau(n, K, 3, high=5, integer=False)):
+            for route in (simulate_serial, oracle_lindley):
+                got, want = route(spec, tau).states, route(ref, tau).states
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCounters:

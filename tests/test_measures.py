@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemax.core import EPS, MaxPlusMatrix
-from tandemax.engine import simulate_serial
+from tandemax.engine import simulate, simulate_serial
 from tandemax.measures import (
     MeasureConsistencyError,
     ReferenceEpochError,
@@ -76,8 +78,6 @@ class TestWaiting:
     def test_negative_waiting_rejected(self):
         with pytest.raises(MeasureConsistencyError):
             self._waiting([0, 1], [1, 5])
-        # blocking systems disable the check (w includes blocking time)
-        assert self._waiting([0, 1], [1, 5], check_nonneg=False) == [0.0, -4.0]
         # float inputs may leave w below zero by the rounding gap
         # 3 * 2**-53 * max|d| (about 2.25 ulp of 1.5 here), not more
         ulp = 2.0**-52
@@ -119,3 +119,17 @@ class TestRecursionConsistency:
     def test_waiting_nonnegative_infinite_buffers(self):
         _, tau, traj = self._run(5, 9)
         assert (trajectory_waiting(traj.states, tau.tau) >= 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 5), st.integers(1, 8), st.integers(0, 3),
+           st.sampled_from(["open_mfg", "open_comm"]))
+    def test_waiting_nonnegative_with_blocking(self, data, n, K, b, variant):
+        """Blocking only adds time, so w >= 0 holds within the rounding gap
+        for blocking variants on float tau too, on the serial kernel and
+        on the dense route; trajectory_waiting raises otherwise."""
+        cells = st.floats(0, 5, allow_nan=False, allow_infinity=False)
+        tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
+                           .reshape(n, K))
+        spec = TandemSpec(variant, n, K, buffer_capacity=b)
+        for strategy in ("serial", "vector"):
+            trajectory_waiting(simulate(spec, tau, strategy).states, tau.tau)
