@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import rounding_gap
-from .engine import STRATEGIES, Trajectory, check_strategy, oracle_lindley, simulate
+from .engine import (
+    STRATEGIES, Trajectory, _ledger, _paper_formulas, check_strategy, oracle_lindley, simulate,
+)
 from .measures import trajectory_sojourn, trajectory_waiting
 from .models import ModelConfigError, TandemSpec
 from .sources import ServiceTimeSource, SourceConfigError
@@ -184,30 +185,17 @@ def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
                 fh.write(float_row * len(part) % tuple(part.ravel().tolist()))
 
 
-def _count_formulas(n: int, K: int, P: int) -> dict:
-    """The idealized operation-count formulas of the open-infinite tandem,
-    for n stations, K customers and P processors."""
-    log2_fact = sum(math.log2(i) for i in range(1, n + 1))
-    per_step = n * (n + 1) // 2 + n * n
-    L = -(-K // P)
-    return {
-        "per_step": per_step,
-        "serial": K * per_step,
-        "memory": n * (n + 5) // 2,
-        "vector_step": n + log2_fact,
-        "vector_run": K * n + K * log2_fact,
-        "batches": L,
-        "batched": L * (n * (n + 1) // 2 + 2 * P * n),
-        "sv": n * (3 * n + 1) / (log2_fact / 2 + n),
-        "sp": 3 * P / 5,
-    }
-
-
 def op_report(traj: Trajectory, processors: int) -> str:
-    """Counter dump plus the idealized operation-count formulas derived
-    from them (the speedup figures are formula values, not timings)."""
+    """The run's ledger, then the reference counts of the open-infinite
+    tandem with the run's n, K and P: its serial and batched ledgers
+    (``engine._ledger``) and the paper's idealized formulas (the speedup
+    figures are formula values, not timings)."""
     led = traj.ledger
-    f = _count_formulas(traj.spec.n, traj.spec.horizon, processors)
+    n, K = traj.spec.n, traj.spec.horizon
+    ref = TandemSpec("open_infinite", n, K)
+    serial = _ledger(ref, "serial", 1)
+    batches = _ledger(ref, "batched", processors).batches
+    f = _paper_formulas(n, K, processors)
     lines = [
         f"strategy: {traj.strategy}",
         f"steps: {led.steps}",
@@ -218,11 +206,11 @@ def op_report(traj: Trajectory, processors: int) -> str:
         f"batches: {led.batches}",
         f"memory_cells: {led.memory_cells}",
         "-- reference formulas (open-infinite tandem) --",
-        f"serial per-step ops n(n+1)/2 + n^2: {f['per_step']}",
-        f"serial total K(N1+N2): {f['serial']}",
-        f"serial memory n(n+5)/2: {f['memory']}",
+        f"serial per-step ops n(n+1)/2 + n^2: {serial.scalar_ops // K}",
+        f"serial total K(N1+N2): {serial.scalar_ops}",
+        f"serial memory n(n+5)/2: {serial.memory_cells}",
         f"vector ideal reduction n + log2(n!): {f['vector_step']:.6f}",
-        f"batched batches ceil(K/P): {f['batches']}",
+        f"batched batches ceil(K/P): {batches}",
         f"batched ops L(n(n+1)/2 + 2Pn): {f['batched']}",
         f"speedup formula S_v = n(3n+1)/(log2(n!)/2 + n): {f['sv']:.6f}",
         f"speedup formula S_P = 3P/5: {f['sp']:.6f}",
@@ -296,8 +284,13 @@ def validate(config: RunConfig, trials: int = 10) -> int:
 
 
 def bench(n_list, k_list, p_list, out=None) -> int:
-    """Sweep (n, K, P) over the open-infinite model with unit service
-    times and emit measured counters next to the formula values."""
+    """Sweep (n, K, P) over the open-infinite model and tabulate its
+    serial, vector and batched ledgers (``engine._ledger``) next to the
+    paper's idealized formulas.  Every value is a formula: no service
+    time is sampled and no kernel runs.  Each (n, K, P) first passes the
+    strategy and array-size rules (``engine.check_strategy``; the vector
+    rules include the serial ones), so an n whose transition matrix
+    passes numpy's largest array is a configuration error."""
     header = (
         "n,K,P,L,serial_ops,serial_formula,vector_build,vector_reduce,"
         "vector_reduce_ideal,batched_ops,batched_formula,sv_formula,sp_formula"
@@ -306,33 +299,17 @@ def bench(n_list, k_list, p_list, out=None) -> int:
     for n in n_list:
         for K in k_list:
             spec = TandemSpec(variant="open_infinite", n=n, horizon=K)
-            try:
-                _check_size(n, K)
-                tau = ServiceTimeSource(kind="constant", value=1.0).sample(n, K)
-                serial = simulate(spec, tau, "serial").ledger
-                vector = simulate(spec, tau, "vector").ledger
-                parallel = [simulate(spec, tau, "batched", P).ledger for P in p_list]
-            except MemoryError as exc:
-                raise _unallocatable(n, K, exc) from exc
-            for P, batched in zip(p_list, parallel):
-                f = _count_formulas(n, K, P)
-                lines.append(
-                    ",".join(
-                        str(x)
-                        for x in [
-                            n, K, P, f["batches"],
-                            serial.scalar_ops,
-                            f["serial"],
-                            vector.vector_build_ops,
-                            vector.vector_reduce_ops,
-                            f"{f['vector_run']:.3f}",
-                            batched.parallel_ops,
-                            f["batched"],
-                            f"{f['sv']:.3f}",
-                            f"{f['sp']:.3f}",
-                        ]
-                    )
-                )
+            check_strategy(spec, "vector", 1)
+            serial = _ledger(spec, "serial", 1).scalar_ops
+            vector = _ledger(spec, "vector", 1)
+            for P in p_list:
+                check_strategy(spec, "batched", P)
+                batched = _ledger(spec, "batched", P)
+                f = _paper_formulas(n, K, P)
+                row = [n, K, P, batched.batches, serial, serial, vector.vector_build_ops,
+                       vector.vector_reduce_ops, f"{f['vector_run']:.3f}", batched.parallel_ops,
+                       f["batched"], f"{f['sv']:.3f}", f"{f['sp']:.3f}"]
+                lines.append(",".join(map(str, row)))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)
@@ -396,18 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_size(n: int, K: int) -> None:
-    """numpy raises ValueError, not MemoryError, for an array whose byte
-    count passes its index type; reject the (K+1) x n float64 table of
-    departures before any array is made."""
-    if (K + 1) * n * 8 > np.iinfo(np.intp).max:
-        raise MemoryError("more than numpy's largest array")
-
-
-def _unallocatable(n: int, K: int, exc: MemoryError) -> ConfigError:
-    return ConfigError(f"n x K = {n} x {K} cells do not fit in memory ({exc})")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -415,12 +380,12 @@ def main(argv=None) -> int:
             return bench(args.n_list, args.k_list, args.p_list, args.out)
         config = _load_config(args)
         try:
-            _check_size(config.spec.n, config.spec.horizon)
             if args.command == "simulate":
                 return run(config)
             return validate(config, trials=args.trials)
         except MemoryError as exc:
-            raise _unallocatable(config.spec.n, config.spec.horizon, exc) from exc
+            n, K = config.spec.n, config.spec.horizon
+            raise ConfigError(f"n x K = {n} x {K} cells do not fit in memory ({exc})") from exc
     except (ConfigError, ModelConfigError, SourceConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,11 +8,11 @@ and closed recursions first order lives in the serial kernel's ring, or
 in the dense routes' state vector, never in the trajectory.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
-strategy rules (``check_strategy``, which the CLI's config parser
-applies too), picks one of three kernels and charges the strategy's
-cost model (``_ledger``).  ``vector`` and ``batched`` take the dense
-kernel, the product with the T_k of ``models.build_transition``, the
-paper's specification.  Open_infinite on exact tau (``core.is_exact``:
+strategy and array-size rules (``check_strategy``, which the CLI's
+config parser and ``bench`` apply too), picks one of three kernels and
+charges the strategy's cost model (``_ledger``).  ``vector`` and
+``batched`` take the dense kernel, the product with the T_k of
+``models.build_transition``, the paper's specification.  Open_infinite on exact tau (``core.is_exact``:
 integer valued, total below 2**53) takes one max-plus prefix scan per
 station, a cumsum and a maximum.accumulate over the K customers; every
 sum is then exact, so the order of the additions does not matter.
@@ -38,6 +38,7 @@ population c >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,20 +294,34 @@ STRATEGIES = ("serial", "sparse-closed", "vector", "batched")
 
 
 def check_strategy(spec: TandemSpec, strategy: str, processors: int) -> None:
-    """The strategy rules, which ``simulate`` and the CLI's config
-    parser both apply."""
+    """The strategy rules and the array-size rule, which ``simulate``,
+    the CLI's config parser and its ``bench`` all apply.  numpy raises
+    ValueError, not MemoryError, for an array whose byte count passes its
+    index type, so the (K+1) x n float64 table of departures, and the
+    m x m transition matrix of the dense routes, are checked before any
+    array is made."""
     if strategy not in STRATEGIES:
         raise ModelConfigError(f"'strategy' must be one of {STRATEGIES}")
     if strategy == "sparse-closed" and (spec.variant != "closed" or spec.population != 1):
         raise ModelConfigError("strategy 'sparse-closed' requires the closed variant with c = 1")
     if processors < 1:
         raise ModelConfigError("'processors' must be >= 1")
+    largest = np.iinfo(np.intp).max
+    if (spec.horizon + 1) * spec.n * 8 > largest:
+        raise ModelConfigError(f"n x K = {spec.n} x {spec.horizon} cells do not fit in memory "
+                               "(more than numpy's largest array)")
+    m = spec.arity
+    if strategy in ("vector", "batched") and m * m * 8 > largest:
+        raise ModelConfigError(f"m x m = {m} x {m} transition-matrix cells do not fit in memory "
+                               "(more than numpy's largest array)")
 
 
 def _ledger(spec: TandemSpec, strategy: str, processors: int) -> OpLedger:
     """The paper's cost model of one run, charged by formula, not the
-    work of the kernel that ran.  A dense T_k is a triangle of m(m+1)/2
-    cells for open_infinite, else m x m.
+    work of the kernel that ran: ``simulate`` charges it to every run,
+    and the CLI's op report and ``bench`` read it without running
+    anything.  A dense T_k is a triangle of m(m+1)/2 cells for
+    open_infinite, else m x m.
 
     serial: the dense serial algorithm, build T_k, then the triangular
     (or, for augmented variants, dense) matrix-vector product.  Building
@@ -324,7 +339,9 @@ def _ledger(spec: TandemSpec, strategy: str, processors: int) -> OpLedger:
     per row one vector add plus the ceil(log2 w) stages of a
     recursive-doubling max over its w entries: w = i for row i = 1..m of
     open_infinite, w = m for augmented variants.  The stages are
-    counted, not executed.
+    counted, not executed: sum_{w=1..m} ceil(log2 w) = mL - 2^L + 1
+    with L = ceil(log2 m), since ceil(log2 w) = j for the 2^(j-1) rows
+    w = 2^(j-1)+1..2^j, j < L, and = L for the last m - 2^(L-1).
 
     batched (Algorithm 3), ceil(K/P) batches: each batch m(m+1)/2
     parallel operations to build its P transition matrices up front
@@ -342,15 +359,29 @@ def _ledger(spec: TandemSpec, strategy: str, processors: int) -> OpLedger:
         return OpLedger(scalar_oplus=K * oplus, scalar_otimes=K * otimes,
                         steps=K, memory_cells=cells + 2 * m)
     if strategy == "vector":
-        if infinite:
-            stages = sum((w - 1).bit_length() for w in range(1, m + 1))
-        else:
-            stages = m * (m - 1).bit_length()
+        L = (m - 1).bit_length()
+        stages = m * L - 2**L + 1 if infinite else m * L
         return OpLedger(vector_build_ops=K * m, vector_reduce_ops=K * (m + stages),
                         steps=K, memory_cells=cells + 2 * m)
     batches = -(-K // processors)
     return OpLedger(parallel_ops=batches * _tri(m) + 2 * m * K, steps=K, batches=batches,
                     memory_cells=min(processors, K) * cells + 2 * m)
+
+
+def _paper_formulas(n: int, K: int, P: int) -> dict:
+    """The paper's idealized counts of the open-infinite tandem with n
+    stations, K customers and P processors, which no ledger charges: the
+    vector reduction n + log2(n!) per step and K times it per run, the
+    batched count L(n(n+1)/2 + 2Pn) with L = ceil(K/P) (the ledger's
+    when P divides K), and the speedup formulas S_v and S_P."""
+    log2_fact = sum(math.log2(i) for i in range(1, n + 1))
+    return {
+        "vector_step": n + log2_fact,
+        "vector_run": K * n + K * log2_fact,
+        "batched": -(-K // P) * (_tri(n) + 2 * P * n),
+        "sv": n * (3 * n + 1) / (log2_fact / 2 + n),
+        "sp": 3 * P / 5,
+    }
 
 
 def simulate(

@@ -267,6 +267,30 @@ def assert_waiting_below_zero_within_gap(tmp_path, source):
     assert -rounding_gap(tau.tau, d) <= w.min() < 0
 
 
+# The reference block of the --count-ops report for K = 7, P = 3.
+OPS_REFERENCE = {
+    5: """-- reference formulas (open-infinite tandem) --
+serial per-step ops n(n+1)/2 + n^2: 40
+serial total K(N1+N2): 280
+serial memory n(n+5)/2: 25
+vector ideal reduction n + log2(n!): 11.906891
+batched batches ceil(K/P): 3
+batched ops L(n(n+1)/2 + 2Pn): 135
+speedup formula S_v = n(3n+1)/(log2(n!)/2 + n): 9.463597
+speedup formula S_P = 3P/5: 1.800000
+""",
+    3: """-- reference formulas (open-infinite tandem) --
+serial per-step ops n(n+1)/2 + n^2: 15
+serial total K(N1+N2): 105
+serial memory n(n+5)/2: 12
+vector ideal reduction n + log2(n!): 5.584963
+batched batches ceil(K/P): 3
+batched ops L(n(n+1)/2 + 2Pn): 72
+speedup formula S_v = n(3n+1)/(log2(n!)/2 + n): 6.988965
+speedup formula S_P = 3P/5: 1.800000
+""",
+}
+
 class TestRun:
     def test_departures_csv(self, tmp_path):
         out = tmp_path / "dep.csv"
@@ -307,6 +331,30 @@ class TestRun:
         assert (tmp_path / "r_waiting.csv").exists()
         report = (tmp_path / "r_ops.txt").read_text()
         assert "scalar_otimes" in report and "speedup formula" in report
+
+    @pytest.mark.parametrize("model,strategy,counters", [
+        # steps, scalar_oplus, scalar_otimes, vector_ops, parallel_ops, batches, memory_cells
+        ({"variant": "open_infinite", "n": 5}, "serial", (7, 70, 210, 0, 0, 0, 25)),
+        ({"variant": "open_infinite", "n": 5}, "vector", (7, 0, 0, 126, 0, 0, 25)),
+        ({"variant": "open_infinite", "n": 5}, "batched", (7, 0, 0, 0, 115, 3, 55)),
+        ({"variant": "closed", "n": 3}, "serial", (7, 42, 63, 0, 0, 0, 15)),
+        ({"variant": "closed", "n": 3}, "sparse-closed", (7, 21, 21, 0, 0, 0, 9)),
+        ({"variant": "closed", "n": 3}, "vector", (7, 0, 0, 84, 0, 0, 15)),
+        ({"variant": "closed", "n": 3}, "batched", (7, 0, 0, 0, 60, 3, 33)),
+    ])
+    def test_ops_report_bytes(self, tmp_path, capsys, model, strategy, counters):
+        """The whole --count-ops report, in _ops.txt and on stdout, for K = 7
+        and P = 3 (P does not divide K)."""
+        out = tmp_path / "r.csv"
+        run(parse_config(make_config(**model, K=7, strategy=strategy, processors=3,
+                                     count_ops=True, output=str(out))))
+        names = ("steps", "scalar_oplus", "scalar_otimes", "vector_ops", "parallel_ops",
+                 "batches", "memory_cells")
+        want = f"strategy: {strategy}\n" + "".join(
+            f"{name}: {value}\n" for name, value in zip(names, counters)
+        ) + OPS_REFERENCE[model["n"]]
+        assert (tmp_path / "r_ops.txt").read_text() == want
+        assert capsys.readouterr().out == want
 
     def test_validate_ok(self, capsys):
         config = parse_config(
@@ -536,11 +584,32 @@ class TestMainExitCodes:
                                 "cells do not fit in memory (more than numpy's largest array)\n")
 
     def test_unallocatable_bench_is_a_config_error(self, capsys):
-        # 10**12 x 1 doubles are 7.28 TiB, so the first allocation fails at once
+        # the vector route's m x m matrix of 10**24 doubles passes numpy's largest array
         assert main(["bench", "--n-list", "1000000000000", "--k-list", "1", "--p-list", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: n x K = 1000000000000 x 1 ")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: m x m = 1000000000000 x 1000000000000 transition-matrix "
+            "cells do not fit in memory (more than numpy's largest array)\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("model,m", [
+        ({"variant": "open_mfg", "n": 2, "b": 10**30}, 2 * (10**30 + 1)),
+        ({"variant": "closed", "n": 200, "c": 10**8}, 200 * 10**8),
+    ], ids=["huge-b", "huge-c"])
+    def test_dense_matrix_beyond_numpy_array_limits_is_a_config_error(
+            self, tmp_path, capsys, command, model, m):
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(**model, K=3, strategy="vector", output=str(out)))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: m x m = {m} x {m} transition-matrix cells do not fit "
+            "in memory (more than numpy's largest array)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_overflowing_departures_are_a_config_error(self, tmp_path, capsys, command):
@@ -643,10 +712,76 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "oracle_lindley", corrupted)
         assert main(["validate", "--config", str(cfg), "--trials", "1"]) == 1
 
-    def test_bench(self, tmp_path):
+    def test_bench(self, tmp_path, monkeypatch):
+        """bench reads the cost model only: no service time is sampled
+        and no strategy runs."""
+        import tandemax.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bench must not sample or simulate")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(ServiceTimeSource, "sample", forbidden)
         out = tmp_path / "bench.csv"
         assert main(["bench", "--n-list", "2,3", "--k-list", "5",
                      "--p-list", "1,2", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("n,K,P,L")
         assert len(lines) == 1 + 2 * 1 * 2
+
+    def test_bench_bytes(self, capsys):
+        """The whole table on a grid with n = 1, P dividing K, P not
+        dividing K and P > K."""
+        assert main(["bench", "--n-list", "1,2,3,8,33", "--k-list", "1,7,100",
+                     "--p-list", "1,3,8"]) == 0
+        assert capsys.readouterr().out == BENCH_GRID
+
+
+BENCH_GRID = """\
+n,K,P,L,serial_ops,serial_formula,vector_build,vector_reduce,vector_reduce_ideal,batched_ops,batched_formula,sv_formula,sp_formula
+1,1,1,1,2,2,1,1,1.000,3,3,4.000,0.600
+1,1,3,1,2,2,1,1,1.000,3,7,4.000,1.800
+1,1,8,1,2,2,1,1,1.000,3,17,4.000,4.800
+1,7,1,7,14,14,7,7,7.000,21,21,4.000,0.600
+1,7,3,3,14,14,7,7,7.000,17,21,4.000,1.800
+1,7,8,1,14,14,7,7,7.000,15,17,4.000,4.800
+1,100,1,100,200,200,100,100,100.000,300,300,4.000,0.600
+1,100,3,34,200,200,100,100,100.000,234,238,4.000,1.800
+1,100,8,13,200,200,100,100,100.000,213,221,4.000,4.800
+2,1,1,1,7,7,2,3,3.000,7,7,5.600,0.600
+2,1,3,1,7,7,2,3,3.000,7,15,5.600,1.800
+2,1,8,1,7,7,2,3,3.000,7,35,5.600,4.800
+2,7,1,7,49,49,14,21,21.000,49,49,5.600,0.600
+2,7,3,3,49,49,14,21,21.000,37,45,5.600,1.800
+2,7,8,1,49,49,14,21,21.000,31,35,5.600,4.800
+2,100,1,100,700,700,200,300,300.000,700,700,5.600,0.600
+2,100,3,34,700,700,200,300,300.000,502,510,5.600,1.800
+2,100,8,13,700,700,200,300,300.000,439,455,5.600,4.800
+3,1,1,1,15,15,3,6,5.585,12,12,6.989,0.600
+3,1,3,1,15,15,3,6,5.585,12,24,6.989,1.800
+3,1,8,1,15,15,3,6,5.585,12,54,6.989,4.800
+3,7,1,7,105,105,21,42,39.095,84,84,6.989,0.600
+3,7,3,3,105,105,21,42,39.095,60,72,6.989,1.800
+3,7,8,1,105,105,21,42,39.095,48,54,6.989,4.800
+3,100,1,100,1500,1500,300,600,558.496,1200,1200,6.989,0.600
+3,100,3,34,1500,1500,300,600,558.496,804,816,6.989,1.800
+3,100,8,13,1500,1500,300,600,558.496,678,702,6.989,4.800
+8,1,1,1,100,100,8,25,23.299,52,52,12.780,0.600
+8,1,3,1,100,100,8,25,23.299,52,84,12.780,1.800
+8,1,8,1,100,100,8,25,23.299,52,164,12.780,4.800
+8,7,1,7,700,700,56,175,163.094,364,364,12.780,0.600
+8,7,3,3,700,700,56,175,163.094,220,252,12.780,1.800
+8,7,8,1,700,700,56,175,163.094,148,164,12.780,4.800
+8,100,1,100,10000,10000,800,2500,2329.921,5200,5200,12.780,0.600
+8,100,3,34,10000,10000,800,2500,2329.921,2824,2856,12.780,1.800
+8,100,8,13,10000,10000,800,2500,2329.921,2068,2132,12.780,4.800
+33,1,1,1,1650,1650,33,168,155.708,627,627,34.975,0.600
+33,1,3,1,1650,1650,33,168,155.708,627,759,34.975,1.800
+33,1,8,1,1650,1650,33,168,155.708,627,1089,34.975,4.800
+33,7,1,7,11550,11550,231,1176,1089.954,4389,4389,34.975,0.600
+33,7,3,3,11550,11550,231,1176,1089.954,2145,2277,34.975,1.800
+33,7,8,1,11550,11550,231,1176,1089.954,1023,1089,34.975,4.800
+33,100,1,100,165000,165000,3300,16800,15570.766,62700,62700,34.975,0.600
+33,100,3,34,165000,165000,3300,16800,15570.766,25674,25806,34.975,1.800
+33,100,8,13,165000,165000,3300,16800,15570.766,13893,14157,34.975,4.800
+"""

@@ -121,6 +121,17 @@ class TestCounters:
         stages = sum(math.ceil(math.log2(i)) for i in range(1, n + 1))
         assert traj.ledger.vector_reduce_ops == K * (n + stages)
 
+    @pytest.mark.parametrize("ms", [
+        range(1, 4097),
+        sorted({2**j + d for j in range(17) for d in (-1, 0, 1)} - {0}),
+    ], ids=["m<=4096", "powers-of-two"])
+    def test_vector_stage_closed_form(self, ms):
+        """The ledger's stage count of open_infinite equals the sum of
+        ceil(log2 w) over the rows w = 1..m."""
+        for m in ms:
+            led = engine._ledger(TandemSpec("open_infinite", m, 1), "vector", 1)
+            assert led.vector_reduce_ops - m == sum((w - 1).bit_length() for w in range(1, m + 1))
+
     def test_vectorized_n1(self):
         traj = simulate_vectorized(TandemSpec("open_infinite", 1, 1), random_tau(1, 1, 3))
         assert traj.ledger.vector_build_ops == 1
