@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import rounding_gap
 from .engine import (
     STRATEGIES, Trajectory, _ledger, _paper_formulas, check_strategy, oracle_lindley, simulate,
 )
@@ -113,7 +112,9 @@ def parse_config(document: str | dict) -> RunConfig:
     _require(not bad, f"unknown measures: {sorted(bad)}")
     _require(spec.variant != "closed" or set(measures) <= {"departures"},
              "sojourn/waiting measures are defined for open variants only")
-    _require(isinstance(doc.get("output", ""), str), "'output' must be a string")
+    output = doc.get("output", "departures.csv")
+    _require(isinstance(output, str), "'output' must be a string")
+    _require(Path(output).name != "", f"'output' must end in a file name, got {output!r}")
     return RunConfig(
         spec=spec,
         source=source,
@@ -121,7 +122,7 @@ def parse_config(document: str | dict) -> RunConfig:
         processors=processors,
         measures=tuple(measures),
         count_ops=doc.get("count_ops", False),
-        output_path=doc.get("output", "departures.csv"),
+        output_path=output,
     )
 
 
@@ -229,7 +230,7 @@ def run(config: RunConfig) -> int:
         s = trajectory_sojourn(traj.states, config.spec.n)
         _write_measure(s, "s", out.with_name(out.stem + "_sojourn.csv"))
     if "waiting" in config.measures:
-        w = trajectory_waiting(traj.states, tau.tau)
+        w = trajectory_waiting(traj.states, tau)
         _write_measure(w, "w", out.with_name(out.stem + "_waiting.csv"))
     if config.count_ops:
         report = op_report(traj, config.processors)
@@ -241,12 +242,11 @@ def run(config: RunConfig) -> int:
 def validate(config: RunConfig, trials: int = 10) -> int:
     """Compare the matrix-recursion trajectory against the scalar
     oracle over several seeds; nonzero exit on the first trial where a
-    departure differs by more than the float contract's rounding gap
-    (``core.rounding_gap``: 0 for integer-valued service times whose
-    total is below 2**53)."""
+    departure differs by more than the float contract's ``tau.rounding_gap``
+    (0 when ``tau.exact``).  A trace or constant source ignores the seed,
+    so it gives one trial."""
     _require(trials >= 1, "'--trials' must be >= 1")
-    # a trace has no seed to vary, so it gives one trial
-    trials = 1 if config.source.kind == "trace" else trials
+    trials = 1 if config.source.kind in ("trace", "constant") else trials
     worst = (0.0, 0.0, 0, 0)
     for t in range(trials):
         tau = replace(config.source, seed=config.source.seed + t).sample(
@@ -255,7 +255,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
         traj = simulate(config.spec, tau, config.strategy, config.processors)
         got = traj.departures()
         want = oracle_lindley(config.spec, tau).departures()
-        bound = rounding_gap(tau.tau, want)
+        bound = tau.rounding_gap(want)
         # row blocks, so no K x n gap table; both cells are the row-major first
         top = (0.0, 0, 0)
         for k0 in range(0, len(got), _CHUNK_ROWS):

@@ -188,30 +188,3 @@ class MaxPlusMatrix:
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Max-plus matrix-vector product on raw arrays."""
     return (a + v[None, :]).max(axis=1)
-
-
-def is_exact(tau: np.ndarray) -> bool:
-    """True when the service times tau (n x K, all >= 0) are integer-valued
-    and sum to less than 2**53: every partial sum of tau, every difference
-    of two such sums and every departure is then an exact integer, so
-    routes that add tau in different orders agree bit for bit."""
-    tau = np.asarray(tau, dtype=np.float64)
-    # row by row: no temporary as large as tau
-    return all(np.array_equal(row, np.rint(row)) for row in tau) and tau.sum() < 2.0**53
-
-
-def rounding_gap(tau: np.ndarray, d: np.ndarray) -> float:
-    """Largest gap allowed between two routes that sum the service times
-    tau (n x K) in different orders to results d: 0 when ``is_exact(tau)``,
-    else (n + K) * u * max|d| over finite d with u = 2**-53, as each d
-    sums at most n + K terms (Higham, "The accuracy of floating point
-    summation", SISC 1993)."""
-    if is_exact(tau):
-        return 0.0
-    n, K = np.shape(tau)
-    d = np.asarray(d, dtype=np.float64)
-    # max|d| as max(max d, -min d): no temporary as large as d
-    finite = np.isfinite(d)
-    top = max(0.0, float(d.max(where=finite, initial=0.0)),
-              -float(d.min(where=finite, initial=0.0)))
-    return (n + K) * 2.0**-53 * top

@@ -12,21 +12,15 @@ strategy and array-size rules (``check_strategy``, which the CLI's
 config parser and ``bench`` apply too), picks one of three kernels and
 charges the strategy's cost model (``_ledger``).  ``vector`` and
 ``batched`` take the dense kernel, the product with the T_k of
-``models.build_transition``, the paper's specification.  Open_infinite on exact tau (``core.is_exact``:
-integer valued, total below 2**53) takes one max-plus prefix scan per
-station, a cumsum and a maximum.accumulate over the K customers; every
-sum is then exact, so the order of the additions does not matter.
-Every other run takes the factored form of T_k, O(m) per customer:
-S_k (x) y as a prefix recursion, G and GT as shifts, and the augmented
-identity blocks as a ring of past states.  Distributing tau_ik over the
-max folds the product and the prefix recursion into one pass over the
-stations, one running value per station, which performs the same
-additions in the same order as the scalar recursion.  Either way
-serial and sparse-closed equal the oracle bit for bit, on float tau as
-well, and runs of different variants on shared float tau keep
-d_comm >= d_mfg >= d_inf exactly.  The dense kernel equals them exactly
-on integer-valued tau; on float tau it adds in another order and agrees
-within the float contract ``core.rounding_gap``.
+``models.build_transition``, the paper's specification.  Serial
+open_infinite on exact tau (``ServiceTimes.exact``: integer valued,
+total below 2**53) takes the per-station prefix scan, and every other
+run the factored kernel, O(m) per customer.  Either way serial and
+sparse-closed equal the oracle bit for bit, on float tau as well, and
+runs of different variants on shared float tau keep d_comm >= d_mfg >=
+d_inf exactly.  The dense kernel equals them exactly on exact tau; on
+other tau it adds in another order and agrees within the float
+contract ``ServiceTimes.rounding_gap``.
 
 ``oracle_lindley`` recomputes departures from the ordinary scalar
 max/+ recursions, one station at a time on Python floats, looking back
@@ -38,12 +32,13 @@ population c >= 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS, is_exact, matvec
+from .core import EPS, matvec
 from .models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 
 
@@ -192,7 +187,7 @@ def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     and one maximum.accumulate per station, on K-vectors only.  It adds
     in another order from the scalar recursion, so it equals
     ``_factored_steps`` only when every sum is exact: ``simulate`` takes
-    it only when ``is_exact(tau)``.
+    it only when ``tau.exact``.
     """
     K = spec.horizon
     states = np.empty((K + 1, spec.n))
@@ -368,13 +363,19 @@ def _ledger(spec: TandemSpec, strategy: str, processors: int) -> OpLedger:
                     memory_cells=min(processors, K) * cells + 2 * m)
 
 
+@functools.cache
+def _log2_factorial(n: int) -> float:
+    """log2(n!), summed left to right: O(n), so a sweep takes it once per n."""
+    return sum(math.log2(i) for i in range(1, n + 1))
+
+
 def _paper_formulas(n: int, K: int, P: int) -> dict:
     """The paper's idealized counts of the open-infinite tandem with n
     stations, K customers and P processors, which no ledger charges: the
     vector reduction n + log2(n!) per step and K times it per run, the
     batched count L(n(n+1)/2 + 2Pn) with L = ceil(K/P) (the ledger's
     when P divides K), and the speedup formulas S_v and S_P."""
-    log2_fact = sum(math.log2(i) for i in range(1, n + 1))
+    log2_fact = _log2_factorial(n)
     return {
         "vector_step": n + log2_fact,
         "vector_run": K * n + K * log2_fact,
@@ -388,17 +389,18 @@ def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
     """Run one strategy: check its rules and tau's shape, run its kernel
-    and charge its cost model.  A departure that overflows float64 to
-    +inf is a configuration error (eps is legal), reported here, or by
-    the dense kernel at the step it happens, rather than as a numpy
-    warning: the overflow itself, or the eps + inf = nan of a dense
-    product that reads it."""
+    and charge its cost model.  Serial open_infinite takes the prefix scan
+    when ``tau.exact``, which ``tau`` decides once for every later reader.
+    A departure that overflows float64 to +inf is a configuration error
+    (eps is legal), reported here, or by the dense kernel at the step it
+    happens, before any product reads it, rather than as a numpy overflow
+    warning."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         if strategy in ("vector", "batched"):
             states = _dense_steps(spec, tau)
-        elif spec.variant == "open_infinite" and is_exact(tau.tau):
+        elif spec.variant == "open_infinite" and tau.exact:
             states = _prefix_scan(spec, tau)
         else:
             states = _factored_steps(spec, tau)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EPS, MaxPlusMatrix, rounding_gap
-from .models import _check_tau
+from .core import EPS, MaxPlusMatrix
+from .models import ServiceTimes, _check_tau
 
 
 class ReferenceEpochError(ValueError):
@@ -68,19 +68,20 @@ def trajectory_sojourn(states: np.ndarray, n: int) -> np.ndarray:
     return sojourn_direct(states[1:, :n])
 
 
-def trajectory_waiting(states: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Waiting vectors for k = 1..K; tau is the n x K service matrix.
+def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np.ndarray:
+    """Waiting vectors for k = 1..K; tau is the run's ``ServiceTimes``, or
+    its n x K matrix, which is wrapped once here.
 
     w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  Every open
     variant has d_i(k) >= d_{i-1}(k) + tau_ik, since blocking only adds
     time, so an entry below zero by more than the float contract's
-    rounding gap (``core.rounding_gap``) signals a model bug and raises.
+    rounding gap (``tau.rounding_gap``) signals a model bug and raises.
     """
-    n = tau.shape[0]
-    w = trajectory_sojourn(states, n)
-    w[:, 1:] -= np.cumsum(tau[1:], axis=0).T
+    tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
+    w = trajectory_sojourn(states, tau.n)
+    w[:, 1:] -= np.cumsum(tau.tau[1:], axis=0).T
     w[:, 0] = 0.0
-    bad = np.argwhere(w < -rounding_gap(tau, states[1:, :n]))
+    bad = np.argwhere(w < -tau.rounding_gap(states[1:, :tau.n]))
     if bad.size:
         k, i = bad[0]
         raise MeasureConsistencyError(f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]}")

@@ -18,6 +18,7 @@ augmented state of b+1 (resp. c) blocks of n entries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,8 @@ class TandemSpec:
 
 @dataclass(frozen=True)
 class ServiceTimes:
-    """Service times tau[i-1, k-1] for station i = 1..n, customer k = 1..K.
+    """Service times tau[i-1, k-1] for station i = 1..n, customer k = 1..K,
+    and the float contract they set (``exact``, ``rounding_gap``).
 
     For open variants row 1 holds the interarrival times of the
     external stream.
@@ -99,11 +101,7 @@ class ServiceTimes:
     tau: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim != 2:
-            raise ModelConfigError("service times must form an n x K matrix")
-        if not np.isfinite(tau).all() or (tau < 0).any():
-            raise ModelConfigError("service times must be finite and >= 0")
+        tau = _check_tau(self.tau, ndim=2)
         tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
 
@@ -119,11 +117,37 @@ class ServiceTimes:
         """Service vector of customer k (1-based)."""
         return self.tau[:, k - 1]
 
+    @functools.cached_property
+    def exact(self) -> bool:
+        """True when tau is integer-valued and sums to less than 2**53:
+        every partial sum of tau, every difference of two such sums and
+        every departure is then an exact integer, so routes that add tau
+        in different orders agree bit for bit.  Evaluated at most once."""
+        tau = self.tau  # checked row by row: no temporary as large as tau
+        return all(np.array_equal(row, np.rint(row)) for row in tau) and tau.sum() < 2.0**53
 
-def _check_tau(tau_k) -> np.ndarray:
-    v = np.asarray(tau_k, dtype=np.float64)
-    if v.ndim != 1:
-        raise ModelConfigError("service vector must be 1-dimensional")
+    def rounding_gap(self, d: np.ndarray) -> float:
+        """Largest gap allowed between two routes that sum tau in different
+        orders to results d: 0 when ``exact``, else (n + K) * u * max|d|
+        over finite d with u = 2**-53, as each d sums at most n + K terms
+        (Higham, "The accuracy of floating point summation", SISC 1993)."""
+        if self.exact:
+            return 0.0
+        d = np.asarray(d, dtype=np.float64)
+        # max|d| as max(max d, -min d): no temporary as large as d
+        finite = np.isfinite(d)
+        top = max(0.0, float(d.max(where=finite, initial=0.0)),
+                  -float(d.min(where=finite, initial=0.0)))
+        return (self.n + self.horizon) * 2.0**-53 * top
+
+
+def _check_tau(tau, ndim: int = 1) -> np.ndarray:
+    """tau as a float64 array, a service vector (ndim 1) or the n x K
+    matrix (ndim 2), every entry finite and >= 0: the one validity rule
+    for service times, shared by ``ServiceTimes`` and the 1-D builders."""
+    v = np.asarray(tau, dtype=np.float64)
+    if v.ndim != ndim:
+        raise ModelConfigError(f"service times must be {ndim}-dimensional, got ndim={v.ndim}")
     if not np.isfinite(v).all() or (v < 0).any():
         raise ModelConfigError("service times must be finite and >= 0")
     return v

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -21,9 +22,9 @@ from tandemax.cli import (
     run,
     validate,
 )
-from tandemax.core import EPS, rounding_gap
+from tandemax.core import EPS
 from tandemax.engine import simulate, simulate_serial
-from tandemax.models import ModelConfigError, TandemSpec
+from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec
 from tandemax.sources import (
     ServiceTimeSource,
     SourceConfigError,
@@ -264,7 +265,7 @@ def assert_waiting_below_zero_within_gap(tmp_path, source):
     config = parse_config(cfg.read_text())
     tau = config.source.sample(8, 2000)
     d = simulate_serial(config.spec, tau).departures()
-    assert -rounding_gap(tau.tau, d) <= w.min() < 0
+    assert -tau.rounding_gap(d) <= w.min() < 0
 
 
 # The reference block of the --count-ops report for K = 7, P = 3.
@@ -364,6 +365,44 @@ class TestRun:
         assert validate(config, trials=5) == 0
         assert "max gap 0 at k=1 i=1, bound 0" in capsys.readouterr().out
 
+    def test_validate_constant_source_runs_one_trial(self, capsys, monkeypatch):
+        """A constant source ignores the seed, as a trace does: one trial."""
+        import tandemax.cli as cli
+
+        real, calls = cli.oracle_lindley, []
+        monkeypatch.setattr(cli, "oracle_lindley",
+                            lambda spec, tau: calls.append(tau) or real(spec, tau))
+        assert validate(parse_config(make_config()), trials=10) == 0
+        assert len(calls) == 1
+        assert "validate: ok (1 trial(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("integer_times", [True, False])
+    def test_exactness_decided_once_per_service_times(self, tmp_path, monkeypatch,
+                                                      integer_times):
+        """The kernel choice, the waiting check and the validate bound all
+        read one ``ServiceTimes.exact``; a run that needs none of them
+        never evaluates it."""
+        calls = []
+        real = ServiceTimes.exact.func
+        exact = functools.cached_property(lambda tau: calls.append(tau) or real(tau))
+        exact.__set_name__(ServiceTimes, "exact")
+        monkeypatch.setattr(ServiceTimes, "exact", exact)
+        cfg = tmp_path / "c.json"
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1,
+                  "integer_times": integer_times}
+        cfg.write_text(make_config(n=4, K=50, measures=["departures", "sojourn", "waiting"],
+                                   source=source, output=str(tmp_path / "d.csv")))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["validate", "--config", str(cfg), "--trials", "3"]) == 0
+        assert len(calls) == 3 and len({id(tau) for tau in calls}) == 3
+        calls.clear()
+        cfg.write_text(make_config(variant="open_mfg", n=4, K=50, b=1, source=source,
+                                   output=str(tmp_path / "d.csv")))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert calls == []
+
     def test_float_waiting_within_rounding_gap(self, tmp_path):
         # departures and service prefixes are summed in different orders,
         # so float inputs leave some w a few ulps below zero (w_3 at seed 7)
@@ -414,7 +453,7 @@ class TestRun:
                                                           "high": 5, "seed": 3}))
         real = cli.oracle_lindley
         tau = config.source.sample(3, 600)
-        bound = rounding_gap(tau.tau, real(config.spec, tau).departures())
+        bound = tau.rounding_gap(real(config.spec, tau).departures())
         step = 2.0 ** math.floor(math.log2(bound))  # exact on every departure
 
         def nudged(late):
@@ -691,6 +730,21 @@ class TestMainExitCodes:
         assert capsys.readouterr().out == ""
         assert not ops.exists()
 
+    @pytest.mark.parametrize("output", ["", ".", "/"])
+    @pytest.mark.parametrize("command,flag", [("simulate", False), ("validate", False),
+                                              ("simulate", True)])
+    def test_output_without_file_name_rejected(self, tmp_path, capsys, command, flag, output):
+        """An output with no file name, from the config or from --out,
+        leaves nothing to name the tables after: one stderr line, exit 2,
+        before anything runs."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(n=2, K=3, measures=["sojourn", "waiting"],
+                                   output=str(tmp_path / "d.csv") if flag else output))
+        assert main([command, "--config", str(cfg)] + (["--out", output] if flag else [])) == 2
+        err = f"configuration error: 'output' must end in a file name, got {output!r}\n"
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_io_error_is_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3
 
@@ -728,6 +782,19 @@ class TestMainExitCodes:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("n,K,P,L")
         assert len(lines) == 1 + 2 * 1 * 2
+
+    def test_bench_sums_log2_factorial_once_per_n(self, capsys, monkeypatch):
+        """log2(n!) is a sum of n terms: bench takes it once per n, not
+        once per (n, K, P) row."""
+        import tandemax.engine as engine
+
+        real, calls = math.log2, []
+        monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or real(x))
+        engine._log2_factorial.cache_clear()
+        assert main(["bench", "--n-list", "29,31", "--k-list", "1,2",
+                     "--p-list", "1,2,4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2 * 3
+        assert len(calls) == 29 + 31
 
     def test_bench_bytes(self, capsys):
         """The whole table on a grid with n = 1, P dividing K, P not

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tandemax import engine
-from tandemax.core import EPS, is_exact, rounding_gap
+from tandemax.core import EPS
 from tandemax.engine import (
     OpLedger,
     _factored_steps,
@@ -232,7 +232,7 @@ class TestStrategyEquivalence:
         assert np.array_equal(simulate_vectorized(spec, tau).states, dense)
         assert np.array_equal(np.isneginf(serial), np.isneginf(dense))
         gap = np.abs(np.subtract(serial, dense, out=np.zeros_like(dense), where=serial != dense))
-        assert gap.max() <= rounding_gap(tau.tau, dense)
+        assert gap.max() <= tau.rounding_gap(dense)
 
     def test_sparse_matches_serial(self):
         spec = TandemSpec("closed", 6, 40)
@@ -350,7 +350,7 @@ class TestOracleEquivalence:
             tau.flat[data.draw(st.integers(0, n * K - 1))] += 2**53 - 1 - int(tau.sum())
             assert tau.sum() == 2**53 - 1
         tau = ServiceTimes(tau)
-        assert is_exact(tau.tau)
+        assert tau.exact
         spec = TandemSpec("open_infinite", n, K)
         got, want = _prefix_scan(spec, tau), _factored_steps(spec, tau)
         assert np.array_equal(got, want)
@@ -363,7 +363,7 @@ class TestOracleEquivalence:
         tau = src.sample(8, 200)
         spec = TandemSpec("open_infinite", 8, 200)
         want = oracle_lindley(spec, tau).states
-        assert not is_exact(tau.tau)
+        assert not tau.exact
         assert not np.array_equal(_prefix_scan(spec, tau), want)
         assert np.array_equal(simulate_serial(spec, tau).states, want)
 

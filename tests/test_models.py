@@ -261,3 +261,23 @@ class TestSpecValidation:
             ServiceTimes(np.array([1.0, 2.0]))
         st = ServiceTimes(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert list(st.column(2)) == [2.0, 4.0]
+
+
+def test_rounding_gap():
+    d = np.array([[EPS, 3.0], [-8.0, 5.0]])
+    assert ServiceTimes(np.array([[1.0, 2.0], [0.0, 7.0]])).rounding_gap(d) == 0.0
+    tau = ServiceTimes(np.array([[0.5, 2.0], [0.0, 7.0]]))
+    assert tau.rounding_gap(d) == (2 + 2) * 2.0**-53 * 8.0
+    # integers stay exact while their total, and so every sum, is below 2**53
+    below = ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 2, 0.0]]))
+    assert below.rounding_gap(d) == 0.0
+    at = ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]]))
+    assert at.rounding_gap(d) == (2 + 2) * 2.0**-53 * 8.0
+
+
+def test_is_exact():
+    # integer-valued tau is exact while its total stays below 2**53
+    assert ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 2, 0.0]])).exact
+    assert not ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]])).exact
+    assert not ServiceTimes(np.array([[0.5, 2.0], [0.0, 7.0]])).exact
+    assert ServiceTimes(np.array([[-0.0, 0.0], [3.0, 0.0]])).exact
