@@ -126,37 +126,47 @@ def parse_config(document: str | dict) -> RunConfig:
     )
 
 
-# Exactness is checked per block of _CHUNK_ROWS rows. An exact-integer
-# block is encoded by _int_csv in one numpy pass; any other block is
-# formatted _FORMAT_ROWS rows per `%` call, whose transient Python
-# objects fragment the heap, so a larger call raises the peak RSS of a
-# long run. Every block size writes the same bytes.
+# Tables are written in blocks of _CHUNK_ROWS rows, as the bytes of %.17g.
+# _layout prints a block of exact integers below 2**53 (not -0.0) as |x|,
+# and a block of 0 or 1e-4 <= |x| < 1e17, which %.17g prints in fixed
+# notation, from _fixed17: 17 digits N = x 10**(16-E) rounded half to even,
+# E = floor(log10|x|). 10**(16-E) is exact, Dekker's TwoProduct splits the
+# product exactly into h + l, and h >= 2**53 is even, so N = h + rint(l).
+# Any other block is formatted _FORMAT_ROWS rows per `%` call, whose Python
+# objects fragment the heap, so a larger call raises a long run's peak RSS.
 _CHUNK_ROWS = 256
 _FORMAT_ROWS = 32
 
 
-def _int_csv(table: np.ndarray) -> str:
-    """The ``%d`` text, as CSV rows, of a float64 table of exact integers
-    below 2**53. Cell j owns column j of a (W+1, N) uint8 buffer: digits
-    as x - 10 (x // 10) on uint32 (uint64 from 2**32; numpy's % is slower),
-    right-aligned after any ``-``, then ``,`` or ``\n``. A transpose and a
-    mask of each cell's last width + 1 bytes join the cells in row order."""
-    cells = table.ravel()
-    mag = np.abs(cells)
-    top = int(mag.max())
-    mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)
-    neg = cells < 0
-    digits = len(str(top))
-    width = neg + np.uint8(1)
-    for j in range(1, digits):
-        width += mag >= 10**j
+def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
+            cols: np.ndarray | None = None, point: np.ndarray | None = None) -> str:
+    """CSV rows of a table: cell j is ``-`` if neg[j], then the last cols[j]
+    digits of mag[j] (all of them if mag is |x| of exact integers and no
+    cols), with ``.`` over the 0 digit point[j] > 0 places from the right.
+    Cell j owns column j of a (W+1, C) uint8 buffer: digits as x - 10
+    (x // 10) on uint32, nine at a time (numpy's % is slower), right-aligned,
+    then ``,`` or ``\n``. A transpose and a mask of each cell's last
+    width + 1 bytes join them in row order."""
+    if cols is None:
+        top = int(mag.max())
+        mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)
+        cols = np.ones(mag.size, np.uint8)
+        for j in range(1, len(str(top))):
+            cols += mag >= 10**j
+    width = neg + cols
     W = int(width.max())
-    buf = np.empty((W + 1, cells.size), np.uint8)
-    for r in range(W - 1, W - 1 - digits, -1):
-        q = mag // 10
-        buf[r] = mag - q * 10
-        mag = q
-    buf[W - digits : W] += ord("0")
+    buf = np.empty((W + 1, mag.size), np.uint8)
+    for j in range(W):
+        if j % 9 == 0:
+            mag, limb = np.divmod(mag, 10**9) if W - j > 9 else (mag, mag)
+            limb = limb.astype(np.uint32, copy=False)
+        q = limb // 10
+        buf[W - 1 - j] = limb - q * 10
+        limb = q
+    buf[:W] += ord("0")
+    if point is not None:
+        at = np.flatnonzero(point)
+        buf[W - 1 - point[at], at] = ord(".")
     if neg.any():
         buf[W - width[neg], np.flatnonzero(neg)] = ord("-")
     buf[W] = ord(",")
@@ -165,11 +175,44 @@ def _int_csv(table: np.ndarray) -> str:
     return buf.T[keep.T].tobytes().decode("ascii")
 
 
+def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_layout's (mag, cols, point) for the %.17g text of a, 0 or 1e-4 <= a
+    < 1e17: M is N with its trailing zeros past the point stripped, leaving
+    f digits past it, and mag = M + 9 (M - M mod 10**f) has a 0 digit where
+    the point goes (``0.`` leads if E < 0)."""
+    x = a + (a == 0)
+    scale = np.array([float(10**j) for j in range(21)])
+    E = np.floor(np.log10(x))
+    # floor(log10) may be one off next to a power of ten; no cell rounds up
+    # to N = 10**17, as the float below each 10**j here is over 10**(j-17) off
+    for _ in range(2):
+        E = np.clip(E, -4, 16)  # so the index and the int64 cast stay in range
+        s = scale[(16 - E).astype(np.intp)]
+        h = x * s
+        xh, sh = x * 134217729.0, s * 134217729.0
+        xh -= xh - x
+        sh -= sh - s
+        l = ((xh * sh - h) + xh * (s - sh) + (x - xh) * sh) + (x - xh) * (s - sh)
+        N = h.astype(np.int64) + np.rint(l).astype(np.int64)
+        off = (N >= 10**17).astype(np.int8) - (N < 10**16)
+        if not off.any():
+            break
+        E += off
+    f = (16 - E).astype(np.int64)
+    for j in (16, 8, 4, 2, 1):
+        q = N // 10**j
+        cut = (q * 10**j == N) & (f >= j)
+        N = np.where(cut, q, N)
+        f -= j * cut
+    N[a == 0] = 0
+    unit = 10 ** np.where((f > 0) & (f < 17), f, 17)  # 10**17 > M: mag = M
+    cols = (np.maximum(E, 0) + 1 + f + (f > 0)).astype(np.uint8)
+    return N + N // unit * unit * 9, cols, f
+
+
 def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
     """Write rows (K x n) under a k column as CSV, each cell as ``.17g``
-    text, one block of _CHUNK_ROWS rows at a time. A block of exact
-    integers (|x| < 2**53, not -0.0) is encoded by ``_int_csv``; any
-    other block goes through ``%.17g``."""
+    text, one block of _CHUNK_ROWS rows at a time (see above)."""
     K, n = rows.shape
     float_row = "%d" + ",%.17g" * n + "\n"
     with path.open("w") as fh:
@@ -177,13 +220,15 @@ def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
         for k0 in range(0, K, _CHUNK_ROWS):
             block = rows[k0:k0 + _CHUNK_ROWS]
             table = np.column_stack((np.arange(k0 + 1, k0 + len(block) + 1), block))
-            exact = (np.abs(table) < 2.0**53) & (table == np.rint(table))
-            if np.all(exact & ((table != 0) | ~np.signbit(table))):
-                fh.write(_int_csv(table))
-                continue
-            for j in range(0, len(table), _FORMAT_ROWS):
-                part = table[j:j + _FORMAT_ROWS]
-                fh.write(float_row * len(part) % tuple(part.ravel().tolist()))
+            a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
+            if np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
+                fh.write(_layout(table, neg, a))
+            elif np.all((a == 0) | ((a >= 1e-4) & (a < 1e17))):
+                fh.write(_layout(table, neg, *_fixed17(a)))
+            else:
+                for j in range(0, len(table), _FORMAT_ROWS):
+                    part = table[j:j + _FORMAT_ROWS]
+                    fh.write(float_row * len(part) % tuple(part.ravel().tolist()))
 
 
 def op_report(traj: Trajectory, processors: int) -> str:

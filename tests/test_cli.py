@@ -517,6 +517,22 @@ EDGES = sorted({s * v for s in (1, -1) for v in
                 [0, 2**32 - 1, 2**32, 2**53 - 1]
                 + [10**j - 1 for j in range(1, 16)] + [10**j for j in range(16)]})
 
+# cells at the edges of the fixed-notation digits: 10**j and its two
+# neighbours for j = -4..16, which %.17g prints fixed; the window's own
+# ends and their outer neighbours; 17-digit ties (eighths from 2**49 and
+# quarters from 2**50 have 18 digits ending in 5) and 2**53 +- 2, which
+# are not below 2**53
+POWERS = [math.nextafter(float(f"1e{j}"), to) for j in range(-4, 17) for to in (0, math.inf)]
+POWERS += [float(f"1e{j}") for j in range(-4, 17)]
+WINDOW_ENDS = [1e-4, math.nextafter(1e17, 0), -1e-4, -math.nextafter(1e17, 0)]
+OUTSIDE = [math.nextafter(1e-4, 0), 1e17, 5e-324, -1e-300, 1e300, math.inf, math.nan]
+TIES = [s * (2.0**49 + t) for s in (1, -1) for t in (0.125, 0.375, 0.625, 0.875)]
+TIES += [s * (2.0**50 + t) for s in (1, -1) for t in (0.25, 0.75, 3.25, 3.75)]
+POW2_53 = [2.0**53, -(2.0**53), 2.0**53 + 2, 2.0**53 - 2, -(2.0**53 + 2)]
+SIGNED_ZEROS = [0.5, -0.0, 0.0, -2.5, 0.0]
+FLOAT_EDGE_BLOCKS = [POWERS, WINDOW_ENDS, TIES, POW2_53, SIGNED_ZEROS,
+                     SIGNED_ZEROS + [5e-324], POWERS + OUTSIDE[:1], TIES + OUTSIDE[1:2]]
+
 
 class TestWriter:
     @pytest.mark.parametrize("top", sorted({abs(e) for e in EDGES}))
@@ -558,6 +574,51 @@ class TestWriter:
             path = Path(tmp) / "m.csv"
             _write_measure(rows, "d", path)
             assert path.read_text() == reference_csv(rows, "d")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(st.one_of(st.floats(1e-4, 1e17, exclude_max=True),
+                                 st.floats(-1e17, -1e-4, exclude_min=True),
+                                 st.sampled_from(POWERS + WINDOW_ENDS + TIES + POW2_53
+                                                 + SIGNED_ZEROS)),
+                       min_size=1, max_size=120),
+        outside=st.sampled_from([None] + OUTSIDE),
+        n=st.integers(1, 5),
+    )
+    @example(cells=POWERS, outside=None, n=3)
+    @example(cells=WINDOW_ENDS, outside=None, n=1)
+    @example(cells=WINDOW_ENDS, outside=math.nextafter(1e-4, 0), n=2)
+    @example(cells=WINDOW_ENDS, outside=1e17, n=2)
+    @example(cells=TIES, outside=None, n=4)
+    @example(cells=POW2_53, outside=None, n=5)
+    @example(cells=SIGNED_ZEROS, outside=None, n=2)
+    @example(cells=SIGNED_ZEROS, outside=5e-324, n=2)
+    @example(cells=[0.1, 2.5, 1e-5, 1e17, 7.0], outside=None, n=5)
+    def test_float_blocks_byte_identical_to_per_cell_writer(self, cells, outside, n):
+        # a float block whose cells are 0 or 1e-4 <= |x| < 1e17, or with one
+        # cell outside that window; the k column joins each block
+        cells = cells + ([] if outside is None else [outside])
+        rows = np.resize(np.array(cells, dtype=np.float64), (-(-len(cells) // n), n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            _write_measure(rows, "d", path)
+            assert path.read_text() == reference_csv(rows, "d")
+
+    def test_float_blocks_raise_no_warning(self, tmp_path):
+        # a first exponent guess one off near 10**j or 1e17 must not index
+        # or cast out of range; log-uniform cells with their neighbours
+        # cover the rest of the window
+        rng = np.random.default_rng(5)
+        wide = 10.0 ** rng.uniform(-4, 17, 4000)
+        wide = np.concatenate((wide, np.nextafter(wide, 0), np.nextafter(wide, np.inf)))
+        wide = wide[wide < 1e17]
+        path = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cells in FLOAT_EDGE_BLOCKS + [wide.tolist()]:
+                for rows in (np.array(cells)[:, None], np.array(cells)[None, :]):
+                    _write_measure(rows, "d", path)
+                    assert path.read_text() == reference_csv(rows, "d")
 
 
 class TestMainExitCodes:
