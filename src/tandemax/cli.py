@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import EPS, matvec
 from .engine import (
-    STRATEGIES, Trajectory, _ledger, _paper_formulas, check_strategy, oracle_lindley, simulate,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, check_strategy, oracle_lindley,
+    simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
-from .models import ModelConfigError, TandemSpec
+from .models import ModelConfigError, TandemSpec, build_transition
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -284,26 +286,36 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+_STATE_CHECK_ARITY = 1024  # validate's m x m T_k: 2**20 cells, 8 MiB, at most
+
+
 def validate(config: RunConfig, trials: int = 10) -> int:
-    """Compare the matrix-recursion trajectory against the scalar
-    oracle over several seeds; nonzero exit on the first trial where a
-    departure differs by more than the float contract's ``tau.rounding_gap``
-    (0 when ``tau.exact``).  A trace or constant source ignores the seed,
-    so it gives one trial."""
+    """Two checks per trial, over several seeds, exact when ``tau.exact``
+    and else within ``tau.rounding_gap``; exit 1 at the first departure
+    past that.  The strategy's table against the oracle's, unless its
+    kernel is the oracle's own loop; then the oracle's d(k) against the
+    paper's T_k (x) (d(k-1), ..., d(k-lag)), eps before k = 0, at k = 1,
+    lag = m / n (where blocking or closed feedback first reads d(0)) and
+    K, or none past m = _STATE_CHECK_ARITY.  A trace or constant source
+    ignores the seed, so it gives one trial."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
+    spec = config.spec
+    K, m, n = spec.horizon, spec.arity, spec.n
+    steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
+    clause = (f"state equation at k={','.join(map(str, steps))}" if steps
+              else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
     worst = (0.0, 0.0, 0, 0)
     for t in range(trials):
-        tau = replace(config.source, seed=config.source.seed + t).sample(
-            config.spec.n, config.spec.horizon
-        )
-        traj = simulate(config.spec, tau, config.strategy, config.processors)
-        got = traj.departures()
-        want = oracle_lindley(config.spec, tau).departures()
+        tau = replace(config.source, seed=config.source.seed + t).sample(n, K)
+        traj = simulate(spec, tau, config.strategy, config.processors)
+        recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
+        states = traj.states if recursion else oracle_lindley(spec, tau).states
+        got, want = traj.departures(), states[1:]
         bound = tau.rounding_gap(want)
         # row blocks, so no K x n gap table; both cells are the row-major first
         top = (0.0, 0, 0)
-        for k0 in range(0, len(got), _CHUNK_ROWS):
+        for k0 in range(0, K, _CHUNK_ROWS):
             g, w = got[k0:k0 + _CHUNK_ROWS], want[k0:k0 + _CHUNK_ROWS]
             diff = np.abs(g - w)
             over = np.argwhere(diff > bound)
@@ -318,11 +330,24 @@ def validate(config: RunConfig, trials: int = 10) -> int:
             k, i = np.unravel_index(diff.argmax(), diff.shape)
             if diff[k, i] > top[0]:
                 top = (float(diff[k, i]), k0 + k, i)
+        for k in steps:
+            state = np.full(m, EPS)
+            history = states[max(k - m // n, 0):k][::-1].ravel()  # d(k-1), ..., d(0)
+            state[:history.size] = history
+            d = matvec(build_transition(spec, tau.column(k)).readonly(), state)[:n]
+            diff = np.abs(d - states[k])
+            over = np.flatnonzero(diff > bound)
+            if over.size:
+                i = over[0]
+                print(f"state equation fails at k={k} i={i + 1}: T_k={d[i]:.17g} "
+                      f"oracle={states[k, i]:.17g} gap {diff[i]:.3g} > bound {bound:.3g} "
+                      f"(trial {t})")
+                return 1
         gap, k, i = top
         worst = max(worst, (gap, bound, k + 1, i + 1))
     gap, bound, k, i = worst
     print(
-        f"validate: ok ({trials} trial(s), variant={config.spec.variant}, "
+        f"validate: ok ({trials} trial(s), variant={spec.variant}, {clause}, "
         f"max gap {gap:.3g} at k={k} i={i}, bound {bound:.3g})"
     )
     return 0

@@ -4,30 +4,27 @@ Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; they differ
 in evaluation schedule and in which operation counter they charge.  A
 trajectory holds the departures d(0..K) only, n columns for every
 variant: the augmented history of earlier rows that makes the blocking
-and closed recursions first order lives in the serial kernel's ring, or
+and closed recursions first order lives in the scalar loop's ring, or
 in the dense routes' state vector, never in the trajectory.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
 strategy and array-size rules (``check_strategy``, which the CLI's
-config parser and ``bench`` apply too), picks one of three kernels and
-charges the strategy's cost model (``_ledger``).  ``vector`` and
-``batched`` take the dense kernel, the product with the T_k of
-``models.build_transition``, the paper's specification.  Serial
-open_infinite on exact tau (``ServiceTimes.exact``: integer valued,
-total below 2**53) takes the per-station prefix scan, and every other
-run the factored kernel, O(m) per customer.  Either way serial and
-sparse-closed equal the oracle bit for bit, on float tau as well, and
-runs of different variants on shared float tau keep d_comm >= d_mfg >=
-d_inf exactly.  The dense kernel equals them exactly on exact tau; on
+config parser and ``bench`` apply too), runs the kernel ``_kernel``
+picks and charges the strategy's cost model (``_ledger``).  The dense
+kernel of ``vector`` and ``batched`` is the product with the T_k of
+``models.build_transition``, the paper's specification.  Serial and
+sparse-closed run ``_lindley``, the oracle's own scalar loop, O(m) per
+customer (or for open_infinite on exact tau a prefix scan equal to it),
+so their table is the oracle's, on float tau as well, and runs of
+different variants on shared float tau keep d_comm >= d_mfg >= d_inf
+exactly.  The dense kernel equals the oracle exactly on exact tau; on
 other tau it adds in another order and agrees within the float
 contract ``ServiceTimes.rounding_gap``.
 
-``oracle_lindley`` recomputes departures from the ordinary scalar
-max/+ recursions, one station at a time on Python floats, looking back
-through a ring of the last ``lag`` rows (b+1 for blocking, c for
-closed, at most K+1).  It is independent of all matrix machinery, the
-factored kernel included, and accepts any buffer capacity b >= 0 and
-population c >= 1.
+``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
+recursions, independent of all matrix machinery.  As the serial table
+is the oracle's, ``tandemax validate`` checks T_k against it one step
+at a time.
 """
 
 from __future__ import annotations
@@ -109,31 +106,25 @@ def _tri(m: int) -> int:
     return m * (m + 1) // 2
 
 
-# Customers per block: the serial kernel and the oracle read tau and
-# write their states one block at a time, so no K x n table of Python
-# floats is ever held.
+# Customers per block: the scalar loop reads tau and writes its states
+# one block at a time, so no K x n table of Python floats is ever held.
 _BLOCK = 256
 
 
-def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
-    """Departures d(0..K), a (K+1) x n array, by the factored form of T_k:
-    one pass over the stations per customer instead of a dense m x m
-    build and product.
+def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
+    """Departures d(0..K), a (K+1) x n array, from the ordinary scalar
+    max/+ recursions, on Python floats: the one scalar loop of each
+    variant, run by ``oracle_lindley``, serial and sparse-closed.
 
-    Open variants: d(k) = S_k (x) y, with y = tau_k (x) d(k-1) plus the
-    blocking feedback and S_k = (T_k (x) G)* the prefix recursion
-    z_i = y_i (+) tau_ik (x) z_{i-1}.  Distributing tau_ik over the max
-    folds both into one running value per station; with p = d_i(k-1) and
-    q = d_{i+1}(k-b-1), z_i = (z_{i-1} (+) p) (x) tau_ik (infinite
-    buffers), (z_{i-1} (+) p (+) q) (x) tau_ik (communication) or
-    (z_{i-1} (+) p) (x) tau_ik (+) q (manufacturing).  Closed: d(k) =
-    T_k (x) (d(k-1) (+) F (x) d(k-c)).  The augmented identity blocks are
-    a ring of the last b+1 (or c) departure rows, eps before k = 0, at
-    most K + 1 of them; the augmented history exists only there.
-
-    Each entry takes one max and adds tau_ik once, the additions of the
-    scalar recursion in its order, so the result equals ``oracle_lindley``
-    bit for bit on float tau as well.
+    With p = d_i(k-1), q = d_{i+1}(k-b-1) and z the departure of the
+    station before, d_i(k) = (z (+) p) (x) tau_ik (infinite buffers),
+    (z (+) p (+) q) (x) tau_ik (communication) or (z (+) p) (x) tau_ik (+) q
+    (manufacturing); closed, (d_{i-1}(k-c) (+) p) (x) tau_ik.  Rows k-b-1
+    and k-c come from a ring of the last ``lag`` rows (b+1, or c, at most
+    K+1), eps before k = 0, so any b >= 0, c >= 1 resolves.  Each max(a, b)
+    is written ``b if b > a else a``: CPython's ``max`` returns b only
+    when b > a, so this is the same function, ties of +-0.0 and NaN
+    included, without a call per cell.
     """
     n = spec.n
     K = spec.horizon
@@ -142,14 +133,14 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     lag = min(spec.population if closed else spec.buffer_capacity + 1, K + 1)
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
-    never = [EPS] * n
-    ring = [states[0].tolist()] + [never] * (lag - 1)
+    ring = [states[0].tolist()] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
     for k0 in range(0, K, _BLOCK):
         rows = []
         for k, tk in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
             prev = ring[(k - 1) % lag]
             old = ring[k % lag]  # d(k - lag)
             if closed:
+                # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
                 feed = old[-1:] + old[:-1]
                 y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
             else:
@@ -158,16 +149,16 @@ def _factored_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
                     for t, p in zip(tk, prev):
                         z = (p if p > z else z) + t
                         y.append(z)
-                elif variant == "open_comm":
-                    for t, p, q in zip(tk, prev, old[1:] + never[:1]):
+                elif variant == "open_mfg":
+                    # q = eps past the last station: max(z, eps) is z
+                    for t, p, q in zip(tk, prev, old[1:] + [EPS]):
+                        z = (p if p > z else z) + t
+                        z = q if q > z else z
+                        y.append(z)
+                else:  # open_comm
+                    for t, p, q in zip(tk, prev, old[1:] + [EPS]):
                         z = p if p > z else z
                         z = (q if q > z else z) + t
-                        y.append(z)
-                else:  # open_mfg
-                    for t, p, q in zip(tk, prev, old[1:] + never[:1]):
-                        z = (p if p > z else z) + t
-                        if q > z:
-                            z = q
                         y.append(z)
             ring[k % lag] = y
             rows.append(y)
@@ -186,8 +177,8 @@ def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     d_i(k) = C_k + max(d_i(0), max_{j <= k} (a_j - C_{j-1})): one cumsum
     and one maximum.accumulate per station, on K-vectors only.  It adds
     in another order from the scalar recursion, so it equals
-    ``_factored_steps`` only when every sum is exact: ``simulate`` takes
-    it only when ``tau.exact``.
+    ``_lindley`` only when every sum is exact: ``_kernel`` takes it only
+    when ``tau.exact``.
     """
     K = spec.horizon
     states = np.empty((K + 1, spec.n))
@@ -233,56 +224,10 @@ def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
 
 
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
-    """Ground-truth departures from the ordinary scalar recursions.
-
-    Runs on Python floats, customer by customer and station by station.
-    The blocking terms d_{i+1}(k-b-1) and closed arrivals d_{i-1}(k-c)
-    come from a ring of the last ``lag`` rows (b+1, or c, at most K+1),
-    so any b >= 0, c >= 1 resolves.  References to k < 0 are eps (no
-    departures before start); k = 0 is the initial-state vector.  Each max(a, b)
-    is written ``b if b > a else a``: CPython's ``max`` returns b only
-    when b > a, so this is the same function, ties of +-0.0 and NaN
-    included, without a call per cell.
-    """
+    """Ground-truth departures from the ordinary scalar recursions
+    (``_lindley``), for any buffer capacity b >= 0 and population c >= 1."""
     _check_inputs(spec, tau)
-    n = spec.n
-    K = spec.horizon
-    variant = spec.variant
-    hist = np.empty((K + 1, n))
-    hist[0] = 0.0
-    lag = min(spec.population if variant == "closed" else spec.buffer_capacity + 1, K + 1)
-    ring = [[0.0] * n] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
-    for k0 in range(0, K, _BLOCK):
-        rows = []
-        for k, t in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
-            prev = ring[(k - 1) % lag]
-            old = ring[k % lag]  # row k - lag
-            if variant == "closed":
-                # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
-                arrival = old[-1:] + old[:-1]
-                cur = [(p if p > a else a) + ti for a, p, ti in zip(arrival, prev, t)]
-            else:
-                cur = []
-                a = EPS
-                if variant == "open_infinite":
-                    for ti, p in zip(t, prev):
-                        a = (p if p > a else a) + ti
-                        cur.append(a)
-                elif variant == "open_mfg":
-                    # q = d_{i+1}(k-b-1), eps past the last station: max(x, eps) is x
-                    for ti, p, q in zip(t, prev, old[1:] + [EPS]):
-                        a = (p if p > a else a) + ti
-                        a = q if q > a else a
-                        cur.append(a)
-                else:  # open_comm
-                    for ti, p, q in zip(t, prev, old[1:] + [EPS]):
-                        a = p if p > a else a
-                        a = (q if q > a else a) + ti
-                        cur.append(a)
-            ring[k % lag] = cur
-            rows.append(cur)
-        hist[k0 + 1 : k0 + 1 + len(rows)] = rows
-    return Trajectory(hist, spec, OpLedger(steps=K), strategy="oracle")
+    return Trajectory(_lindley(spec, tau), spec, OpLedger(steps=spec.horizon), strategy="oracle")
 
 
 STRATEGIES = ("serial", "sparse-closed", "vector", "batched")
@@ -385,25 +330,29 @@ def _paper_formulas(n: int, K: int, P: int) -> dict:
     }
 
 
+def _kernel(spec: TandemSpec, tau: ServiceTimes, strategy: str) -> str:
+    """The kernel a run takes: ``"dense"``, ``"scan"`` when ``tau.exact``
+    (decided once per tau) or ``"recursion"``, the oracle's own loop."""
+    if strategy in ("vector", "batched"):
+        return "dense"
+    if spec.variant == "open_infinite" and tau.exact:
+        return "scan"
+    return "recursion"
+
+
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
     """Run one strategy: check its rules and tau's shape, run its kernel
-    and charge its cost model.  Serial open_infinite takes the prefix scan
-    when ``tau.exact``, which ``tau`` decides once for every later reader.
-    A departure that overflows float64 to +inf is a configuration error
-    (eps is legal), reported here, or by the dense kernel at the step it
-    happens, before any product reads it, rather than as a numpy overflow
-    warning."""
+    (``_kernel``) and charge its cost model.  A departure that overflows
+    float64 to +inf is a configuration error (eps is legal), reported
+    here, or by the dense kernel at the step it happens, before any
+    product reads it, rather than as a numpy overflow warning."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
+    kernels = {"dense": _dense_steps, "scan": _prefix_scan, "recursion": _lindley}
     with np.errstate(over="ignore"):
-        if strategy in ("vector", "batched"):
-            states = _dense_steps(spec, tau)
-        elif spec.variant == "open_infinite" and tau.exact:
-            states = _prefix_scan(spec, tau)
-        else:
-            states = _factored_steps(spec, tau)
+        states = kernels[_kernel(spec, tau, strategy)](spec, tau)
     over = np.argwhere(np.isposinf(states))
     if over.size:
         raise _overflow(*over[0])

@@ -22,7 +22,7 @@ from tandemax.cli import (
     run,
     validate,
 )
-from tandemax.core import EPS
+from tandemax.core import EPS, MaxPlusMatrix
 from tandemax.engine import simulate, simulate_serial
 from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec
 from tandemax.sources import (
@@ -439,8 +439,11 @@ class TestRun:
             traj.states[5, 3] += 1e-9
             return traj
 
+        # a serial run's table is the oracle's own, so the route is the
+        # dense one, here returning the oracle's table: the compare is exact
+        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
         monkeypatch.setattr(cli, "oracle_lindley", nudged)
-        assert validate(config, trials=1) == 1
+        assert validate(dense, trials=1) == 1
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
 
     def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
@@ -449,9 +452,12 @@ class TestRun:
         blocks."""
         import tandemax.cli as cli
 
-        config = parse_config(make_config(K=600, source={"kind": "uniform", "low": 0,
-                                                          "high": 5, "seed": 3}))
+        config = parse_config(make_config(K=600, strategy="vector",
+                                          source={"kind": "uniform", "low": 0, "high": 5,
+                                                  "seed": 3}))
         real = cli.oracle_lindley
+        # the dense route, returning the oracle's own table: the compare is exact
+        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
         tau = config.source.sample(3, 600)
         bound = tau.rounding_gap(real(config.spec, tau).departures())
         step = 2.0 ** math.floor(math.log2(bound))  # exact on every departure
@@ -473,6 +479,48 @@ class TestRun:
         monkeypatch.setattr(cli, "oracle_lindley", nudged(1.0))
         assert validate(config, trials=1) == 1
         assert capsys.readouterr().out.startswith("mismatch at k=520 i=3: ")
+
+    @pytest.mark.parametrize("model", [{"variant": "open_comm", "b": 1},
+                                       {"variant": "closed", "c": 2}])
+    def test_validate_checks_the_state_equation(self, capsys, monkeypatch, model):
+        """A serial run's table is the oracle's own, so validate checks the
+        oracle against the paper's T_k at k = 1, lag and K.  A T_k whose
+        communication feedback is D unshifted, or whose closed routing F
+        is rolled the wrong way, fails there."""
+        import tandemax.cli as cli
+
+        config = parse_config(make_config(**model, n=6, K=300, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        assert validate(config, trials=3) == 0
+        assert ", state equation at k=1,2,300, max gap 0 at " in capsys.readouterr().out
+        real = cli.build_transition
+
+        def wrong(spec, tau_k):
+            a = real(spec, tau_k).readonly().copy()
+            n = spec.n
+            if spec.variant == "open_comm":  # S_k (x) T_k, not shifted by GT
+                a[:n, 1 - n:] = real(TandemSpec("open_infinite", n, 1), tau_k).readonly()[:, 1:]
+            else:  # T_k (x) F^T in place of T_k (x) F
+                a[:n, -n:] = np.roll(np.where(np.eye(n, dtype=bool), tau_k, EPS), 1, axis=1)
+            return MaxPlusMatrix(a)
+
+        monkeypatch.setattr(cli, "build_transition", wrong)
+        assert validate(config, trials=3) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("b,clause", [
+        (511, "state equation at k=1,3"),
+        (512, "state equation skipped (m = 1026 > 1024)"),
+        (10**11, "state equation skipped (m = 200000000002 > 1024)"),
+    ])
+    def test_validate_skips_the_state_equation_past_its_budget(self, capsys, b, clause):
+        """The state-equation check builds an m x m T_k; past m = 1024 it is
+        skipped, and the ok line says so in place of the steps it checked."""
+        config = parse_config(make_config(variant="open_mfg", b=b, n=2, K=3, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 1, "integer_times": True}))
+        assert validate(config, trials=2) == 0
+        assert f", {clause}, max gap 0 at k=1 i=1, bound 0)\n" in capsys.readouterr().out
 
 
 # integer service times on [0, 10**14]: at n = 8 the departures pass 2**53

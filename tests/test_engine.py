@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from tandemax import engine
 from tandemax.core import EPS
 from tandemax.engine import (
     OpLedger,
-    _factored_steps,
     _prefix_scan,
     initial_state,
     oracle_lindley,
@@ -223,7 +223,7 @@ class TestStrategyEquivalence:
 
     @STRATEGY_SPECS
     def test_float_serial_within_rounding_gap_of_dense(self, spec):
-        """On float tau the factored serial kernel and the dense T_k route
+        """On float tau the serial scalar loop and the dense T_k route
         (batched with P = 1) sum in different orders; every departure,
         d(0) included, agrees within the float contract."""
         tau = random_tau(spec.n, spec.horizon, 7, high=5, integer=False)
@@ -272,16 +272,21 @@ class TestOracleEquivalence:
             ("open_comm", {"buffer_capacity": 0}),
             ("open_comm", {"buffer_capacity": 1}),
             ("closed", {"population": 3}),
+            ("open_mfg", {"buffer_capacity": 2}),
+            ("open_comm", {"buffer_capacity": 3}),
         ],
     )
     def test_matrix_equals_oracle(self, variant, kwargs):
+        """Serial equals the oracle exactly; the dense route, the product
+        with the paper's T_k, equals it exactly on integer tau and within
+        the float contract on float tau."""
         spec = TandemSpec(variant, 4, 50, **kwargs)
         for seed in range(3):
             for tau in (random_tau(4, 50, seed), random_tau(4, 50, seed, high=5, integer=False)):
-                assert np.array_equal(
-                    simulate_serial(spec, tau).departures(),
-                    oracle_lindley(spec, tau).departures(),
-                )
+                want = oracle_lindley(spec, tau).departures()
+                assert np.array_equal(simulate_serial(spec, tau).departures(), want)
+                gap = np.abs(simulate_vectorized(spec, tau).departures() - want).max()
+                assert gap <= tau.rounding_gap(want)  # 0 on integer tau
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4))
@@ -338,9 +343,9 @@ class TestOracleEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 5), st.integers(1, 8), st.booleans())
     def test_prefix_scan_equals_kernel(self, data, n, K, large):
-        """On exact tau the open_infinite prefix scan equals the factored
-        kernel exactly, sign of zero included: small tau with ties and
-        signed zeros, or large integers whose total is 2**53 - 1."""
+        """On exact tau the open_infinite prefix scan equals the oracle
+        exactly, sign of zero included: small tau with ties and signed
+        zeros, or large integers whose total is 2**53 - 1."""
         cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0]),
                                    min_size=n * K, max_size=n * K))
         tau = np.array(cells).reshape(n, K)
@@ -352,7 +357,7 @@ class TestOracleEquivalence:
         tau = ServiceTimes(tau)
         assert tau.exact
         spec = TandemSpec("open_infinite", n, K)
-        got, want = _prefix_scan(spec, tau), _factored_steps(spec, tau)
+        got, want = _prefix_scan(spec, tau), oracle_lindley(spec, tau).states
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -366,6 +371,18 @@ class TestOracleEquivalence:
         assert not tau.exact
         assert not np.array_equal(_prefix_scan(spec, tau), want)
         assert np.array_equal(simulate_serial(spec, tau).states, want)
+
+    def test_oracle_names_no_matrix_code(self):
+        """The oracle and its loop, nested code included, name nothing of
+        the matrix form they check."""
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from names(const)
+
+        for func in (oracle_lindley, engine._lindley):
+            assert not {"build_transition", "matvec", "MaxPlusMatrix"} & set(names(func.__code__))
 
     def test_oracle_history_before_start_is_eps(self):
         # blocking terms referencing k <= 0 must see e at k = 0, eps before
