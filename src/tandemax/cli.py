@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EPS, matvec
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, check_strategy, oracle_lindley,
-    simulate,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _step, check_strategy,
+    oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
-from .models import ModelConfigError, TandemSpec, build_transition
+from .models import ModelConfigError, TandemSpec
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -294,9 +293,10 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     and else within ``tau.rounding_gap``; exit 1 at the first departure
     past that.  The strategy's table against the oracle's, unless its
     kernel is the oracle's own loop; then the oracle's d(k) against the
-    paper's T_k (x) (d(k-1), ..., d(k-lag)), eps before k = 0, at k = 1,
-    lag = m / n (where blocking or closed feedback first reads d(0)) and
-    K, or none past m = _STATE_CHECK_ARITY.  A trace or constant source
+    paper's state equation (``engine._step``) at k = 1, lag = m / n
+    (where blocking or closed feedback first reads d(0)) and K, or none
+    past m = _STATE_CHECK_ARITY.  The ok line names the largest gap over
+    both checks, the row-major first.  A trace or constant source
     ignores the seed, so it gives one trial."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
@@ -311,40 +311,30 @@ def validate(config: RunConfig, trials: int = 10) -> int:
         traj = simulate(spec, tau, config.strategy, config.processors)
         recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
         states = traj.states if recursion else oracle_lindley(spec, tau).states
-        got, want = traj.departures(), states[1:]
-        bound = tau.rounding_gap(want)
-        # row blocks, so no K x n gap table; both cells are the row-major first
-        top = (0.0, 0, 0)
-        for k0 in range(0, K, _CHUNK_ROWS):
-            g, w = got[k0:k0 + _CHUNK_ROWS], want[k0:k0 + _CHUNK_ROWS]
-            diff = np.abs(g - w)
+        bound = tau.rounding_gap(states[1:])
+        # (failure label, k of each row, route rows, oracle rows), the route
+        # in row blocks, so no K x n gap table is made
+        checks = [] if recursion else [
+            ("mismatch at k={} i={}: matrix", range(k, K + 1),
+             traj.states[k:k + _CHUNK_ROWS], states[k:k + _CHUNK_ROWS])
+            for k in range(1, K + 1, _CHUNK_ROWS)]
+        if steps:
+            checks.append(("state equation fails at k={} i={}: T_k", steps,
+                           np.array([_step(spec, tau, states, k) for k in steps]), states[steps]))
+        top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
+        for label, ks, got, want in checks:
+            diff = np.abs(got - want)
             over = np.argwhere(diff > bound)
             if over.size:
-                k, i = over[0]
-                print(
-                    f"mismatch at k={k0 + k + 1} i={i + 1}: matrix={g[k, i]:.17g} "
-                    f"oracle={w[k, i]:.17g} gap {diff[k, i]:.3g} > bound {bound:.3g} "
-                    f"(trial {t})"
-                )
-                return 1
-            k, i = np.unravel_index(diff.argmax(), diff.shape)
-            if diff[k, i] > top[0]:
-                top = (float(diff[k, i]), k0 + k, i)
-        for k in steps:
-            state = np.full(m, EPS)
-            history = states[max(k - m // n, 0):k][::-1].ravel()  # d(k-1), ..., d(0)
-            state[:history.size] = history
-            d = matvec(build_transition(spec, tau.column(k)).readonly(), state)[:n]
-            diff = np.abs(d - states[k])
-            over = np.flatnonzero(diff > bound)
-            if over.size:
-                i = over[0]
-                print(f"state equation fails at k={k} i={i + 1}: T_k={d[i]:.17g} "
-                      f"oracle={states[k, i]:.17g} gap {diff[i]:.3g} > bound {bound:.3g} "
+                r, i = over[0]
+                print(f"{label.format(ks[r], i + 1)}={got[r, i]:.17g} "
+                      f"oracle={want[r, i]:.17g} gap {diff[r, i]:.3g} > bound {bound:.3g} "
                       f"(trial {t})")
                 return 1
+            r, i = np.unravel_index(diff.argmax(), diff.shape)
+            top = max(top, (float(diff[r, i]), -ks[r], -(i + 1)))
         gap, k, i = top
-        worst = max(worst, (gap, bound, k + 1, i + 1))
+        worst = max(worst, (gap, bound, -k, -i))
     gap, bound, k, i = worst
     print(
         f"validate: ok ({trials} trial(s), variant={spec.variant}, {clause}, "

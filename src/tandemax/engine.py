@@ -3,28 +3,28 @@
 Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; they differ
 in evaluation schedule and in which operation counter they charge.  A
 trajectory holds the departures d(0..K) only, n columns for every
-variant: the augmented history of earlier rows that makes the blocking
-and closed recursions first order lives in the scalar loop's ring, or
-in the dense routes' state vector, never in the trajectory.
+variant: the augmented state (d(k-1), ..., d(k-lag)) that makes the
+blocking and closed recursions first order is the table's own earlier
+rows, kept in the scalar loop's ring or read back by ``_step``.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
 strategy and array-size rules (``check_strategy``, which the CLI's
 config parser and ``bench`` apply too), runs the kernel ``_kernel``
 picks and charges the strategy's cost model (``_ledger``).  The dense
-kernel of ``vector`` and ``batched`` is the product with the T_k of
-``models.build_transition``, the paper's specification.  Serial and
-sparse-closed run ``_lindley``, the oracle's own scalar loop, O(m) per
-customer (or for open_infinite on exact tau a prefix scan equal to it),
-so their table is the oracle's, on float tau as well, and runs of
-different variants on shared float tau keep d_comm >= d_mfg >= d_inf
-exactly.  The dense kernel equals the oracle exactly on exact tau; on
-other tau it adds in another order and agrees within the float
-contract ``ServiceTimes.rounding_gap``.
+kernel of ``vector`` and ``batched`` is ``_step`` for k = 1..K, the
+paper's state equation with the T_k of ``models.build_transition``, its
+specification.  Serial and sparse-closed run ``_lindley``, the oracle's
+own scalar loop, O(m) per customer (or for open_infinite on exact tau a
+prefix scan equal to it), so their table is the oracle's, on float tau
+as well, and runs of different variants on shared float tau keep
+d_comm >= d_mfg >= d_inf exactly.  The dense kernel equals the oracle
+exactly on exact tau; on other tau it adds in another order and agrees
+within the float contract ``ServiceTimes.rounding_gap``.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
 recursions, independent of all matrix machinery.  As the serial table
-is the oracle's, ``tandemax validate`` checks T_k against it one step
-at a time.
+is the oracle's, ``tandemax validate`` checks it against ``_step`` one
+step at a time.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class OpLedger:
 @dataclass
 class Trajectory:
     """Departures d(k) for k = 0..K (row k, n columns; row 0 is
-    d(0) = e) plus the op ledger.  The augmented history of the
-    blocking and closed variants is not stored."""
+    d(0) = e) plus the op ledger.  The augmented state of the blocking
+    and closed variants is not stored: it is rows k-1, ..., k-lag."""
 
     states: np.ndarray
     spec: TandemSpec
@@ -130,7 +130,7 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     K = spec.horizon
     variant = spec.variant
     closed = variant == "closed"
-    lag = min(spec.population if closed else spec.buffer_capacity + 1, K + 1)
+    lag = min(spec.arity // n, K + 1)
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
     ring = [states[0].tolist()] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
@@ -201,22 +201,30 @@ def _overflow(k: int, i: int) -> ModelConfigError:
     return ModelConfigError(f"departure d_{i + 1}({k}) overflows float64")
 
 
-def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
-    """Departures d(0..K), a (K+1) x n array, by the dense product
-    d(k) = T_k (x) d(k-1) on the augmented state, one m-vector: d(0)
-    followed by eps history blocks.  Each step stores its first n
-    entries.  The kernel of ``vector`` and ``batched``.
+def _step(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray, k: int) -> np.ndarray:
+    """d(k) by the paper's state equation: the first n entries of
+    T_k (x) (d(k-1), ..., d(k-lag)), lag = m / n, the rows read from the
+    departure table ``states``, eps before k = 0.  One step of the dense
+    kernel, and the step ``tandemax validate`` checks the oracle with."""
+    lag = spec.arity // spec.n
+    state = np.full((lag, spec.n), EPS)
+    rows = min(k, lag)
+    state[:rows] = states[k - rows:k][::-1]  # d(k-1), ..., d(k-rows)
+    return matvec(build_transition(spec, tau.column(k)).readonly(), state.ravel())[:spec.n]
 
-    Stops at the first step whose live block holds +inf, which every
-    later product would carry on as nan; the history blocks are copies
-    of earlier live blocks, so +inf cannot appear there first."""
-    state = np.full(spec.arity, EPS)
-    state[: spec.n] = initial_state(spec)
+
+def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
+    """Departures d(0..K), a (K+1) x n array, by ``_step`` for k = 1..K
+    on its own table: the kernel of ``vector`` and ``batched``.  The
+    companion's identity blocks would copy the history exactly, as no
+    departure is -0.0, so reading it from the table is the full product.
+
+    Stops at the first step whose departures hold +inf, which every
+    later product would carry on as nan."""
     states = np.empty((spec.horizon + 1, spec.n))
-    states[0] = state[: spec.n]
+    states[0] = initial_state(spec)
     for k in range(1, spec.horizon + 1):
-        state = matvec(build_transition(spec, tau.column(k)).readonly(), state)
-        states[k] = state[: spec.n]
+        states[k] = _step(spec, tau, states, k)
         over = np.isposinf(states[k])
         if over.any():
             raise _overflow(k, int(over.argmax()))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tandemax import engine
 from tandemax.cli import (
     _CHUNK_ROWS,
     ConfigError,
@@ -22,9 +23,9 @@ from tandemax.cli import (
     run,
     validate,
 )
-from tandemax.core import EPS, MaxPlusMatrix
-from tandemax.engine import simulate, simulate_serial
-from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec
+from tandemax.core import EPS, MaxPlusMatrix, matvec
+from tandemax.engine import oracle_lindley, simulate, simulate_serial
+from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 from tandemax.sources import (
     ServiceTimeSource,
     SourceConfigError,
@@ -268,6 +269,32 @@ def assert_waiting_below_zero_within_gap(tmp_path, source):
     assert -tau.rounding_gap(d) <= w.min() < 0
 
 
+def state_equation_gap(config, trials):
+    """The end of a serial validate's ok line, recomputed from the oracle,
+    ``build_transition`` and ``matvec``: the largest gap between the first
+    n entries of T_k (x) (d(k-1), ..., d(k-lag)), eps before k = 0, and the
+    oracle's d(k) at k = 1, lag and K, the row-major first of its trial,
+    with that trial's bound."""
+    spec = config.spec
+    n, K = spec.n, spec.horizon
+    lag = spec.arity // n
+    worst = (0.0, 0.0, 0, 0)
+    for t in range(trials):
+        tau = replace(config.source, seed=config.source.seed + t).sample(n, K)
+        d = oracle_lindley(spec, tau).states
+        top = (0.0, 1, 1)
+        for k in sorted({1, min(lag, K), K}):
+            state = np.concatenate([d[j] if j >= 0 else np.full(n, EPS)
+                                    for j in range(k - 1, k - 1 - lag, -1)])
+            row = matvec(build_transition(spec, tau.column(k)).readonly(), state)[:n]
+            for i, gap in enumerate(np.abs(row - d[k]), 1):
+                if gap > top[0]:
+                    top = (float(gap), k, i)
+        worst = max(worst, (top[0], tau.rounding_gap(d[1:]), *top[1:]))
+    gap, bound, k, i = worst
+    return f"max gap {gap:.3g} at k={k} i={i}, bound {bound:.3g})\n"
+
+
 # The reference block of the --count-ops report for K = 7, P = 3.
 OPS_REFERENCE = {
     5: """-- reference formulas (open-infinite tandem) --
@@ -484,16 +511,16 @@ class TestRun:
                                        {"variant": "closed", "c": 2}])
     def test_validate_checks_the_state_equation(self, capsys, monkeypatch, model):
         """A serial run's table is the oracle's own, so validate checks the
-        oracle against the paper's T_k at k = 1, lag and K.  A T_k whose
-        communication feedback is D unshifted, or whose closed routing F
-        is rolled the wrong way, fails there."""
-        import tandemax.cli as cli
-
+        oracle against the paper's T_k at k = 1, lag and K, and names the
+        largest gap there.  A T_k whose communication feedback is D
+        unshifted, or whose closed routing F is rolled the wrong way,
+        fails there."""
         config = parse_config(make_config(**model, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         assert validate(config, trials=3) == 0
-        assert ", state equation at k=1,2,300, max gap 0 at " in capsys.readouterr().out
-        real = cli.build_transition
+        out = capsys.readouterr().out
+        assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
+        real = engine.build_transition
 
         def wrong(spec, tau_k):
             a = real(spec, tau_k).readonly().copy()
@@ -504,10 +531,33 @@ class TestRun:
                 a[:n, -n:] = np.roll(np.where(np.eye(n, dtype=bool), tau_k, EPS), 1, axis=1)
             return MaxPlusMatrix(a)
 
-        monkeypatch.setattr(cli, "build_transition", wrong)
+        monkeypatch.setattr(engine, "build_transition", wrong)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
         assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
+
+    def test_validate_names_the_largest_state_equation_gap(self, capsys, monkeypatch):
+        """On float tau the state equation adds in another order from the
+        oracle, so a serial validate, whose only check is that one, names a
+        gap above 0 and its cell.  With the route's rows equal to the
+        oracle's, a dense validate names the same gap: the ok line covers
+        both checks.  On exact tau every gap is 0."""
+        import tandemax.cli as cli
+
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1}
+        config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source=source))
+        want = state_equation_gap(config, 3)
+        assert validate(config, trials=3) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(want) and float(re.search(r" max gap (\S+) at ", out)[1]) > 0
+        real = cli.oracle_lindley
+        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
+        assert validate(replace(config, strategy="vector"), trials=3) == 0
+        assert capsys.readouterr().out.endswith(want)
+        monkeypatch.undo()
+        exact = replace(config, source=replace(config.source, integer_times=True))
+        assert validate(exact, trials=3) == 0
+        assert capsys.readouterr().out.endswith(", max gap 0 at k=1 i=1, bound 0)\n")
 
     @pytest.mark.parametrize("b,clause", [
         (511, "state equation at k=1,3"),

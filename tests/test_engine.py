@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import GRID_CONFIGS
 
 from tandemax import engine
-from tandemax.core import EPS
+from tandemax.core import EPS, matvec
 from tandemax.engine import (
     OpLedger,
     _prefix_scan,
@@ -233,6 +234,36 @@ class TestStrategyEquivalence:
         assert np.array_equal(np.isneginf(serial), np.isneginf(dense))
         gap = np.abs(np.subtract(serial, dense, out=np.zeros_like(dense), where=serial != dense))
         assert gap.max() <= tau.rounding_gap(dense)
+
+    @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
+    def test_dense_kernel_equals_the_carried_state_vector(self, variant, kwargs):
+        """The dense kernel reads d(k-1), ..., d(k-lag) from its table in
+        place of carrying the augmented m-vector through T_k (x): the
+        companion's identity blocks copy the history exactly, as no
+        departure is -0.0, so both forms agree bit for bit, sign of zero
+        included, on integer, float and signed-zero tau."""
+
+        def carried(spec, tau):
+            state = np.full(spec.arity, EPS)
+            state[: spec.n] = initial_state(spec)
+            states = [state[: spec.n]]
+            for k in range(1, spec.horizon + 1):
+                state = matvec(build_transition(spec, tau.column(k)).readonly(), state)
+                states.append(state[: spec.n])
+            return np.array(states)
+
+        rng = np.random.default_rng(3)
+        for n in (2, 5, 8):
+            for K in (1, 3, 40):
+                spec = TandemSpec(variant, n, K, **kwargs)
+                signed = ServiceTimes(rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
+                for tau in (random_tau(n, K, K), random_tau(n, K, K, high=5, integer=False),
+                            signed):
+                    want = carried(spec, tau)
+                    for got in (simulate_vectorized(spec, tau).states,
+                                simulate_batched(spec, tau, 3).states):
+                        assert np.array_equal(got, want)
+                        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_sparse_matches_serial(self):
         spec = TandemSpec("closed", 6, 40)
