@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _step, check_strategy,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _steps, check_strategy,
     oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
@@ -285,7 +285,8 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-_STATE_CHECK_ARITY = 1024  # validate's m x m T_k: 2**20 cells, 8 MiB, at most
+# validate builds its <= 3 m x m T_k in one call: at most 3 x 2**20 cells, 24 MiB
+_STATE_CHECK_ARITY = 1024
 
 
 def validate(config: RunConfig, trials: int = 10) -> int:
@@ -293,11 +294,11 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     and else within ``tau.rounding_gap``; exit 1 at the first departure
     past that.  The strategy's table against the oracle's, unless its
     kernel is the oracle's own loop; then the oracle's d(k) against the
-    paper's state equation (``engine._step``) at k = 1, lag = m / n
-    (where blocking or closed feedback first reads d(0)) and K, or none
-    past m = _STATE_CHECK_ARITY.  The ok line names the largest gap over
-    both checks, the row-major first.  A trace or constant source
-    ignores the seed, so it gives one trial."""
+    paper's state equation (``engine._steps``, one build per trial) at
+    k = 1, lag = m / n (where blocking or closed feedback first reads
+    d(0)) and K, or none past m = _STATE_CHECK_ARITY.  The ok line names
+    the largest gap over both checks, the row-major first.  A trace or
+    constant source ignores the seed, so it gives one trial."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -320,7 +321,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
             for k in range(1, K + 1, _CHUNK_ROWS)]
         if steps:
             checks.append(("state equation fails at k={} i={}: T_k", steps,
-                           np.array([_step(spec, tau, states, k) for k in steps]), states[steps]))
+                           _steps(spec, tau, states, steps), states[steps]))
         top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
         for label, ks, got, want in checks:
             diff = np.abs(got - want)

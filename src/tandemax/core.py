@@ -9,8 +9,9 @@ short-circuits EPS operands so no float-addition pathology can produce
 NaN.
 
 Matrices are immutable dense wrappers over float64 arrays.  All
-operations are pure and shape-checked; there is no implicit
-broadcasting.
+matrix operations are pure and shape-checked; there is no implicit
+broadcasting.  The raw-array ``matvec`` broadcasts over leading axes,
+for stacks of matrices.
 """
 
 from __future__ import annotations
@@ -186,5 +187,6 @@ class MaxPlusMatrix:
 
 
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Max-plus matrix-vector product on raw arrays."""
-    return (a + v[None, :]).max(axis=1)
+    """Max-plus matrix-vector product on raw arrays, a (..., r, c) with
+    v (..., c), broadcast over the leading axes."""
+    return (a + v[..., None, :]).max(axis=-1)

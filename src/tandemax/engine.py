@@ -5,26 +5,30 @@ in evaluation schedule and in which operation counter they charge.  A
 trajectory holds the departures d(0..K) only, n columns for every
 variant: the augmented state (d(k-1), ..., d(k-lag)) that makes the
 blocking and closed recursions first order is the table's own earlier
-rows, kept in the scalar loop's ring or read back by ``_step``.
+rows, kept in the scalar loop's ring or read back by ``_state``.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
 strategy and array-size rules (``check_strategy``, which the CLI's
 config parser and ``bench`` apply too), runs the kernel ``_kernel``
 picks and charges the strategy's cost model (``_ledger``).  The dense
-kernel of ``vector`` and ``batched`` is ``_step`` for k = 1..K, the
-paper's state equation with the T_k of ``models.build_transition``, its
-specification.  Serial and sparse-closed run ``_lindley``, the oracle's
-own scalar loop, O(m) per customer (or for open_infinite on exact tau a
-prefix scan equal to it), so their table is the oracle's, on float tau
-as well, and runs of different variants on shared float tau keep
-d_comm >= d_mfg >= d_inf exactly.  The dense kernel equals the oracle
-exactly on exact tau; on other tau it adds in another order and agrees
-within the float contract ``ServiceTimes.rounding_gap``.
+kernel of ``vector`` and ``batched``, ``_dense_steps``, is the paper's
+state equation for k = 1..K with the T_k of ``models.build_transition``,
+its specification, from the stacked builder ``models._transitions``:
+``vector`` builds one T_k per step (Algorithm 2), ``batched`` the P T_k
+of a batch in one call and then applies them in order (Algorithm 3),
+and the two tables are the same bit for bit.  Serial and sparse-closed
+run ``_lindley``, the oracle's own scalar loop, O(m) per customer (or
+for open_infinite on exact tau a prefix scan equal to it), so their
+table is the oracle's, on float tau as well, and runs of different
+variants on shared float tau keep d_comm >= d_mfg >= d_inf exactly.
+The dense kernel equals the oracle exactly on exact tau; on other tau it
+adds in another order and agrees within the float contract
+``ServiceTimes.rounding_gap``.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
 recursions, independent of all matrix machinery.  As the serial table
-is the oracle's, ``tandemax validate`` checks it against ``_step`` one
-step at a time.
+is the oracle's, ``tandemax validate`` checks it against ``_steps``,
+its up to 3 steps built in one call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EPS, matvec
-from .models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
+from .models import _SUM_OVERFLOW, ModelConfigError, ServiceTimes, TandemSpec, _transitions
 
 
 @dataclass
@@ -201,33 +205,62 @@ def _overflow(k: int, i: int) -> ModelConfigError:
     return ModelConfigError(f"departure d_{i + 1}({k}) overflows float64")
 
 
-def _step(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray, k: int) -> np.ndarray:
-    """d(k) by the paper's state equation: the first n entries of
-    T_k (x) (d(k-1), ..., d(k-lag)), lag = m / n, the rows read from the
-    departure table ``states``, eps before k = 0.  One step of the dense
-    kernel, and the step ``tandemax validate`` checks the oracle with."""
+def _state(spec: TandemSpec, states: np.ndarray, k: int) -> np.ndarray:
+    """The augmented state T_k acts on, (d(k-1), ..., d(k-lag)) with
+    lag = m / n, the rows read from the departure table ``states``, eps
+    before k = 0."""
     lag = spec.arity // spec.n
+    if k >= lag:
+        return states[k - lag:k][::-1].ravel()
     state = np.full((lag, spec.n), EPS)
-    rows = min(k, lag)
-    state[:rows] = states[k - rows:k][::-1]  # d(k-1), ..., d(k-rows)
-    return matvec(build_transition(spec, tau.column(k)).readonly(), state.ravel())[:spec.n]
+    state[:k] = states[k - 1::-1]  # d(k-1), ..., d(0)
+    return state.ravel()
 
 
-def _dense_steps(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
-    """Departures d(0..K), a (K+1) x n array, by ``_step`` for k = 1..K
-    on its own table: the kernel of ``vector`` and ``batched``.  The
+def _steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray, ks) -> np.ndarray:
+    """d(k) for each k in ks, one row each, by the paper's state equation:
+    the first n entries of T_k (x) ``_state(k)``, every T_k from one
+    stacked build and one batched product of its top block row.  The
+    step the dense kernel takes, here for steps that need no earlier
+    result of the call: the ones ``tandemax validate`` checks the
+    oracle's table with."""
+    top = _transitions(spec, tau.tau[:, np.subtract(ks, 1)].T)[:, :spec.n]
+    if (top == np.inf).any():
+        raise ModelConfigError(_SUM_OVERFLOW)
+    return matvec(top, np.array([_state(spec, states, k) for k in ks]))
+
+
+# T_k cells per build call of the dense kernel: 8 MiB, however large P is
+_BUILD_CELLS = 2**20
+
+
+def _dense_steps(spec: TandemSpec, tau: ServiceTimes, batch: int) -> np.ndarray:
+    """Departures d(0..K), a (K+1) x n array, by the state equation for
+    k = 1..K on its own table: the kernel of ``vector`` (``batch`` 1, one
+    T_k built per step, Algorithm 2) and ``batched`` (``batch`` P: P T_k
+    built per call, at most ``_BUILD_CELLS`` cells, then applied in
+    order, Algorithm 3).  The tables are the same bit for bit.  The
     companion's identity blocks would copy the history exactly, as no
-    departure is -0.0, so reading it from the table is the full product.
+    departure is -0.0, so reading it from the table and multiplying only
+    the top block row (the first n rows, each row's max unchanged) is the
+    full product.
 
-    Stops at the first step whose departures hold +inf, which every
-    later product would carry on as nan."""
-    states = np.empty((spec.horizon + 1, spec.n))
+    Stops at the first step whose top block row holds an overflowed
+    prefix sum, or whose departures hold +inf, which every later product
+    would carry on as nan; a later T_k of the same build raises nothing
+    first."""
+    n, K, m = spec.n, spec.horizon, spec.arity
+    size = max(1, min(batch, K, _BUILD_CELLS // (m * m)))
+    states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
-    for k in range(1, spec.horizon + 1):
-        states[k] = _step(spec, tau, states, k)
-        over = np.isposinf(states[k])
-        if over.any():
-            raise _overflow(k, int(over.argmax()))
+    for k0 in range(1, K + 1, size):
+        top = _transitions(spec, tau.tau[:, k0 - 1:k0 - 1 + size].T)[:, :n]
+        for k, t_k, summed_over in zip(range(k0, K + 1), top, (top == np.inf).any(axis=(1, 2))):
+            if summed_over:
+                raise ModelConfigError(_SUM_OVERFLOW)
+            d = states[k] = matvec(t_k, _state(spec, states, k))
+            if d.max() == np.inf:  # argmax: the first +inf
+                raise _overflow(k, int(d.argmax()))
     return states
 
 
@@ -358,9 +391,12 @@ def simulate(
     product reads it, rather than as a numpy overflow warning."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
-    kernels = {"dense": _dense_steps, "scan": _prefix_scan, "recursion": _lindley}
     with np.errstate(over="ignore"):
-        states = kernels[_kernel(spec, tau, strategy)](spec, tau)
+        kernel = _kernel(spec, tau, strategy)
+        if kernel == "dense":
+            states = _dense_steps(spec, tau, processors if strategy == "batched" else 1)
+        else:
+            states = (_prefix_scan if kernel == "scan" else _lindley)(spec, tau)
     over = np.argwhere(np.isposinf(states))
     if over.size:
         raise _overflow(*over[0])

@@ -122,9 +122,15 @@ class ServiceTimes:
         """True when tau is integer-valued and sums to less than 2**53:
         every partial sum of tau, every difference of two such sums and
         every departure is then an exact integer, so routes that add tau
-        in different orders agree bit for bit.  Evaluated at most once."""
-        tau = self.tau  # checked row by row: no temporary as large as tau
-        return all(np.array_equal(row, np.rint(row)) for row in tau) and tau.sum() < 2.0**53
+        in different orders agree bit for bit.  Evaluated at most once.  A
+        total that overflows to +inf is past 2**53."""
+        tau = self.tau
+        # checked in blocks of 2**16 cells (512 KiB temporaries), or one row
+        # when a row is longer: no temporary as large as a big tau
+        rows = max(1, 2**16 // max(1, self.horizon))
+        blocks = (tau[i:i + rows] for i in range(0, self.n, rows))
+        with np.errstate(over="ignore"):
+            return all((np.rint(b) == b).all() for b in blocks) and tau.sum() < 2.0**53
 
     def rounding_gap(self, d: np.ndarray) -> float:
         """Largest gap allowed between two routes that sum tau in different
@@ -182,33 +188,68 @@ def service_diag(tau_k) -> MaxPlusMatrix:
     return MaxPlusMatrix.diag(_check_tau(tau_k))
 
 
+_SUM_OVERFLOW = "a prefix sum of the service times overflows float64"
+
+
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
-    """D[i, j] = tau_i + tau_{i-1} + ... + tau_j for i >= j, eps above:
-    S_k (x) T_k with S_k = (T_k (x) G)*, summed in the star's order
-    D[i, j] = D[i, j+1] + tau_j, so it equals the star product bit for bit.
-    A sum that overflows to +inf is a configuration error."""
-    lower = np.tri(v.size, dtype=bool)
+    """D[..., i, j] = tau_i + tau_{i-1} + ... + tau_j for i >= j, eps above,
+    for each service vector in v (..., n): S_k (x) T_k with
+    S_k = (T_k (x) G)*, summed in the star's order D[i, j] = D[i, j+1] +
+    tau_j, so it equals the star product bit for bit.  A sum that
+    overflows is left +inf, for the caller to report."""
+    lower = np.tri(v.shape[-1], dtype=bool)
     # adding e gives a -0.0 sum the sign the star products give it
     with np.errstate(over="ignore"):
-        d = np.cumsum(np.where(lower, v, 0.0)[:, ::-1], axis=1)[:, ::-1] + E
-    if np.isposinf(d).any():
-        raise ModelConfigError("a prefix sum of the service times overflows float64")
-    d[~lower] = EPS
+        d = np.cumsum(np.where(lower, v[..., None, :], 0.0)[..., ::-1], axis=-1)[..., ::-1] + E
+    d[..., ~lower] = EPS
     return d
 
 
-def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> MaxPlusMatrix:
-    """Companion form of a recursion of order ``blocks`` in n-vectors: top
-    block row (first, eps, ..., eps, last), which is first (+) last when
-    there is one block, identity blocks on the block subdiagonal that
-    shift the history down, eps elsewhere."""
-    n = first.shape[0]
+def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> np.ndarray:
+    """Companion form of a recursion of order ``blocks`` in n-vectors, for
+    each n x n pair in first and last (..., n, n): top block row (first,
+    eps, ..., eps, last), which is first (+) last when there is one
+    block, identity blocks on the block subdiagonal that shift the
+    history down, eps elsewhere."""
+    n = first.shape[-1]
     m = blocks * n
-    a = np.full((m, m), EPS)
-    a[:n, :n] = first
-    np.maximum(a[:n, m - n :], last, out=a[:n, m - n :])
+    a = np.full(first.shape[:-2] + (m, m), EPS)
+    a[..., :n, :n] = first
+    np.maximum(a[..., :n, m - n :], last, out=a[..., :n, m - n :])
     rows = np.arange(n, m)
-    a[rows, rows - n] = E
+    a[..., rows, rows - n] = E
+    return a
+
+
+def _transitions(spec: TandemSpec, v: np.ndarray) -> np.ndarray:
+    """The raw T_k of ``build_transition`` for each service vector in v:
+    (..., n) valid service times in, (..., m, m) float64 out, m =
+    spec.arity.  Nothing is checked or raised: a matrix whose prefix sum
+    overflowed holds +inf, which the caller reports (``_SUM_OVERFLOW``)
+    before any product reads it."""
+    n = spec.n
+    if spec.variant == "closed":
+        first = np.where(np.eye(n, dtype=bool), v[..., None, :], EPS)
+        # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
+        return _companion(first, np.roll(first, -1, axis=-1) + E, spec.population)
+    d = _prefix_sums(v)
+    if spec.variant == "open_infinite":
+        return d
+    feedback = np.full(d.shape, EPS)
+    if spec.variant == "open_mfg":
+        # S_k (x) GT: S_k (e on the diagonal, D[i, j+1] below) shifted right
+        feedback[..., 1:] = d[..., 1:]
+        feedback[..., np.arange(n - 1), np.arange(1, n)] = E
+    else:
+        # S_k (x) T_k (x) GT: D shifted one column right
+        feedback[..., 1:] = d[..., :-1]
+    return _companion(d, feedback, spec.buffer_capacity + 1)
+
+
+def _checked(a: np.ndarray) -> MaxPlusMatrix:
+    """One raw transition matrix, or the error for its overflowed prefix sum."""
+    if np.isposinf(a).any():
+        raise ModelConfigError(_SUM_OVERFLOW)
     return MaxPlusMatrix(a)
 
 
@@ -216,7 +257,7 @@ def transition_open_infinite(tau_k) -> MaxPlusMatrix:
     """Open tandem with infinite buffers: the prefix sums D, summed from i
     down to j as the star S_k (x) T_k sums them.  The blocking matrices are
     written from the same D, so all open variants add tau in one order."""
-    return MaxPlusMatrix(_prefix_sums(_check_tau(tau_k)))
+    return _checked(_prefix_sums(_check_tau(tau_k)))
 
 
 def transition_mfg_b0(tau_k) -> MaxPlusMatrix:
@@ -247,27 +288,13 @@ def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:
     feedback) with S_k the truncated star of T_k (x) G and the feedback
     S_k (x) GT (open_mfg) or S_k (x) T_k (x) GT (open_comm); for b = 0
     the one block is S_k (x) T_k (+) feedback.
+
+    It is ``_transitions`` on one checked service vector, which the
+    engine runs on a stack of them.
     """
     v = _check_tau(tau_k)
     if v.size != spec.n:
         raise ModelConfigError(
             f"service vector length {v.size} != station count {spec.n}"
         )
-    n = v.size
-    if spec.variant == "closed":
-        first = np.full((n, n), EPS)
-        np.fill_diagonal(first, v)
-        # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
-        return _companion(first, np.roll(first, -1, axis=1) + E, spec.population)
-    d = _prefix_sums(v)
-    if spec.variant == "open_infinite":
-        return MaxPlusMatrix(d)
-    feedback = np.full((n, n), EPS)
-    if spec.variant == "open_mfg":
-        # S_k (x) GT: S_k (e on the diagonal, D[i, j+1] below) shifted right
-        feedback[:, 1:] = d[:, 1:]
-        feedback[np.arange(n - 1), np.arange(1, n)] = E
-    else:
-        # S_k (x) T_k (x) GT: D shifted one column right
-        feedback[:, 1:] = d[:, :-1]
-    return _companion(d, feedback, spec.buffer_capacity + 1)
+    return _checked(_transitions(spec, v))

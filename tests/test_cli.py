@@ -23,7 +23,7 @@ from tandemax.cli import (
     run,
     validate,
 )
-from tandemax.core import EPS, MaxPlusMatrix, matvec
+from tandemax.core import EPS, matvec
 from tandemax.engine import oracle_lindley, simulate, simulate_serial
 from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 from tandemax.sources import (
@@ -520,21 +520,38 @@ class TestRun:
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
-        real = engine.build_transition
+        real = engine._transitions
 
-        def wrong(spec, tau_k):
-            a = real(spec, tau_k).readonly().copy()
+        def wrong(spec, v):
+            a = real(spec, v)
             n = spec.n
             if spec.variant == "open_comm":  # S_k (x) T_k, not shifted by GT
-                a[:n, 1 - n:] = real(TandemSpec("open_infinite", n, 1), tau_k).readonly()[:, 1:]
+                a[..., :n, 1 - n:] = real(TandemSpec("open_infinite", n, 1), v)[..., 1:]
             else:  # T_k (x) F^T in place of T_k (x) F
-                a[:n, -n:] = np.roll(np.where(np.eye(n, dtype=bool), tau_k, EPS), 1, axis=1)
-            return MaxPlusMatrix(a)
+                diag = np.where(np.eye(n, dtype=bool), v[..., None, :], EPS)
+                a[..., :n, -n:] = np.roll(diag, 1, axis=-1)
+            return a
 
-        monkeypatch.setattr(engine, "build_transition", wrong)
+        monkeypatch.setattr(engine, "_transitions", wrong)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
         assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
+
+    def test_validate_builds_its_state_equation_steps_in_one_call(self, capsys, monkeypatch):
+        """A serial validate builds the T_k of its k = 1, lag and K checks
+        in one stacked call per trial, and runs no other build."""
+        config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        built, real = [], engine._transitions
+
+        def counting(spec, v):
+            built.append(len(v))
+            return real(spec, v)
+
+        monkeypatch.setattr(engine, "_transitions", counting)
+        assert validate(config, trials=3) == 0
+        assert ", state equation at k=1,2,300, " in capsys.readouterr().out
+        assert built == [3, 3, 3]
 
     def test_validate_names_the_largest_state_equation_gap(self, capsys, monkeypatch):
         """On float tau the state equation adds in another order from the
@@ -847,6 +864,28 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_overflow_precedence_within_a_build(self, tmp_path, capsys, strategy):
+        """batched with P = 3 builds T_1..T_3 in one call, and T_3 holds a
+        prefix sum that overflows (1e308 + 1e308).  The departure d_2(2) =
+        3 x 6e307 overflows first, so both dense routes print that one
+        line, as when each T_k was built at its own step."""
+        tau = np.ones((2, 6))
+        tau[:, :2] = 6e307
+        tau[:, 2] = 1e308
+        dump_trace(ServiceTimes(tau), tmp_path / "trace.csv")
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(variant="open_comm", b=1, n=2, K=6, strategy=strategy,
+                                   processors=3, output=str(out),
+                                   source={"kind": "trace", "path": str(tmp_path / "trace.csv")}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: departure d_2(2) overflows float64\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

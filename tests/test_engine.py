@@ -265,6 +265,47 @@ class TestStrategyEquivalence:
                         assert np.array_equal(got, want)
                         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3}),
+                                                ("open_mfg", {"buffer_capacity": 50})])
+    def test_batched_equals_vector_for_every_batch_size(self, variant, kwargs):
+        """batched builds P matrices per call, at most 2**20 cells, and
+        applies them in order; vector builds one per step.  The tables
+        agree bit for bit, sign of zero included, for P below, at and past
+        K, and past the cell cap (open_mfg b = 50, n = 8: m = 408, six
+        matrices per build)."""
+        rng = np.random.default_rng(4)
+        K = 40
+        for n in (2, 8):
+            spec = TandemSpec(variant, n, K, **kwargs)
+            signed = ServiceTimes(rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
+            for tau in (random_tau(n, K, n), random_tau(n, K, n, high=5, integer=False), signed):
+                want = simulate_vectorized(spec, tau).states
+                for P in (1, 2, 3, 8, K, K + 5, 10**6):
+                    got = simulate_batched(spec, tau, P).states
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("strategy,P,m,builds", [
+        ("vector", 3, 16, [1] * 40),
+        ("batched", 3, 16, [3] * 13 + [1]),
+        ("batched", 40, 16, [40]),
+        ("batched", 10**6, 408, [6] * 6 + [4]),  # 2**20 // 408**2 = 6 matrices per build
+    ])
+    def test_build_calls_per_strategy(self, monkeypatch, strategy, P, m, builds):
+        """vector builds one T_k per step, K calls; batched builds min(P, K)
+        per call, ceil(K / P) calls, or fewer matrices when P of them would
+        pass 2**20 cells."""
+        built, real = [], engine._transitions
+
+        def counting(spec, v):
+            built.append(len(v))
+            return real(spec, v)
+
+        monkeypatch.setattr(engine, "_transitions", counting)
+        spec = TandemSpec("open_mfg", 8, 40, buffer_capacity=m // 8 - 1)
+        simulate(spec, random_tau(8, 40, 1), strategy, P)
+        assert built == builds
+
     def test_sparse_matches_serial(self):
         spec = TandemSpec("closed", 6, 40)
         tau = random_tau(6, 40, 8)
@@ -498,18 +539,20 @@ class TestProperties:
     @pytest.mark.parametrize("strategy", ["vector", "batched"])
     def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
         """The dense kernel raises at the first step whose departures
-        overflow, d_2(2) here, and builds no later transition matrix."""
-        built = []
+        overflow, d_2(2) here, and builds no transition matrix past the
+        build holding that step: steps 1 and 2 one at a time for vector,
+        steps 1..3 in one build for batched with P = 3."""
+        built, real = [], engine._transitions
 
-        def counting(spec, tau_k):
-            built.append(1)
-            return build_transition(spec, tau_k)
+        def counting(spec, v):
+            built.append(len(v))
+            return real(spec, v)
 
-        monkeypatch.setattr(engine, "build_transition", counting)
+        monkeypatch.setattr(engine, "_transitions", counting)
         spec = TandemSpec("open_comm", 2, 1000, buffer_capacity=1)
         with pytest.raises(ModelConfigError, match=r"^departure d_2\(2\) overflows float64$"):
             simulate(spec, constant_tau([6e307] * 2, 1000), strategy, processors=3)
-        assert len(built) == 2
+        assert built == {"vector": [1, 1], "batched": [3]}[strategy]
 
     def test_dispatch_unknown_strategy(self):
         with pytest.raises(ModelConfigError):

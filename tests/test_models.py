@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_acceptance import GRID_CONFIGS
 
 from tandemax.core import EPS, MaxPlusMatrix
 from tandemax.models import (
@@ -14,6 +15,7 @@ from tandemax.models import (
     transition_comm_b0,
     transition_mfg_b0,
     transition_open_infinite,
+    _transitions,
 )
 from tandemax.solver import nilpotency_index, star_truncated
 
@@ -241,6 +243,25 @@ class TestBuildTransition:
                 build_transition(TandemSpec(variant, 3, 5), [1e308, 1e308, 1.0])
 
 
+@pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
+def test_stacked_build_equals_build_transition(variant, kwargs):
+    """The raw builder takes a stack of service vectors (K, n) and gives
+    (K, m, m): matrix k is build_transition's T_k bit for bit, sign of
+    zero included, on integer, float and signed-zero tau."""
+    rng = np.random.default_rng(2)
+    K = 6
+    for n in (2, 5, 8):
+        spec = TandemSpec(variant, n, K, **kwargs)
+        for tau in (rng.integers(0, 9, (n, K)).astype(float), rng.uniform(0, 5, (n, K)),
+                    rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K))):
+            stacked = _transitions(spec, tau.T)
+            assert stacked.shape == (K, spec.arity, spec.arity)
+            for k in range(K):
+                want = build_transition(spec, tau[:, k]).readonly()
+                assert np.array_equal(stacked[k], want)
+                assert np.array_equal(np.signbit(stacked[k]), np.signbit(want))
+
+
 class TestSpecValidation:
     def test_variants(self):
         with pytest.raises(ModelConfigError):
@@ -281,3 +302,21 @@ def test_is_exact():
     assert not ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]])).exact
     assert not ServiceTimes(np.array([[0.5, 2.0], [0.0, 7.0]])).exact
     assert ServiceTimes(np.array([[-0.0, 0.0], [3.0, 0.0]])).exact
+
+
+@pytest.mark.parametrize("n,K", [(40, 2000), (3, 2**16 + 5)])
+def test_is_exact_in_row_blocks(n, K):
+    """exact reads tau in blocks of at most 2**16 cells, or one row when a
+    row is longer: a fraction in the last cell of the last block counts."""
+    tau = np.ones((n, K))
+    assert ServiceTimes(tau.copy()).exact
+    tau[-1, -1] = 0.5
+    assert not ServiceTimes(tau).exact
+
+
+def test_is_exact_when_the_total_overflows():
+    """A total of tau that overflows float64 is past 2**53: not exact, and
+    no numpy overflow warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not ServiceTimes(np.full((8, 8), 5e306)).exact
