@@ -10,13 +10,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _steps, check_strategy,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _steps, check_strategy,
     oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
@@ -129,14 +129,13 @@ def parse_config(document: str | dict) -> RunConfig:
 
 # Tables are written in blocks of _CHUNK_ROWS rows, as the bytes of %.17g.
 # _layout prints a block of exact integers below 2**53 (not -0.0) as |x|,
-# and a block of 0 or 1e-4 <= |x| < 1e17, which %.17g prints in fixed
-# notation, from _fixed17: 17 digits N = x 10**(16-E) rounded half to even,
-# E = floor(log10|x|). 10**(16-E) is exact, Dekker's TwoProduct splits the
-# product exactly into h + l, and h >= 2**53 is even, so N = h + rint(l).
-# Any other block is formatted _FORMAT_ROWS rows per `%` call, whose Python
-# objects fragment the heap, so a larger call raises a long run's peak RSS.
+# and any other block from _fixed17: a cell of 0 or 1e-4 <= |x| < 1e17,
+# which %.17g prints in fixed notation, as 17 digits N = x 10**(16-E)
+# rounded half to even, E = floor(log10|x|). 10**(16-E) is exact, Dekker's
+# TwoProduct splits the product exactly into h + l, and h >= 2**53 is even,
+# so N = h + rint(l). A cell %.17g prints in exponent form (or nan, inf) is
+# laid out empty and its format(x, ".17g") spliced in: a few per table.
 _CHUNK_ROWS = 256
-_FORMAT_ROWS = 32
 
 
 def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
@@ -144,6 +143,8 @@ def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
     """CSV rows of a table: cell j is ``-`` if neg[j], then the last cols[j]
     digits of mag[j] (all of them if mag is |x| of exact integers and no
     cols), with ``.`` over the 0 digit point[j] > 0 places from the right.
+    Given point (a float block), a cell with cols[j] = 0 (and no neg[j])
+    is format(x, ".17g") of its table entry x, spliced in at its offset.
     Cell j owns column j of a (W+1, C) uint8 buffer: digits as x - 10
     (x // 10) on uint32, nine at a time (numpy's % is slower), right-aligned,
     then ``,`` or ``\n``. A transpose and a mask of each cell's last
@@ -173,15 +174,25 @@ def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
     buf[W] = ord(",")
     buf[W, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
     keep = np.arange(W + 1, dtype=np.uint8)[:, None] + width >= W
-    return buf.T[keep.T].tobytes().decode("ascii")
+    text = buf.T[keep.T].tobytes().decode("ascii")
+    loose = [] if point is None else np.flatnonzero(cols == 0)
+    if not len(loose):
+        return text
+    at = (np.cumsum(width + 1) - 1)[loose].tolist()  # each loose cell's separator
+    pieces = [text[:at[0]]]
+    for x, j, end in zip(table.ravel()[loose].tolist(), at, at[1:] + [len(text)]):
+        pieces += [format(x, ".17g"), text[j:end]]
+    return "".join(pieces)
 
 
 def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_layout's (mag, cols, point) for the %.17g text of a, 0 or 1e-4 <= a
-    < 1e17: M is N with its trailing zeros past the point stripped, leaving
-    f digits past it, and mag = M + 9 (M - M mod 10**f) has a 0 digit where
-    the point goes (``0.`` leads if E < 0)."""
-    x = a + (a == 0)
+    """_layout's (mag, cols, point) for the %.17g text of a >= 0: where a is
+    0 or 1e-4 <= a < 1e17, M is N with its trailing zeros past the point
+    stripped, leaving f digits past it, and mag = M + 9 (M - M mod 10**f)
+    has a 0 digit where the point goes (``0.`` leads if E < 0); elsewhere
+    cols is 0."""
+    window = (a >= 1e-4) & (a < 1e17)
+    x = np.where(window, a, 1.0)
     scale = np.array([float(10**j) for j in range(21)])
     E = np.floor(np.log10(x))
     # floor(log10) may be one off next to a power of ten; no cell rounds up
@@ -205,9 +216,10 @@ def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cut = (q * 10**j == N) & (f >= j)
         N = np.where(cut, q, N)
         f -= j * cut
-    N[a == 0] = 0
+    N[~window] = 0
     unit = 10 ** np.where((f > 0) & (f < 17), f, 17)  # 10**17 > M: mag = M
     cols = (np.maximum(E, 0) + 1 + f + (f > 0)).astype(np.uint8)
+    cols[~window & (a != 0)] = 0
     return N + N // unit * unit * 9, cols, f
 
 
@@ -215,7 +227,6 @@ def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
     """Write rows (K x n) under a k column as CSV, each cell as ``.17g``
     text, one block of _CHUNK_ROWS rows at a time (see above)."""
     K, n = rows.shape
-    float_row = "%d" + ",%.17g" * n + "\n"
     with path.open("w") as fh:
         fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n")
         for k0 in range(0, K, _CHUNK_ROWS):
@@ -224,12 +235,9 @@ def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
             a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
             if np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
                 fh.write(_layout(table, neg, a))
-            elif np.all((a == 0) | ((a >= 1e-4) & (a < 1e17))):
-                fh.write(_layout(table, neg, *_fixed17(a)))
             else:
-                for j in range(0, len(table), _FORMAT_ROWS):
-                    part = table[j:j + _FORMAT_ROWS]
-                    fh.write(float_row * len(part) % tuple(part.ravel().tolist()))
+                mag, cols, point = _fixed17(a)
+                fh.write(_layout(table, neg & (cols > 0), mag, cols, point))
 
 
 def op_report(traj: Trajectory, processors: int) -> str:
@@ -285,8 +293,29 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# validate builds its <= 3 m x m T_k in one call: at most 3 x 2**20 cells, 24 MiB
+# validate's state-equation check builds the <= 3 m x m T_k of as many
+# trials in one call as fit in 3 x _STATE_CHECK_ARITY**2 cells (24 MiB); past
+# m = _STATE_CHECK_ARITY one trial's would not fit, and the check is skipped
 _STATE_CHECK_ARITY = 1024
+
+
+class _Mismatch(Exception):
+    """The one line ``validate`` prints for its first departure past the bound."""
+
+
+def _gap(label: str, ks, got: np.ndarray, want: np.ndarray, bound: float, t: int) -> tuple:
+    """(gap, -k, -i) of the row-major first largest gap between rows got and
+    want, row r at k = ks[r]; raises _Mismatch, naming trial t, at the
+    row-major first gap past bound."""
+    diff = np.abs(got - want)
+    over = np.argwhere(diff > bound)
+    if over.size:
+        r, i = over[0]
+        raise _Mismatch(f"{label.format(ks[r], i + 1)}={got[r, i]:.17g} "
+                        f"oracle={want[r, i]:.17g} gap {diff[r, i]:.3g} > bound {bound:.3g} "
+                        f"(trial {t})")
+    r, i = np.unravel_index(diff.argmax(), diff.shape)
+    return float(diff[r, i]), -ks[r], -(i + 1)
 
 
 def validate(config: RunConfig, trials: int = 10) -> int:
@@ -294,11 +323,19 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     and else within ``tau.rounding_gap``; exit 1 at the first departure
     past that.  The strategy's table against the oracle's, unless its
     kernel is the oracle's own loop; then the oracle's d(k) against the
-    paper's state equation (``engine._steps``, one build per trial) at
-    k = 1, lag = m / n (where blocking or closed feedback first reads
-    d(0)) and K, or none past m = _STATE_CHECK_ARITY.  The ok line names
-    the largest gap over both checks, the row-major first.  A trace or
-    constant source ignores the seed, so it gives one trial."""
+    paper's state equation (``engine._steps``) at k = 1, lag = m / n
+    (where blocking or closed feedback first reads d(0)) and K, or none
+    past m = _STATE_CHECK_ARITY.  The ok line names the largest gap over
+    both checks, the row-major first.  A trace or constant source ignores
+    the seed, so it gives one trial.
+
+    The trials run as batches: their service times are sampled in one
+    call per batch (``ServiceTimeSource._trials``), each trial's made when
+    it runs, and their state-equation checks wait, in trial order, for one
+    build of at most 3 x _STATE_CHECK_ARITY**2 cells.  The waiting checks
+    run before any later trial's failure is reported (a mismatch, or an
+    error from its service times, its run or its T_k), so the first line
+    printed and the exit code are the ones trial-by-trial checking gives."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -306,36 +343,51 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
     clause = (f"state equation at k={','.join(map(str, steps))}" if steps
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
+    per_build = 3 * _STATE_CHECK_ARITY**2 // (len(steps) * m * m) if steps else 0
     worst = (0.0, 0.0, 0, 0)
-    for t in range(trials):
-        tau = replace(config.source, seed=config.source.seed + t).sample(n, K)
-        traj = simulate(spec, tau, config.strategy, config.processors)
-        recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
-        states = traj.states if recursion else oracle_lindley(spec, tau).states
-        bound = tau.rounding_gap(states[1:])
-        # (failure label, k of each row, route rows, oracle rows), the route
-        # in row blocks, so no K x n gap table is made
-        checks = [] if recursion else [
-            ("mismatch at k={} i={}: matrix", range(k, K + 1),
-             traj.states[k:k + _CHUNK_ROWS], states[k:k + _CHUNK_ROWS])
-            for k in range(1, K + 1, _CHUNK_ROWS)]
-        if steps:
-            checks.append(("state equation fails at k={} i={}: T_k", steps,
-                           _steps(spec, tau, states, steps), states[steps]))
-        top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
-        for label, ks, got, want in checks:
-            diff = np.abs(got - want)
-            over = np.argwhere(diff > bound)
-            if over.size:
-                r, i = over[0]
-                print(f"{label.format(ks[r], i + 1)}={got[r, i]:.17g} "
-                      f"oracle={want[r, i]:.17g} gap {diff[r, i]:.3g} > bound {bound:.3g} "
-                      f"(trial {t})")
-                return 1
-            r, i = np.unravel_index(diff.argmax(), diff.shape)
-            top = max(top, (float(diff[r, i]), -ks[r], -(i + 1)))
-        gap, k, i = top
-        worst = max(worst, (gap, bound, -k, -i))
+    # (trial, bound, top, service vectors, augmented states, oracle rows) of
+    # each trial whose state-equation check waits for the next build
+    waiting = []
+
+    def settle():
+        nonlocal worst
+        batch = waiting[:]
+        waiting.clear()
+        if not batch:
+            return
+        rows = _steps(spec, np.concatenate([w[3] for w in batch]),
+                      np.concatenate([w[4] for w in batch]), len(steps))
+        for (t, bound, top, _, _, want), got in zip(batch, rows):
+            gap, k, i = max(top, _gap("state equation fails at k={} i={}: T_k",
+                                      steps, got, want, bound, t))
+            worst = max(worst, (gap, bound, -k, -i))
+
+    try:
+        try:
+            for t, tau in enumerate(config.source._trials(n, K, trials)):
+                traj = simulate(spec, tau, config.strategy, config.processors)
+                recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
+                states = traj.states if recursion else oracle_lindley(spec, tau).states
+                bound = tau.rounding_gap(states[1:])
+                top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
+                # the route in row blocks, so no K x n gap table is made
+                for k in [] if recursion else range(1, K + 1, _CHUNK_ROWS):
+                    top = max(top, _gap("mismatch at k={} i={}: matrix", range(k, K + 1),
+                                        traj.states[k:k + _CHUNK_ROWS],
+                                        states[k:k + _CHUNK_ROWS], bound, t))
+                if not steps:
+                    gap, k, i = top
+                    worst = max(worst, (gap, bound, -k, -i))
+                    continue
+                waiting.append((t, bound, top, tau.tau[:, np.subtract(steps, 1)].T,
+                                np.array([_state(spec, states, k) for k in steps]), states[steps]))
+                if len(waiting) == per_build:
+                    settle()
+        finally:
+            settle()  # the earlier trials' checks come before any failure of a later one
+    except _Mismatch as failed:
+        print(failed)
+        return 1
     gap, bound, k, i = worst
     print(
         f"validate: ok ({trials} trial(s), variant={spec.variant}, {clause}, "

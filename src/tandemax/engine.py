@@ -28,7 +28,7 @@ adds in another order and agrees within the float contract
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
 recursions, independent of all matrix machinery.  As the serial table
 is the oracle's, ``tandemax validate`` checks it against ``_steps``,
-its up to 3 steps built in one call.
+the up to 3 steps of several trials built in one call.
 """
 
 from __future__ import annotations
@@ -217,17 +217,25 @@ def _state(spec: TandemSpec, states: np.ndarray, k: int) -> np.ndarray:
     return state.ravel()
 
 
-def _steps(spec: TandemSpec, tau: ServiceTimes, states: np.ndarray, ks) -> np.ndarray:
-    """d(k) for each k in ks, one row each, by the paper's state equation:
-    the first n entries of T_k (x) ``_state(k)``, every T_k from one
-    stacked build and one batched product of its top block row.  The
-    step the dense kernel takes, here for steps that need no earlier
-    result of the call: the ones ``tandemax validate`` checks the
-    oracle's table with."""
-    top = _transitions(spec, tau.tau[:, np.subtract(ks, 1)].T)[:, :spec.n]
-    if (top == np.inf).any():
-        raise ModelConfigError(_SUM_OVERFLOW)
-    return matvec(top, np.array([_state(spec, states, k) for k in ks]))
+def _steps(spec: TandemSpec, v: np.ndarray, x: np.ndarray, group: int):
+    """d = the first n entries of T_k (x) x for each service vector in v
+    (S, n) and augmented state in x (S, m), by the paper's state equation,
+    every T_k from one stacked build and one batched product of its top
+    block row.  The step the dense kernel takes, here for steps that need
+    no earlier result of the call: the ones ``tandemax validate`` checks
+    the oracle's table with, ``group`` per trial, for several trials.
+
+    Yields the (group, n) rows of each group in order, and raises in
+    place of the first group that holds a T_k whose prefix sum
+    overflowed, so every earlier group's rows come first."""
+    top = _transitions(spec, v)[:, :spec.n]
+    over = (top == np.inf).any(axis=(1, 2))
+    good = int(over.argmax()) if over.any() else len(v)  # steps before the first overflow
+    rows = matvec(top[:good], x[:good])
+    for j in range(0, len(v), group):
+        if j + group > good:
+            raise ModelConfigError(_SUM_OVERFLOW)
+        yield rows[j:j + group]
 
 
 # T_k cells per build call of the dense kernel: 8 MiB, however large P is

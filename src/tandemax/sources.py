@@ -3,7 +3,9 @@
 The random kinds use a counter-based generator: the splitmix64 finalizer
 applied twice to a key of (seed, station i, customer k), evaluated on
 the whole n x K index grid at once in numpy uint64 arithmetic, so tau_ik
-is the same on every platform and in every iteration order.  Uniform
+is the same on every platform and in every iteration order.  One call
+samples the grids of several seeds, a (T, n, K) stack: ``validate``'s
+trials seed, seed+1, ... come from one call per batch.  Uniform
 sampling scales the 53-bit mantissa fraction; exponential sampling is
 -log1p(-u) / rate per cell with the platform libm's log1p (numpy's SIMD
 log1p can differ in the last bit).  Integer mode rounds samples to the
@@ -32,13 +34,24 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform01(seed: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index arrays."""
-    z = np.asarray((i << np.uint64(32)) ^ k)  # a 0-d array, unlike a scalar, wraps silently
+def _uniform01(seed, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index
+    arrays, for one seed or an array of seeds that broadcasts with them,
+    (T, 1, 1) for T grids; each seed is an int reduced mod 2**64."""
+    seed = np.asarray(np.asarray(seed, dtype=object) % 2**64, dtype=np.uint64)
+    # the key is written into the full stack, so one seed allocates one grid;
+    # a 0-d array, unlike a scalar, wraps silently
+    z = np.empty(np.broadcast(seed, i, k).shape, np.uint64)
+    np.bitwise_xor(i << np.uint64(32), k, out=z)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed % 2**64)
-    z = _mix64(_mix64(z)) >> np.uint64(11)
+    z += seed
+    z = _mix64(_mix64(z))
+    z >>= np.uint64(11)
     return z * 2.0 ** -53
+
+
+# tau cells per batch of validate's trials: 8 MiB, however many trials
+_TRIAL_CELLS = 2**20
 
 
 class SourceConfigError(ValueError):
@@ -77,20 +90,42 @@ class ServiceTimeSource:
     def sample(self, n: int, horizon: int) -> ServiceTimes:
         if self.kind == "trace":
             return load_trace(self.path, n, horizon)
+        return ServiceTimes(self._draws(n, horizon, [self.seed])[0])
+
+    def _draws(self, n: int, horizon: int, seeds) -> np.ndarray:
+        """The n x K service times of each seed in seeds (ints), a
+        (len(seeds), n, K) array from one ``_uniform01`` call, or the
+        constant; a trace has no seed and no stack."""
         if self.kind == "constant":
-            tau = np.full((n, horizon), self.value, dtype=float)
+            tau = np.full((len(seeds), n, horizon), self.value, dtype=float)
         else:
-            tau = _uniform01(self.seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
+            tau = _uniform01(np.array(seeds, dtype=object).reshape(-1, 1, 1),
+                             np.arange(1, n + 1, dtype=np.uint64)[:, None],
                              np.arange(1, horizon + 1, dtype=np.uint64))
             if self.kind == "uniform":
                 tau *= self.high - self.low
                 tau += self.low
             else:
+                log1p = np.frompyfunc(math.log1p, 1, 1)
                 with np.errstate(over="ignore"):  # ServiceTimes rejects the +inf
-                    tau = np.frompyfunc(math.log1p, 1, 1)(-tau).astype(float) / -self.rate
+                    for u in tau:  # a grid at a time: log1p makes a Python float per cell
+                        u[...] = log1p(-u).astype(float) / -self.rate
         if self.integer_times:
             np.rint(tau, out=tau)
-        return ServiceTimes(tau)
+        return tau
+
+    def _trials(self, n: int, horizon: int, trials: int):
+        """The ServiceTimes of seeds seed, seed+1, ..., seed+trials-1, each
+        made when it is asked for, so an invalid one raises at its own
+        trial; a trace gives its one.  Seeds are sampled in batches of at
+        most _TRIAL_CELLS cells, at least one seed each."""
+        if self.kind == "trace":
+            yield self.sample(n, horizon)
+            return
+        size = max(1, _TRIAL_CELLS // (n * horizon))
+        for s in range(self.seed, self.seed + trials, size):
+            for tau in self._draws(n, horizon, range(s, min(s + size, self.seed + trials))):
+                yield ServiceTimes(tau)
 
 
 TRACE_HEADER = ["k", "i", "tau"]

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -180,6 +181,23 @@ class TestPortableGenerator:
                     u = cell_u(42, i, k)
                     assert tau[i - 1, k - 1] == (u if kind == "uniform" else -math.log1p(-u) / 2.5)
 
+    @pytest.mark.parametrize("kind", ["uniform", "exponential"])
+    @pytest.mark.parametrize("integer_times", [False, True])
+    def test_seed_vector_equals_per_seed_sample(self, kind, integer_times):
+        """One ``_draws`` call over a run of seeds gives each seed's
+        ``sample`` bit for bit, sign bits included, across the 2**64 wrap
+        and past it."""
+        src = ServiceTimeSource(kind=kind, low=0.5, high=3.0, rate=2.5,
+                                integer_times=integer_times)
+        for first in (0, 7, -1, 2**64 - 2, 2**70 + 3):
+            seeds = range(first, first + 4)
+            stack = src._draws(5, 30, seeds)
+            assert stack.shape == (4, 5, 30)
+            for got, seed in zip(stack, seeds):
+                want = replace(src, seed=seed).sample(5, 30).tau
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_range_and_spread(self):
         us = [cell_u(7, i, k) for i in range(1, 20) for k in range(1, 20)]
         assert all(0 <= u < 1 for u in us)
@@ -267,6 +285,23 @@ def assert_waiting_below_zero_within_gap(tmp_path, source):
     tau = config.source.sample(8, 2000)
     d = simulate_serial(config.spec, tau).departures()
     assert -tau.rounding_gap(d) <= w.min() < 0
+
+
+_TRANSITIONS = engine._transitions
+
+
+def wrong_transitions(spec, v):
+    """``engine._transitions`` with the communication feedback D unshifted
+    (S_k (x) T_k, not shifted by GT), or the closed routing T_k (x) F^T in
+    place of T_k (x) F."""
+    a = _TRANSITIONS(spec, v)
+    n = spec.n
+    if spec.variant == "open_comm":
+        a[..., :n, 1 - n:] = _TRANSITIONS(TandemSpec("open_infinite", n, 1), v)[..., 1:]
+    else:
+        diag = np.where(np.eye(n, dtype=bool), v[..., None, :], EPS)
+        a[..., :n, -n:] = np.roll(diag, 1, axis=-1)
+    return a
 
 
 def state_equation_gap(config, trials):
@@ -520,26 +555,54 @@ class TestRun:
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
-        real = engine._transitions
-
-        def wrong(spec, v):
-            a = real(spec, v)
-            n = spec.n
-            if spec.variant == "open_comm":  # S_k (x) T_k, not shifted by GT
-                a[..., :n, 1 - n:] = real(TandemSpec("open_infinite", n, 1), v)[..., 1:]
-            else:  # T_k (x) F^T in place of T_k (x) F
-                diag = np.where(np.eye(n, dtype=bool), v[..., None, :], EPS)
-                a[..., :n, -n:] = np.roll(diag, 1, axis=-1)
-            return a
-
-        monkeypatch.setattr(engine, "_transitions", wrong)
+        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
         assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
 
+    @pytest.mark.parametrize("later", ["mismatch", "raise"])
+    def test_validate_reports_an_earlier_trials_state_equation_first(
+            self, tmp_path, capsys, monkeypatch, later):
+        """Trial 0's state-equation check waits for the batch's one build,
+        yet its failure still comes before trial 1's route mismatch or
+        trial 1's error from simulate: the one line trial 0 gives, exit 1."""
+        import tandemax.cli as cli
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(variant="open_comm", b=1, n=6, K=300, strategy="vector",
+                                   source={"kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        oracle, runs = cli.oracle_lindley, []
+
+        def route(spec, tau, *args):  # the oracle's own table, off or raising at trial 1
+            runs.append(tau)
+            traj = oracle(spec, tau)
+            if len(runs) == 2:
+                if later == "raise":
+                    raise ModelConfigError("departure d_1(1) overflows float64")
+                traj.states = traj.states.copy()
+                traj.states[4, 0] += 1.0
+            return traj
+
+        monkeypatch.setattr(cli, "simulate", route)
+        argv = ["validate", "--config", str(cfg), "--trials", "3"]
+        assert main(argv) == (1 if later == "mismatch" else 2)
+        out, err = capsys.readouterr()
+        assert (out if later == "mismatch" else err).endswith(
+            "(trial 1)\n" if later == "mismatch" else "overflows float64\n")
+        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
+        runs.clear()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("state equation fails at k=300 i=2: ") and out.endswith("(trial 0)\n")
+        assert out.count("\n") == 1 and err == "" and len(runs) == 2
+
     def test_validate_builds_its_state_equation_steps_in_one_call(self, capsys, monkeypatch):
-        """A serial validate builds the T_k of its k = 1, lag and K checks
-        in one stacked call per trial, and runs no other build."""
+        """A serial validate builds the T_k of the k = 1, lag and K checks of
+        all its trials in one stacked call, and runs no other build.  Past
+        3 x _STATE_CHECK_ARITY**2 cells a call takes fewer trials, and the
+        line is the same."""
+        import tandemax.cli as cli
+
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         built, real = [], engine._transitions
@@ -550,8 +613,53 @@ class TestRun:
 
         monkeypatch.setattr(engine, "_transitions", counting)
         assert validate(config, trials=3) == 0
-        assert ", state equation at k=1,2,300, " in capsys.readouterr().out
-        assert built == [3, 3, 3]
+        line = capsys.readouterr().out
+        assert ", state equation at k=1,2,300, " in line
+        assert built == [9]
+        built.clear()
+        # m = 12: three 144-cell T_k per trial, 3 x 17**2 = 867 cells per call
+        monkeypatch.setattr(cli, "_STATE_CHECK_ARITY", 17)
+        assert validate(config, trials=3) == 0
+        assert capsys.readouterr().out == line
+        assert built == [6, 3]
+
+    def test_validate_samples_its_trials_in_batches(self, capsys, monkeypatch):
+        """The trials' service times come from one generator call per batch
+        of at most _TRIAL_CELLS cells, at least one trial each; the lines
+        are the same whatever the batch, ok and failure alike."""
+        import tandemax.cli as cli
+        from tandemax import sources
+
+        calls, real = [], sources._uniform01
+        monkeypatch.setattr(sources, "_uniform01",
+                            lambda seed, i, k: calls.append(len(seed)) or real(seed, i, k))
+        source = {"kind": "exponential", "rate": 0.8, "seed": 2**64 - 3}
+        config = parse_config(make_config(variant="open_mfg", b=1, n=4, K=50, source=source))
+        oracle, runs = cli.oracle_lindley, []
+
+        def nudged(spec, tau):  # trial 7's oracle is off at d_2(5)
+            traj = oracle(spec, tau)
+            runs.append(tau)
+            if len(runs) == 8:
+                traj.states = traj.states.copy()
+                traj.states[5, 1] += 1.0
+            return traj
+
+        lines = []
+        for cells, batches in [(2**20, [12]), (4 * 50 * 5, [5, 5, 2]), (1, [1] * 12)]:
+            monkeypatch.setattr(sources, "_TRIAL_CELLS", cells)
+            calls.clear()
+            assert validate(config, trials=12) == 0
+            assert calls == batches
+            with monkeypatch.context() as m:
+                m.setattr(cli, "oracle_lindley", nudged)
+                runs.clear()
+                assert validate(replace(config, strategy="vector"), trials=12) == 1
+            lines.append(capsys.readouterr().out)
+        assert len(set(lines)) == 1
+        ok, failed = lines[0].splitlines()
+        assert "(12 trial(s)" in ok and failed.startswith("mismatch at k=5 i=2: ")
+        assert failed.endswith("(trial 7)")
 
     def test_validate_names_the_largest_state_equation_gap(self, capsys, monkeypatch):
         """On float tau the state equation adds in another order from the
@@ -649,6 +757,13 @@ FLOAT_EDGE_BLOCKS = [POWERS, WINDOW_ENDS, TIES, POW2_53, SIGNED_ZEROS,
                      SIGNED_ZEROS + [5e-324], POWERS + OUTSIDE[:1], TIES + OUTSIDE[1:2]]
 
 
+# cells %.17g prints in exponent form, as F1's waiting table holds them: float
+# noise around w = 0, subnormals, |x| >= 1e17 and inf, with -0.0 beside them
+EXPONENT_FORM = [1e-15, -1e-15, 2.0**-52, -(2.0**-54), 5e-324, -5e-324, 2.0**-1022,
+                 math.nextafter(1e-4, 0), -math.nextafter(1e-4, 0), 1e17, -1e17,
+                 math.nextafter(1e17, math.inf), sys.float_info.max, math.inf, -0.0]
+
+
 class TestWriter:
     @pytest.mark.parametrize("top", sorted({abs(e) for e in EDGES}))
     def test_integer_edges(self, tmp_path, top):
@@ -714,6 +829,29 @@ class TestWriter:
         # cell outside that window; the k column joins each block
         cells = cells + ([] if outside is None else [outside])
         rows = np.resize(np.array(cells, dtype=np.float64), (-(-len(cells) // n), n))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            _write_measure(rows, "d", path)
+            assert path.read_text() == reference_csv(rows, "d")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.one_of(st.sampled_from(EXPONENT_FORM),
+                                 st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
+                                 st.floats(min_value=1e17), st.floats(max_value=-1e17)),
+                       min_size=2, max_size=60),
+        n=st.integers(1, 8),
+        K=st.sampled_from([1, 40, _CHUNK_ROWS, _CHUNK_ROWS + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(cells=EXPONENT_FORM, n=8, K=_CHUNK_ROWS + 3, seed=0)
+    def test_exponent_form_cells_spliced_into_their_block(self, cells, n, K, seed):
+        # several exponent-form cells among fixed-notation floats, the most
+        # of them in one block
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-5, 5, (K, n))
+        spots = rng.choice(min(rows.size, _CHUNK_ROWS * n), min(len(cells), rows.size), replace=False)
+        rows.flat[spots] = cells[:len(spots)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             _write_measure(rows, "d", path)
