@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _steps, check_strategy,
-    oracle_lindley, simulate,
+    _BUILD_CELLS, STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _step,
+    check_strategy, oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
-from .models import ModelConfigError, TandemSpec
+from .models import ModelConfigError, ServiceTimes, TandemSpec, _transitions
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -293,9 +293,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# validate's state-equation check builds the <= 3 m x m T_k of as many
-# trials in one call as fit in 3 x _STATE_CHECK_ARITY**2 cells (24 MiB); past
-# m = _STATE_CHECK_ARITY one trial's would not fit, and the check is skipped
+# past m = _STATE_CHECK_ARITY validate skips its state-equation check
 _STATE_CHECK_ARITY = 1024
 
 
@@ -323,19 +321,18 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     and else within ``tau.rounding_gap``; exit 1 at the first departure
     past that.  The strategy's table against the oracle's, unless its
     kernel is the oracle's own loop; then the oracle's d(k) against the
-    paper's state equation (``engine._steps``) at k = 1, lag = m / n
+    paper's state equation (``engine._step``) at k = 1, lag = m / n
     (where blocking or closed feedback first reads d(0)) and K, or none
     past m = _STATE_CHECK_ARITY.  The ok line names the largest gap over
     both checks, the row-major first.  A trace or constant source ignores
     the seed, so it gives one trial.
 
-    The trials run as batches: their service times are sampled in one
-    call per batch (``ServiceTimeSource._trials``), each trial's made when
-    it runs, and their state-equation checks wait, in trial order, for one
-    build of at most 3 x _STATE_CHECK_ARITY**2 cells.  The waiting checks
-    run before any later trial's failure is reported (a mismatch, or an
-    error from its service times, its run or its T_k), so the first line
-    printed and the exit code are the ones trial-by-trial checking gives."""
+    The trials run in batches (``ServiceTimeSource._trials``): one
+    sample call per batch, then one ``_transitions`` call for the top
+    rows of its trials' <= 3 T_k each, at most _BUILD_CELLS cells.  T_k
+    depends on tau alone, so the build comes first and raises nothing;
+    then each trial, in order, is checked whole, its service times
+    first."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -343,28 +340,14 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
     clause = (f"state equation at k={','.join(map(str, steps))}" if steps
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
-    per_build = 3 * _STATE_CHECK_ARITY**2 // (len(steps) * m * m) if steps else 0
+    most = _BUILD_CELLS // (len(steps) * n * m) if steps else trials
     worst = (0.0, 0.0, 0, 0)
-    # (trial, bound, top, service vectors, augmented states, oracle rows) of
-    # each trial whose state-equation check waits for the next build
-    waiting = []
-
-    def settle():
-        nonlocal worst
-        batch = waiting[:]
-        waiting.clear()
-        if not batch:
-            return
-        rows = _steps(spec, np.concatenate([w[3] for w in batch]),
-                      np.concatenate([w[4] for w in batch]), len(steps))
-        for (t, bound, top, _, _, want), got in zip(batch, rows):
-            gap, k, i = max(top, _gap("state equation fails at k={} i={}: T_k",
-                                      steps, got, want, bound, t))
-            worst = max(worst, (gap, bound, -k, -i))
-
+    t = 0
     try:
-        try:
-            for t, tau in enumerate(config.source._trials(n, K, trials)):
+        for batch in config.source._trials(n, K, trials, most):
+            tops = _transitions(spec, batch[:, :, [k - 1 for k in steps]].transpose(0, 2, 1))
+            for tau, t_k in zip(batch, tops):
+                tau = ServiceTimes(tau)
                 traj = simulate(spec, tau, config.strategy, config.processors)
                 recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
                 states = traj.states if recursion else oracle_lindley(spec, tau).states
@@ -375,16 +358,13 @@ def validate(config: RunConfig, trials: int = 10) -> int:
                     top = max(top, _gap("mismatch at k={} i={}: matrix", range(k, K + 1),
                                         traj.states[k:k + _CHUNK_ROWS],
                                         states[k:k + _CHUNK_ROWS], bound, t))
-                if not steps:
-                    gap, k, i = top
-                    worst = max(worst, (gap, bound, -k, -i))
-                    continue
-                waiting.append((t, bound, top, tau.tau[:, np.subtract(steps, 1)].T,
-                                np.array([_state(spec, states, k) for k in steps]), states[steps]))
-                if len(waiting) == per_build:
-                    settle()
-        finally:
-            settle()  # the earlier trials' checks come before any failure of a later one
+                if steps:
+                    got = _step(t_k, np.array([_state(spec, states, k) for k in steps]))
+                    top = max(top, _gap("state equation fails at k={} i={}: T_k",
+                                        steps, got, states[steps], bound, t))
+                gap, k, i = top
+                worst = max(worst, (gap, bound, -k, -i))
+                t += 1
     except _Mismatch as failed:
         print(failed)
         return 1

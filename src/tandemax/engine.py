@@ -13,10 +13,11 @@ config parser and ``bench`` apply too), runs the kernel ``_kernel``
 picks and charges the strategy's cost model (``_ledger``).  The dense
 kernel of ``vector`` and ``batched``, ``_dense_steps``, is the paper's
 state equation for k = 1..K with the T_k of ``models.build_transition``,
-its specification, from the stacked builder ``models._transitions``:
-``vector`` builds one T_k per step (Algorithm 2), ``batched`` the P T_k
-of a batch in one call and then applies them in order (Algorithm 3),
-and the two tables are the same bit for bit.  Serial and sparse-closed
+its specification.  It builds and multiplies only the top block row of
+each T_k (``models._transitions``, applied by ``_step``): ``vector``
+builds one per step (Algorithm 2), ``batched`` the P of a batch in one
+call and then applies them in order (Algorithm 3), and the two tables
+are the same bit for bit.  Serial and sparse-closed
 run ``_lindley``, the oracle's own scalar loop, O(m) per customer (or
 for open_infinite on exact tau a prefix scan equal to it), so their
 table is the oracle's, on float tau as well, and runs of different
@@ -27,8 +28,8 @@ adds in another order and agrees within the float contract
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
 recursions, independent of all matrix machinery.  As the serial table
-is the oracle's, ``tandemax validate`` checks it against ``_steps``,
-the up to 3 steps of several trials built in one call.
+is the oracle's, ``tandemax validate`` checks it against ``_step``, the
+dense kernel's step, at up to 3 k per trial.
 """
 
 from __future__ import annotations
@@ -217,28 +218,18 @@ def _state(spec: TandemSpec, states: np.ndarray, k: int) -> np.ndarray:
     return state.ravel()
 
 
-def _steps(spec: TandemSpec, v: np.ndarray, x: np.ndarray, group: int):
-    """d = the first n entries of T_k (x) x for each service vector in v
-    (S, n) and augmented state in x (S, m), by the paper's state equation,
-    every T_k from one stacked build and one batched product of its top
-    block row.  The step the dense kernel takes, here for steps that need
-    no earlier result of the call: the ones ``tandemax validate`` checks
-    the oracle's table with, ``group`` per trial, for several trials.
-
-    Yields the (group, n) rows of each group in order, and raises in
-    place of the first group that holds a T_k whose prefix sum
-    overflowed, so every earlier group's rows come first."""
-    top = _transitions(spec, v)[:, :spec.n]
-    over = (top == np.inf).any(axis=(1, 2))
-    good = int(over.argmax()) if over.any() else len(v)  # steps before the first overflow
-    rows = matvec(top[:good], x[:good])
-    for j in range(0, len(v), group):
-        if j + group > good:
-            raise ModelConfigError(_SUM_OVERFLOW)
-        yield rows[j:j + group]
+def _step(top: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d(k), the first n entries of T_k (x) x, by the paper's state
+    equation from the top block row of T_k, for each top (..., n, m) and
+    augmented state x (..., m); raises ``_SUM_OVERFLOW`` first when a top
+    holds a prefix sum that overflowed.  The identity blocks below the
+    top row only copy x down, so this is the full product's d(k)."""
+    if top.max() == np.inf:
+        raise ModelConfigError(_SUM_OVERFLOW)
+    return matvec(top, x)
 
 
-# T_k cells per build call of the dense kernel: 8 MiB, however large P is
+# T_k top-row cells per build call of the dense kernel: 8 MiB, however large P is
 _BUILD_CELLS = 2**20
 
 
@@ -246,27 +237,23 @@ def _dense_steps(spec: TandemSpec, tau: ServiceTimes, batch: int) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, by the state equation for
     k = 1..K on its own table: the kernel of ``vector`` (``batch`` 1, one
     T_k built per step, Algorithm 2) and ``batched`` (``batch`` P: P T_k
-    built per call, at most ``_BUILD_CELLS`` cells, then applied in
-    order, Algorithm 3).  The tables are the same bit for bit.  The
-    companion's identity blocks would copy the history exactly, as no
-    departure is -0.0, so reading it from the table and multiplying only
-    the top block row (the first n rows, each row's max unchanged) is the
-    full product.
+    built per call, at most ``_BUILD_CELLS`` top-row cells, then applied
+    in order, Algorithm 3).  The tables are the same bit for bit.  It
+    builds and multiplies only the top block row of each T_k (``_step``),
+    reading the augmented state from the table.
 
     Stops at the first step whose top block row holds an overflowed
     prefix sum, or whose departures hold +inf, which every later product
     would carry on as nan; a later T_k of the same build raises nothing
     first."""
     n, K, m = spec.n, spec.horizon, spec.arity
-    size = max(1, min(batch, K, _BUILD_CELLS // (m * m)))
+    size = max(1, min(batch, K, _BUILD_CELLS // (n * m)))
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
     for k0 in range(1, K + 1, size):
-        top = _transitions(spec, tau.tau[:, k0 - 1:k0 - 1 + size].T)[:, :n]
-        for k, t_k, summed_over in zip(range(k0, K + 1), top, (top == np.inf).any(axis=(1, 2))):
-            if summed_over:
-                raise ModelConfigError(_SUM_OVERFLOW)
-            d = states[k] = matvec(t_k, _state(spec, states, k))
+        top = _transitions(spec, tau.tau[:, k0 - 1:k0 - 1 + size].T)
+        for k, t_k in zip(range(k0, K + 1), top):
+            d = states[k] = _step(t_k, _state(spec, states, k))
             if d.max() == np.inf:  # argmax: the first +inf
                 raise _overflow(k, int(d.argmax()))
     return states

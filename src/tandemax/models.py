@@ -205,33 +205,30 @@ def _prefix_sums(v: np.ndarray) -> np.ndarray:
     return d
 
 
-def _companion(first: np.ndarray, last: np.ndarray, blocks: int) -> np.ndarray:
-    """Companion form of a recursion of order ``blocks`` in n-vectors, for
-    each n x n pair in first and last (..., n, n): top block row (first,
-    eps, ..., eps, last), which is first (+) last when there is one
-    block, identity blocks on the block subdiagonal that shift the
-    history down, eps elsewhere."""
+def _top_row(first: np.ndarray, last: np.ndarray, blocks: int) -> np.ndarray:
+    """Top block row of the companion form of a recursion of order
+    ``blocks`` in n-vectors, for each n x n pair in first and last
+    (..., n, n): (first, eps, ..., eps, last), which is first (+) last
+    when there is one block, (..., n, blocks * n)."""
     n = first.shape[-1]
-    m = blocks * n
-    a = np.full(first.shape[:-2] + (m, m), EPS)
-    a[..., :n, :n] = first
-    np.maximum(a[..., :n, m - n :], last, out=a[..., :n, m - n :])
-    rows = np.arange(n, m)
-    a[..., rows, rows - n] = E
-    return a
+    top = np.full(first.shape[:-1] + (blocks * n,), EPS)
+    top[..., :n] = first
+    np.maximum(top[..., -n:], last, out=top[..., -n:])
+    return top
 
 
 def _transitions(spec: TandemSpec, v: np.ndarray) -> np.ndarray:
-    """The raw T_k of ``build_transition`` for each service vector in v:
-    (..., n) valid service times in, (..., m, m) float64 out, m =
-    spec.arity.  Nothing is checked or raised: a matrix whose prefix sum
-    overflowed holds +inf, which the caller reports (``_SUM_OVERFLOW``)
-    before any product reads it."""
+    """The top block row of ``build_transition``'s T_k for each service
+    vector in v: (..., n) service times in, (..., n, m) float64 out, m =
+    spec.arity, the rows T_k writes; the rows below only copy the history
+    down.  Nothing is checked, raised or warned: a row whose prefix sum
+    overflowed, or that read a +inf service time, holds +inf, which the
+    caller reports (``_SUM_OVERFLOW``) before any product reads it."""
     n = spec.n
     if spec.variant == "closed":
         first = np.where(np.eye(n, dtype=bool), v[..., None, :], EPS)
         # T_k (x) F: row i takes tau_i from its predecessor, i - 1 mod n
-        return _companion(first, np.roll(first, -1, axis=-1) + E, spec.population)
+        return _top_row(first, np.roll(first, -1, axis=-1) + E, spec.population)
     d = _prefix_sums(v)
     if spec.variant == "open_infinite":
         return d
@@ -243,7 +240,7 @@ def _transitions(spec: TandemSpec, v: np.ndarray) -> np.ndarray:
     else:
         # S_k (x) T_k (x) GT: D shifted one column right
         feedback[..., 1:] = d[..., :-1]
-    return _companion(d, feedback, spec.buffer_capacity + 1)
+    return _top_row(d, feedback, spec.buffer_capacity + 1)
 
 
 def _checked(a: np.ndarray) -> MaxPlusMatrix:
@@ -289,12 +286,15 @@ def build_transition(spec: TandemSpec, tau_k) -> MaxPlusMatrix:
     S_k (x) GT (open_mfg) or S_k (x) T_k (x) GT (open_comm); for b = 0
     the one block is S_k (x) T_k (+) feedback.
 
-    It is ``_transitions`` on one checked service vector, which the
-    engine runs on a stack of them.
+    Its top block row is ``_transitions`` on one checked service vector,
+    which the engine runs on a stack of them; the identity blocks below it
+    (row n + j holds e in column j) are written here only.
     """
     v = _check_tau(tau_k)
     if v.size != spec.n:
         raise ModelConfigError(
             f"service vector length {v.size} != station count {spec.n}"
         )
-    return _checked(_transitions(spec, v))
+    top = _transitions(spec, v)
+    m = spec.arity
+    return _checked(np.vstack([top, np.where(np.eye(m - spec.n, m, dtype=bool), E, EPS)]))

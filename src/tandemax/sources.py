@@ -114,18 +114,17 @@ class ServiceTimeSource:
             np.rint(tau, out=tau)
         return tau
 
-    def _trials(self, n: int, horizon: int, trials: int):
-        """The ServiceTimes of seeds seed, seed+1, ..., seed+trials-1, each
-        made when it is asked for, so an invalid one raises at its own
-        trial; a trace gives its one.  Seeds are sampled in batches of at
-        most _TRIAL_CELLS cells, at least one seed each."""
+    def _trials(self, n: int, horizon: int, trials: int, most: int):
+        """The raw service times of seeds seed, seed+1, ..., seed+trials-1,
+        unchecked, in (T, n, K) batches of at most ``most`` seeds and
+        _TRIAL_CELLS cells, at least one seed each; a trace gives its one
+        grid."""
         if self.kind == "trace":
-            yield self.sample(n, horizon)
+            yield self.sample(n, horizon).tau[None]
             return
-        size = max(1, _TRIAL_CELLS // (n * horizon))
+        size = max(1, min(most, _TRIAL_CELLS // (n * horizon)))
         for s in range(self.seed, self.seed + trials, size):
-            for tau in self._draws(n, horizon, range(s, min(s + size, self.seed + trials))):
-                yield ServiceTimes(tau)
+            yield self._draws(n, horizon, range(s, min(s + size, self.seed + trials)))
 
 
 TRACE_HEADER = ["k", "i", "tau"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tandemax import engine
+from tandemax import cli, engine
 from tandemax.cli import (
     _CHUNK_ROWS,
     ConfigError,
@@ -555,19 +555,19 @@ class TestRun:
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
-        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
+        monkeypatch.setattr(cli, "_transitions", wrong_transitions)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
         assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
 
-    @pytest.mark.parametrize("later", ["mismatch", "raise"])
+    @pytest.mark.parametrize("later", ["mismatch", "raise", "inf"])
     def test_validate_reports_an_earlier_trials_state_equation_first(
             self, tmp_path, capsys, monkeypatch, later):
-        """Trial 0's state-equation check waits for the batch's one build,
-        yet its failure still comes before trial 1's route mismatch or
-        trial 1's error from simulate: the one line trial 0 gives, exit 1."""
-        import tandemax.cli as cli
-
+        """Trial 0's state-equation failure comes before trial 1's route
+        mismatch, trial 1's error from simulate, or trial 1's +inf service
+        time, which the batch's one build reads first and raises and warns
+        on nothing: the one line trial 0 gives, exit 1, and trial 1 never
+        runs."""
         cfg = tmp_path / "c.json"
         cfg.write_text(make_config(variant="open_comm", b=1, n=6, K=300, strategy="vector",
                                    source={"kind": "uniform", "low": 0, "high": 5, "seed": 1}))
@@ -583,42 +583,55 @@ class TestRun:
                 traj.states[4, 0] += 1.0
             return traj
 
+        draws = ServiceTimeSource._draws
+
+        def inf_at_trial_1(self, n, horizon, seeds):
+            tau = draws(self, n, horizon, seeds)
+            tau[1, 0, 0] = np.inf  # tau_1(1), read by trial 1's k = 1 build
+            return tau
+
         monkeypatch.setattr(cli, "simulate", route)
+        if later == "inf":
+            monkeypatch.setattr(ServiceTimeSource, "_draws", inf_at_trial_1)
         argv = ["validate", "--config", str(cfg), "--trials", "3"]
-        assert main(argv) == (1 if later == "mismatch" else 2)
-        out, err = capsys.readouterr()
-        assert (out if later == "mismatch" else err).endswith(
-            "(trial 1)\n" if later == "mismatch" else "overflows float64\n")
-        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
-        runs.clear()
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == (1 if later == "mismatch" else 2)
+            out, err = capsys.readouterr()
+            assert (out if later == "mismatch" else err).endswith({
+                "mismatch": "(trial 1)\n", "raise": "overflows float64\n",
+                "inf": "service times must be finite and >= 0\n"}[later])
+            monkeypatch.setattr(cli, "_transitions", wrong_transitions)
+            runs.clear()
+            assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out.startswith("state equation fails at k=300 i=2: ") and out.endswith("(trial 0)\n")
-        assert out.count("\n") == 1 and err == "" and len(runs) == 2
+        assert out.count("\n") == 1 and err == "" and len(runs) == 1
 
     def test_validate_builds_its_state_equation_steps_in_one_call(self, capsys, monkeypatch):
-        """A serial validate builds the T_k of the k = 1, lag and K checks of
-        all its trials in one stacked call, and runs no other build.  Past
-        3 x _STATE_CHECK_ARITY**2 cells a call takes fewer trials, and the
-        line is the same."""
-        import tandemax.cli as cli
-
+        """A serial validate builds the top block rows, n x m, of the T_k of
+        the k = 1, lag and K checks of all its trials in one stacked call,
+        and runs no other build.  Past _BUILD_CELLS top-row cells a call
+        takes fewer trials, and the line is the same."""
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
-        built, real = [], engine._transitions
+        built, real = [], cli._transitions
 
-        def counting(spec, v):
-            built.append(len(v))
-            return real(spec, v)
+        def counting(spec, v):  # v: (trials, 3, n) service vectors
+            top = real(spec, v)
+            assert top.shape == v.shape[:-1] + (6, 12)
+            built.append(v.size // 6)
+            return top
 
+        monkeypatch.setattr(cli, "_transitions", counting)
         monkeypatch.setattr(engine, "_transitions", counting)
         assert validate(config, trials=3) == 0
         line = capsys.readouterr().out
         assert ", state equation at k=1,2,300, " in line
         assert built == [9]
         built.clear()
-        # m = 12: three 144-cell T_k per trial, 3 x 17**2 = 867 cells per call
-        monkeypatch.setattr(cli, "_STATE_CHECK_ARITY", 17)
+        # n = 6, m = 12: three 72-cell top rows per trial, two trials in 500 cells
+        monkeypatch.setattr(cli, "_BUILD_CELLS", 500)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
         assert built == [6, 3]

@@ -266,13 +266,13 @@ class TestStrategyEquivalence:
                         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3}),
-                                                ("open_mfg", {"buffer_capacity": 50})])
+                                                ("open_mfg", {"buffer_capacity": 409})])
     def test_batched_equals_vector_for_every_batch_size(self, variant, kwargs):
-        """batched builds P matrices per call, at most 2**20 cells, and
-        applies them in order; vector builds one per step.  The tables
-        agree bit for bit, sign of zero included, for P below, at and past
-        K, and past the cell cap (open_mfg b = 50, n = 8: m = 408, six
-        matrices per build)."""
+        """batched builds the top block rows of P matrices per call, at
+        most 2**20 cells, and applies them in order; vector builds one per
+        step.  The tables agree bit for bit, sign of zero included, for P
+        below, at and past K, and past the cell cap (open_mfg b = 409,
+        n = 8: m = 3280, 39 matrices per build)."""
         rng = np.random.default_rng(4)
         K = 40
         for n in (2, 8):
@@ -289,12 +289,12 @@ class TestStrategyEquivalence:
         ("vector", 3, 16, [1] * 40),
         ("batched", 3, 16, [3] * 13 + [1]),
         ("batched", 40, 16, [40]),
-        ("batched", 10**6, 408, [6] * 6 + [4]),  # 2**20 // 408**2 = 6 matrices per build
+        ("batched", 10**6, 3280, [39, 1]),  # 2**20 // (8 * 3280) = 39 top rows per build
     ])
     def test_build_calls_per_strategy(self, monkeypatch, strategy, P, m, builds):
         """vector builds one T_k per step, K calls; batched builds min(P, K)
-        per call, ceil(K / P) calls, or fewer matrices when P of them would
-        pass 2**20 cells."""
+        per call, ceil(K / P) calls, or fewer matrices when the n x m top
+        block rows of P of them would pass 2**20 cells."""
         built, real = [], engine._transitions
 
         def counting(spec, v):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_acceptance import GRID_CONFIGS
 
-from tandemax.core import EPS, MaxPlusMatrix
+from tandemax.core import E, EPS, MaxPlusMatrix
 from tandemax.models import (
     ModelConfigError,
     ServiceTimes,
@@ -246,20 +246,27 @@ class TestBuildTransition:
 @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
 def test_stacked_build_equals_build_transition(variant, kwargs):
     """The raw builder takes a stack of service vectors (K, n) and gives
-    (K, m, m): matrix k is build_transition's T_k bit for bit, sign of
-    zero included, on integer, float and signed-zero tau."""
+    the top block rows (K, n, m): row block k is the first n rows of
+    build_transition's T_k bit for bit, sign of zero included, on
+    integer, float and signed-zero tau; T_k's rows n..m are exactly the
+    identity blocks, e at (n + j, j), eps elsewhere."""
     rng = np.random.default_rng(2)
     K = 6
     for n in (2, 5, 8):
         spec = TandemSpec(variant, n, K, **kwargs)
+        m = spec.arity
+        below = np.full((m - n, m), EPS)
+        below[np.arange(m - n), np.arange(m - n)] = E
         for tau in (rng.integers(0, 9, (n, K)).astype(float), rng.uniform(0, 5, (n, K)),
                     rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K))):
             stacked = _transitions(spec, tau.T)
-            assert stacked.shape == (K, spec.arity, spec.arity)
+            assert stacked.shape == (K, n, m)
             for k in range(K):
                 want = build_transition(spec, tau[:, k]).readonly()
-                assert np.array_equal(stacked[k], want)
-                assert np.array_equal(np.signbit(stacked[k]), np.signbit(want))
+                assert np.array_equal(stacked[k], want[:n])
+                assert np.array_equal(np.signbit(stacked[k]), np.signbit(want[:n]))
+                assert np.array_equal(want[n:], below)
+                assert np.array_equal(np.signbit(want[n:]), np.signbit(below))
 
 
 class TestSpecValidation:
