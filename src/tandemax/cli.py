@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    _BUILD_CELLS, STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _step,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _per_build, _state, _step, _tops,
     check_strategy, oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
-from .models import ModelConfigError, ServiceTimes, TandemSpec, _transitions
+from .models import ModelConfigError, ServiceTimes, TandemSpec
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -327,12 +327,11 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     both checks, the row-major first.  A trace or constant source ignores
     the seed, so it gives one trial.
 
-    The trials run in batches (``ServiceTimeSource._trials``): one
-    sample call per batch, then one ``_transitions`` call for the top
-    rows of its trials' <= 3 T_k each, at most _BUILD_CELLS cells.  T_k
-    depends on tau alone, so the build comes first and raises nothing;
-    then each trial, in order, is checked whole, its service times
-    first."""
+    The trials run in batches (``ServiceTimeSource._trials``), each one
+    sample call and, unless the check is skipped, one ``engine._tops`` call
+    for its trials' <= 3 T_k each: T_k depends on tau alone, so the build
+    comes first and raises nothing.  Then each trial, in order, is checked
+    whole, its service times first."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -340,13 +339,13 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
     clause = (f"state equation at k={','.join(map(str, steps))}" if steps
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
-    most = _BUILD_CELLS // (len(steps) * n * m) if steps else trials
+    most = _per_build(spec, len(steps)) if steps else trials
     worst = (0.0, 0.0, 0, 0)
-    t = 0
+    t0 = 0
     try:
         for batch in config.source._trials(n, K, trials, most):
-            tops = _transitions(spec, batch[:, :, [k - 1 for k in steps]].transpose(0, 2, 1))
-            for tau, t_k in zip(batch, tops):
+            tops = _tops(spec, batch, [k - 1 for k in steps]) if steps else [None] * len(batch)
+            for t, (tau, t_k) in enumerate(zip(batch, tops), start=t0):
                 tau = ServiceTimes(tau)
                 traj = simulate(spec, tau, config.strategy, config.processors)
                 recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
@@ -364,7 +363,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
                                         steps, got, states[steps], bound, t))
                 gap, k, i = top
                 worst = max(worst, (gap, bound, -k, -i))
-                t += 1
+            t0 += len(batch)
     except _Mismatch as failed:
         print(failed)
         return 1

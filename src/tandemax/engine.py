@@ -13,17 +13,14 @@ config parser and ``bench`` apply too), runs the kernel ``_kernel``
 picks and charges the strategy's cost model (``_ledger``).  The dense
 kernel of ``vector`` and ``batched``, ``_dense_steps``, is the paper's
 state equation for k = 1..K with the T_k of ``models.build_transition``,
-its specification.  It builds and multiplies only the top block row of
-each T_k (``models._transitions``, applied by ``_step``): ``vector``
-builds one per step (Algorithm 2), ``batched`` the P of a batch in one
-call and then applies them in order (Algorithm 3), and the two tables
-are the same bit for bit.  Serial and sparse-closed
-run ``_lindley``, the oracle's own scalar loop, O(m) per customer (or
-for open_infinite on exact tau a prefix scan equal to it), so their
-table is the oracle's, on float tau as well, and runs of different
-variants on shared float tau keep d_comm >= d_mfg >= d_inf exactly.
-The dense kernel equals the oracle exactly on exact tau; on other tau it
-adds in another order and agrees within the float contract
+its specification, of which it builds (``_tops``) and multiplies
+(``_step``) only the top block row.  Serial and sparse-closed run
+``_lindley``, the oracle's own scalar loop, O(m) per customer (or for
+open_infinite on exact tau a prefix scan equal to it), so their table
+is the oracle's, on float tau as well, and runs of different variants
+on shared float tau keep d_comm >= d_mfg >= d_inf exactly.  The dense
+kernel equals the oracle exactly on exact tau; on other tau it adds in
+another order and agrees within the float contract
 ``ServiceTimes.rounding_gap``.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
@@ -229,29 +226,37 @@ def _step(top: np.ndarray, x: np.ndarray) -> np.ndarray:
     return matvec(top, x)
 
 
-# T_k top-row cells per build call of the dense kernel: 8 MiB, however large P is
+# T_k top-row cells per build call (``_tops``): 8 MiB, however large P is
 _BUILD_CELLS = 2**20
+
+
+def _per_build(spec: TandemSpec, each: int) -> int:
+    """Groups of ``each`` T_k per ``_tops`` call: _BUILD_CELLS cells, at least one."""
+    return max(1, _BUILD_CELLS // (each * spec.n * spec.arity))
+
+
+def _tops(spec: TandemSpec, tau: np.ndarray, cols) -> np.ndarray:
+    """The top rows (``models._transitions``) of T_k, k - 1 in cols, for each
+    grid in tau (..., n, K): (..., len(cols), n, m).  Raises and warns on nothing."""
+    return _transitions(spec, np.swapaxes(tau[..., cols], -1, -2))
 
 
 def _dense_steps(spec: TandemSpec, tau: ServiceTimes, batch: int) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, by the state equation for
-    k = 1..K on its own table: the kernel of ``vector`` (``batch`` 1, one
-    T_k built per step, Algorithm 2) and ``batched`` (``batch`` P: P T_k
-    built per call, at most ``_BUILD_CELLS`` top-row cells, then applied
-    in order, Algorithm 3).  The tables are the same bit for bit.  It
-    builds and multiplies only the top block row of each T_k (``_step``),
-    reading the augmented state from the table.
+    k = 1..K on its own table, from the top block row of each T_k: the
+    kernel of ``vector`` (``batch`` 1, one T_k built per step, Algorithm 2)
+    and ``batched`` (``batch`` P: P T_k per ``_tops`` call, at most
+    ``_per_build``, then applied in order, Algorithm 3), bit for bit alike.
 
-    Stops at the first step whose top block row holds an overflowed
-    prefix sum, or whose departures hold +inf, which every later product
-    would carry on as nan; a later T_k of the same build raises nothing
-    first."""
-    n, K, m = spec.n, spec.horizon, spec.arity
-    size = max(1, min(batch, K, _BUILD_CELLS // (n * m)))
+    Stops at the first step whose top row holds an overflowed prefix sum,
+    or whose departures hold +inf, which every later product would carry
+    on as nan; a later T_k of the same build raises nothing first."""
+    n, K = spec.n, spec.horizon
+    size = min(batch, K, _per_build(spec, 1))
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
     for k0 in range(1, K + 1, size):
-        top = _transitions(spec, tau.tau[:, k0 - 1:k0 - 1 + size].T)
+        top = _tops(spec, tau.tau, slice(k0 - 1, k0 - 1 + size))
         for k, t_k in zip(range(k0, K + 1), top):
             d = states[k] = _step(t_k, _state(spec, states, k))
             if d.max() == np.inf:  # argmax: the first +inf

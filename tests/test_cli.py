@@ -555,7 +555,7 @@ class TestRun:
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
-        monkeypatch.setattr(cli, "_transitions", wrong_transitions)
+        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
         assert out.startswith("state equation fails at k=300 i=2: ") and out.count("\n") == 1
@@ -601,7 +601,7 @@ class TestRun:
             assert (out if later == "mismatch" else err).endswith({
                 "mismatch": "(trial 1)\n", "raise": "overflows float64\n",
                 "inf": "service times must be finite and >= 0\n"}[later])
-            monkeypatch.setattr(cli, "_transitions", wrong_transitions)
+            monkeypatch.setattr(engine, "_transitions", wrong_transitions)
             runs.clear()
             assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -615,7 +615,7 @@ class TestRun:
         takes fewer trials, and the line is the same."""
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
-        built, real = [], cli._transitions
+        built, real = [], engine._transitions
 
         def counting(spec, v):  # v: (trials, 3, n) service vectors
             top = real(spec, v)
@@ -623,7 +623,6 @@ class TestRun:
             built.append(v.size // 6)
             return top
 
-        monkeypatch.setattr(cli, "_transitions", counting)
         monkeypatch.setattr(engine, "_transitions", counting)
         assert validate(config, trials=3) == 0
         line = capsys.readouterr().out
@@ -631,10 +630,21 @@ class TestRun:
         assert built == [9]
         built.clear()
         # n = 6, m = 12: three 72-cell top rows per trial, two trials in 500 cells
-        monkeypatch.setattr(cli, "_BUILD_CELLS", 500)
+        monkeypatch.setattr(engine, "_BUILD_CELLS", 500)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
         assert built == [6, 3]
+
+    def test_validate_builds_nothing_when_it_skips_the_state_equation(self, capsys, monkeypatch):
+        """Past m = _STATE_CHECK_ARITY a serial validate makes no T_k at
+        all, so its memory is the n x K tables' whatever n is."""
+        config = parse_config(make_config(variant="open_infinite", n=1025, K=3, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        built = []
+        monkeypatch.setattr(engine, "_transitions", lambda spec, v: built.append(v.shape))
+        assert validate(config, trials=3) == 0
+        assert ", state equation skipped (m = 1025 > 1024), " in capsys.readouterr().out
+        assert built == []
 
     def test_validate_samples_its_trials_in_batches(self, capsys, monkeypatch):
         """The trials' service times come from one generator call per batch
