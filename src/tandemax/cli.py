@@ -135,7 +135,12 @@ def parse_config(document: str | dict) -> RunConfig:
 # TwoProduct splits the product exactly into h + l, and h >= 2**53 is even,
 # so N = h + rint(l). A cell %.17g prints in exponent form (or nan, inf) is
 # laid out empty and its format(x, ".17g") spliced in: a few per table.
-_CHUNK_ROWS = 256
+# The two kinds compact their right-aligned cells differently (see _layout);
+# a block pays a few dozen numpy calls whatever its size, so larger blocks
+# write integer tables faster, but each float block's _fixed17 temporaries
+# grow with it (variant-grid's peak RSS: +1% at 512 rows, +3% at 1024).
+_CHUNK_ROWS = 384
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
@@ -145,37 +150,53 @@ def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
     cols), with ``.`` over the 0 digit point[j] > 0 places from the right.
     Given point (a float block), a cell with cols[j] = 0 (and no neg[j])
     is format(x, ".17g") of its table entry x, spliced in at its offset.
-    Cell j owns column j of a (W+1, C) uint8 buffer: digits as x - 10
-    (x // 10) on uint32, nine at a time (numpy's % is slower), right-aligned,
-    then ``,`` or ``\n``. A transpose and a mask of each cell's last
-    width + 1 bytes join them in row order."""
-    if cols is None:
+    Each cell gets W + 1 bytes: digits as x - 10 (x // 10) on uint32, nine
+    at a time (numpy's % is slower), right-aligned, then ``,`` or ``\n``.
+    An integer block's buffer is cell-major, (C, W+1): from its narrowest
+    cell up, each digit is multiplied by cols > j, so every byte left of a
+    cell's width is NUL; the ``-`` goes in after that, and one
+    bytes.translate drops the NULs. A float block's is (W+1, C), and a
+    transpose with a mask of each cell's last width + 1 bytes joins them
+    in row order; its widths are near-uniform (W ~ 18), so its strided
+    cell-major writes cost more than the gather."""
+    exact = cols is None
+    if exact:
         top = int(mag.max())
         mag = mag.astype(np.uint32 if top < 2**32 else np.uint64)
         cols = np.ones(mag.size, np.uint8)
         for j in range(1, len(str(top))):
             cols += mag >= 10**j
+        lo = int(cols.min())
     width = neg + cols
     W = int(width.max())
-    buf = np.empty((W + 1, mag.size), np.uint8)
+    buf = np.empty((mag.size, W + 1), np.uint8).T if exact else np.empty((W + 1, mag.size), np.uint8)
     for j in range(W):
         if j % 9 == 0:
             mag, limb = np.divmod(mag, 10**9) if W - j > 9 else (mag, mag)
             limb = limb.astype(np.uint32, copy=False)
         q = limb // 10
-        buf[W - 1 - j] = limb - q * 10
+        if exact:
+            digit = (limb - q * 10).astype(np.uint8)
+            digit += ord("0")
+            if j >= lo:
+                digit *= cols > j
+            buf[W - 1 - j] = digit
+        else:
+            buf[W - 1 - j] = limb - q * 10
         limb = q
-    buf[:W] += ord("0")
-    if point is not None:
+    if not exact:
+        buf[:W] += ord("0")
         at = np.flatnonzero(point)
         buf[W - 1 - point[at], at] = ord(".")
     if neg.any():
         buf[W - width[neg], np.flatnonzero(neg)] = ord("-")
     buf[W] = ord(",")
     buf[W, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
+    if exact:
+        return buf.T.tobytes().translate(None, b"\0").decode("ascii")
     keep = np.arange(W + 1, dtype=np.uint8)[:, None] + width >= W
     text = buf.T[keep.T].tobytes().decode("ascii")
-    loose = [] if point is None else np.flatnonzero(cols == 0)
+    loose = np.flatnonzero(cols == 0)
     if not len(loose):
         return text
     at = (np.cumsum(width + 1) - 1)[loose].tolist()  # each loose cell's separator
@@ -211,13 +232,16 @@ def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             break
         E += off
     f = (16 - E).astype(np.int64)
+    z = np.flatnonzero((N % 10 == 0) & (f > 0))  # the cells with a zero to strip
+    M, g = N[z], f[z]
     for j in (16, 8, 4, 2, 1):
-        q = N // 10**j
-        cut = (q * 10**j == N) & (f >= j)
-        N = np.where(cut, q, N)
-        f -= j * cut
+        q = M // 10**j
+        cut = (q * 10**j == M) & (g >= j)
+        M = np.where(cut, q, M)
+        g -= j * cut
+    N[z], f[z] = M, g
     N[~window] = 0
-    unit = 10 ** np.where((f > 0) & (f < 17), f, 17)  # 10**17 > M: mag = M
+    unit = _POW10[np.where((f > 0) & (f < 17), f, 17)]  # 10**17 > M: mag = M
     cols = (np.maximum(E, 0) + 1 + f + (f > 0)).astype(np.uint8)
     cols[~window & (a != 0)] = 0
     return N + N // unit * unit * 9, cols, f
@@ -281,7 +305,7 @@ def run(config: RunConfig) -> int:
     if "departures" in config.measures or not config.measures:
         _write_measure(traj.departures(), "d", out)
     if "sojourn" in config.measures:
-        s = trajectory_sojourn(traj.states, config.spec.n)
+        s = trajectory_sojourn(traj.states)
         _write_measure(s, "s", out.with_name(out.stem + "_sojourn.csv"))
     if "waiting" in config.measures:
         w = trajectory_waiting(traj.states, tau)

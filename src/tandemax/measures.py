@@ -59,13 +59,14 @@ def waiting_transition(t_k: MaxPlusMatrix, tau_k, tau_prev) -> MaxPlusMatrix:
     return (p_k_inv @ t_k @ p_prev).scale(-v_prev[0])
 
 
-def trajectory_sojourn(states: np.ndarray, n: int) -> np.ndarray:
+def trajectory_sojourn(states: np.ndarray, n: int | None = None) -> np.ndarray:
     """Sojourn vectors for k = 1..K from the raw state rows.
 
     ``states`` is the (K + 1) x n departure table of a ``Trajectory``:
-    d(k) in row k, row 0 the initial state.
+    d(k) in row k, row 0 the initial state.  ``n`` is unused, as the table
+    is n wide; existing two-argument calls keep working.
     """
-    return sojourn_direct(states[1:, :n])
+    return sojourn_direct(states[1:])
 
 
 def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np.ndarray:
@@ -78,10 +79,10 @@ def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np
     rounding gap (``tau.rounding_gap``) signals a model bug and raises.
     """
     tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
-    w = trajectory_sojourn(states, tau.n)
+    w = trajectory_sojourn(states)
     w[:, 1:] -= np.cumsum(tau.tau[1:], axis=0).T
     w[:, 0] = 0.0
-    bad = np.argwhere(w < -tau.rounding_gap(states[1:, :tau.n]))
+    bad = np.argwhere(w < -tau.rounding_gap(states[1:]))
     if bad.size:
         k, i = bad[0]
         raise MeasureConsistencyError(f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]}")

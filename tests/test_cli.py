@@ -800,6 +800,35 @@ class TestWriter:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        K=st.sampled_from([1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5]),
+        n=st.sampled_from([1, 2, 5, 16]),
+        widths=st.lists(st.integers(1, 16), min_size=1, max_size=16, unique=True),
+        edges=st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**53 - 1]), max_size=6),
+        negative=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(K=2 * _CHUNK_ROWS + 5, n=16, widths=list(range(1, 17)),
+             edges=[0, 2**32 - 1, 2**32, 2**53 - 1], negative=0.3, seed=0)
+    @example(K=1, n=1, widths=[16], edges=[2**53 - 1], negative=1.0, seed=0)
+    def test_integer_blocks_drop_every_nul(self, K, n, widths, edges, negative, seed):
+        # exact-integer blocks mixing the given digit widths (16 digits stay
+        # below 2**53), a share of them negative, with edge cells among them:
+        # the bytes left of each cell's width are NUL until compaction
+        rng = np.random.default_rng(seed)
+        d = rng.choice(widths, size=(K, n))
+        rows = rng.integers(10 ** (d - 1), np.minimum(10**d, 2**53))
+        rows.flat[rng.choice(rows.size, min(len(edges), rows.size), replace=False)] = \
+            edges[:rows.size]
+        rows = np.where(rng.random((K, n)) < negative, -rows, rows).astype(np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            _write_measure(rows, "d", path)
+            data = path.read_bytes()
+        assert b"\0" not in data
+        assert data == reference_csv(rows, "d").encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         K=st.sampled_from([1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                            2 * _CHUNK_ROWS + 5, 3 * _CHUNK_ROWS]),
         n=st.integers(1, 4),

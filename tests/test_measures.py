@@ -99,7 +99,7 @@ class TestRecursionConsistency:
     @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (6, 2)])
     def test_sojourn_recursion(self, n, seed):
         spec, tau, traj = self._run(n, seed)
-        direct = trajectory_sojourn(traj.states, n)
+        direct = trajectory_sojourn(traj.states)
         s = np.zeros(n)
         for k in range(1, spec.horizon + 1):
             tk = transition_open_infinite(tau.column(k))
