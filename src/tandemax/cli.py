@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _per_build, _state, _step, _tops,
+    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _step, _tops,
     check_strategy, oracle_lindley, simulate,
 )
 from .measures import trajectory_sojourn, trajectory_waiting
@@ -319,6 +319,8 @@ def run(config: RunConfig) -> int:
 
 # past m = _STATE_CHECK_ARITY validate skips its state-equation check
 _STATE_CHECK_ARITY = 1024
+# T_k top-row cells per validate build (``engine._tops``): 8 MiB, however many trials
+_BUILD_CELLS = 2**20
 
 
 class _Mismatch(Exception):
@@ -343,19 +345,20 @@ def _gap(label: str, ks, got: np.ndarray, want: np.ndarray, bound: float, t: int
 def validate(config: RunConfig, trials: int = 10) -> int:
     """Two checks per trial, over several seeds, exact when ``tau.exact``
     and else within ``tau.rounding_gap``; exit 1 at the first departure
-    past that.  The strategy's table against the oracle's, unless its
-    kernel is the oracle's own loop; then the oracle's d(k) against the
-    paper's state equation (``engine._step``) at k = 1, lag = m / n
-    (where blocking or closed feedback first reads d(0)) and K, or none
-    past m = _STATE_CHECK_ARITY.  The ok line names the largest gap over
-    both checks, the row-major first.  A trace or constant source ignores
-    the seed, so it gives one trial.
+    past that.  The prefix scan's table against the oracle's, when the
+    variant's kernel is the scan (open_infinite on exact tau; else it is
+    the oracle's own loop, whatever the strategy); then the oracle's d(k)
+    against the paper's state equation (``engine._step``) at k = 1,
+    lag = m / n (where blocking or closed feedback first reads d(0)) and
+    K, or none past m = _STATE_CHECK_ARITY.  The ok line names the
+    largest gap over both checks, the row-major first.  A trace or
+    constant source ignores the seed, so it gives one trial.
 
     The trials run in batches (``ServiceTimeSource._trials``), each one
     sample call and, unless the check is skipped, one ``engine._tops`` call
-    for its trials' <= 3 T_k each: T_k depends on tau alone, so the build
-    comes first and raises nothing.  Then each trial, in order, is checked
-    whole, its service times first."""
+    for its trials' <= 3 T_k each, at most _BUILD_CELLS top-row cells:
+    T_k depends on tau alone, so the build comes first and raises nothing.
+    Then each trial, in order, is checked whole, its service times first."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -363,7 +366,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
     clause = (f"state equation at k={','.join(map(str, steps))}" if steps
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
-    most = _per_build(spec, len(steps)) if steps else trials
+    most = max(1, _BUILD_CELLS // (len(steps) * n * m)) if steps else trials
     worst = (0.0, 0.0, 0, 0)
     t0 = 0
     try:
@@ -372,7 +375,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
             for t, (tau, t_k) in enumerate(zip(batch, tops), start=t0):
                 tau = ServiceTimes(tau)
                 traj = simulate(spec, tau, config.strategy, config.processors)
-                recursion = _kernel(spec, tau, config.strategy) == "recursion"  # the oracle's own loop
+                recursion = _kernel(spec, tau) == "recursion"  # the oracle's own loop
                 states = traj.states if recursion else oracle_lindley(spec, tau).states
                 bound = tau.rounding_gap(states[1:])
                 top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest

@@ -1,7 +1,7 @@
 """State-recursion execution strategies and the scalar reference oracle.
 
-Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; they differ
-in evaluation schedule and in which operation counter they charge.  A
+Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; a strategy
+selects only the cost model it charges, not the kernel that runs.  A
 trajectory holds the departures d(0..K) only, n columns for every
 variant: the augmented state (d(k-1), ..., d(k-lag)) that makes the
 blocking and closed recursions first order is the table's own earlier
@@ -9,24 +9,20 @@ rows, kept in the scalar loop's ring or read back by ``_state``.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
 strategy and array-size rules (``check_strategy``, which the CLI's
-config parser and ``bench`` apply too), runs the kernel ``_kernel``
-picks and charges the strategy's cost model (``_ledger``).  The dense
-kernel of ``vector`` and ``batched``, ``_dense_steps``, is the paper's
-state equation for k = 1..K with the T_k of ``models.build_transition``,
-its specification, of which it builds (``_tops``) and multiplies
-(``_step``) only the top block row.  Serial and sparse-closed run
-``_lindley``, the oracle's own scalar loop, O(m) per customer (or for
-open_infinite on exact tau a prefix scan equal to it), so their table
-is the oracle's, on float tau as well, and runs of different variants
-on shared float tau keep d_comm >= d_mfg >= d_inf exactly.  The dense
-kernel equals the oracle exactly on exact tau; on other tau it adds in
-another order and agrees within the float contract
-``ServiceTimes.rounding_gap``.
+config parser and ``bench`` apply too), runs the one kernel of the
+variant that ``_kernel`` picks and charges the strategy's cost model
+(``_ledger``).  That kernel is ``_lindley``, the oracle's own scalar
+loop, O(m) per customer, or for open_infinite on exact tau a prefix scan
+equal to it, so every strategy's table is the oracle's, on float tau as
+well, and runs of different variants on shared float tau keep
+d_comm >= d_mfg >= d_inf exactly.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
-recursions, independent of all matrix machinery.  As the serial table
-is the oracle's, ``tandemax validate`` checks it against ``_step``, the
-dense kernel's step, at up to 3 k per trial.
+recursions, independent of all matrix machinery.  The paper's T_k of
+``models.build_transition`` stays the specification every run is
+checked against: ``tandemax validate`` multiplies the top block row of
+T_k (``_tops``, ``_step``) with the oracle's augmented state
+(``_state``) at up to 3 k per trial.
 """
 
 from __future__ import annotations
@@ -226,42 +222,10 @@ def _step(top: np.ndarray, x: np.ndarray) -> np.ndarray:
     return matvec(top, x)
 
 
-# T_k top-row cells per build call (``_tops``): 8 MiB, however large P is
-_BUILD_CELLS = 2**20
-
-
-def _per_build(spec: TandemSpec, each: int) -> int:
-    """Groups of ``each`` T_k per ``_tops`` call: _BUILD_CELLS cells, at least one."""
-    return max(1, _BUILD_CELLS // (each * spec.n * spec.arity))
-
-
 def _tops(spec: TandemSpec, tau: np.ndarray, cols) -> np.ndarray:
     """The top rows (``models._transitions``) of T_k, k - 1 in cols, for each
     grid in tau (..., n, K): (..., len(cols), n, m).  Raises and warns on nothing."""
     return _transitions(spec, np.swapaxes(tau[..., cols], -1, -2))
-
-
-def _dense_steps(spec: TandemSpec, tau: ServiceTimes, batch: int) -> np.ndarray:
-    """Departures d(0..K), a (K+1) x n array, by the state equation for
-    k = 1..K on its own table, from the top block row of each T_k: the
-    kernel of ``vector`` (``batch`` 1, one T_k built per step, Algorithm 2)
-    and ``batched`` (``batch`` P: P T_k per ``_tops`` call, at most
-    ``_per_build``, then applied in order, Algorithm 3), bit for bit alike.
-
-    Stops at the first step whose top row holds an overflowed prefix sum,
-    or whose departures hold +inf, which every later product would carry
-    on as nan; a later T_k of the same build raises nothing first."""
-    n, K = spec.n, spec.horizon
-    size = min(batch, K, _per_build(spec, 1))
-    states = np.empty((K + 1, n))
-    states[0] = initial_state(spec)
-    for k0 in range(1, K + 1, size):
-        top = _tops(spec, tau.tau, slice(k0 - 1, k0 - 1 + size))
-        for k, t_k in zip(range(k0, K + 1), top):
-            d = states[k] = _step(t_k, _state(spec, states, k))
-            if d.max() == np.inf:  # argmax: the first +inf
-                raise _overflow(k, int(d.argmax()))
-    return states
 
 
 def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
@@ -278,9 +242,12 @@ def check_strategy(spec: TandemSpec, strategy: str, processors: int) -> None:
     """The strategy rules and the array-size rule, which ``simulate``,
     the CLI's config parser and its ``bench`` all apply.  numpy raises
     ValueError, not MemoryError, for an array whose byte count passes its
-    index type, so the (K+1) x n float64 table of departures, and the
-    m x m transition matrix of the dense routes, are checked before any
-    array is made."""
+    index type, so the (K+1) x n float64 table of departures is checked
+    before any array is made.  ``vector`` and ``batched`` also keep the
+    rule for the m x m transition matrix their cost model charges,
+    though no run builds it: a huge m stays a configuration error for
+    them, and ``bench`` stops an n past it before ``_log2_factorial``
+    would sum n terms."""
     if strategy not in STRATEGIES:
         raise ModelConfigError(f"'strategy' must be one of {STRATEGIES}")
     if strategy == "sparse-closed" and (spec.variant != "closed" or spec.population != 1):
@@ -371,11 +338,10 @@ def _paper_formulas(n: int, K: int, P: int) -> dict:
     }
 
 
-def _kernel(spec: TandemSpec, tau: ServiceTimes, strategy: str) -> str:
-    """The kernel a run takes: ``"dense"``, ``"scan"`` when ``tau.exact``
-    (decided once per tau) or ``"recursion"``, the oracle's own loop."""
-    if strategy in ("vector", "batched"):
-        return "dense"
+def _kernel(spec: TandemSpec, tau: ServiceTimes) -> str:
+    """The kernel every strategy runs: ``"scan"`` for open_infinite when
+    ``tau.exact`` (decided once per tau), else ``"recursion"``, the
+    oracle's own loop."""
     if spec.variant == "open_infinite" and tau.exact:
         return "scan"
     return "recursion"
@@ -384,19 +350,15 @@ def _kernel(spec: TandemSpec, tau: ServiceTimes, strategy: str) -> str:
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
-    """Run one strategy: check its rules and tau's shape, run its kernel
-    (``_kernel``) and charge its cost model.  A departure that overflows
-    float64 to +inf is a configuration error (eps is legal), reported
-    here, or by the dense kernel at the step it happens, before any
-    product reads it, rather than as a numpy overflow warning."""
+    """Run one strategy: check its rules and tau's shape, run the
+    variant's kernel (``_kernel``) and charge the strategy's cost model;
+    ``processors`` reaches only the cost model.  A departure that
+    overflows float64 to +inf is a configuration error (eps is legal),
+    reported here rather than as a numpy overflow warning."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
     with np.errstate(over="ignore"):
-        kernel = _kernel(spec, tau, strategy)
-        if kernel == "dense":
-            states = _dense_steps(spec, tau, processors if strategy == "batched" else 1)
-        else:
-            states = (_prefix_scan if kernel == "scan" else _lindley)(spec, tau)
+        states = (_prefix_scan if _kernel(spec, tau) == "scan" else _lindley)(spec, tau)
     over = np.argwhere(np.isposinf(states))
     if over.size:
         raise _overflow(*over[0])

@@ -478,21 +478,11 @@ class TestRun:
             make_config(n=8, K=200, source={"kind": "uniform", "low": 0, "high": 5, "seed": 7})
         )
         assert validate(config, trials=2) == 0
-        assert "bound" in capsys.readouterr().out
-        # the dense route sums in another order: the line names the cell
-        # of the largest gap over both trials
-        dense = replace(config, strategy="vector")
-        assert validate(dense, trials=2) == 0
         line = capsys.readouterr().out
-        gap, k, i = re.search(r"^validate: ok .* max gap (\S+) at k=(\d+) i=(\d+), bound", line).groups()
-        gaps = []
-        for t in range(2):
-            tau = replace(config.source, seed=7 + t).sample(8, 200)
-            gaps.append(np.abs(simulate(dense.spec, tau, "vector").departures()
-                               - cli.oracle_lindley(config.spec, tau).departures()))
-        worst = max(g.max() for g in gaps)
-        assert worst > 0 and gap == f"{worst:.3g}"
-        assert max(g[int(k) - 1, int(i) - 1] for g in gaps) == worst
+        assert "bound" in line
+        # a strategy selects only its cost model: vector runs serial's kernel
+        assert validate(replace(config, strategy="vector", processors=3), trials=2) == 0
+        assert capsys.readouterr().out == line
         real = cli.oracle_lindley
 
         def nudged(spec, tau):
@@ -501,11 +491,11 @@ class TestRun:
             traj.states[5, 3] += 1e-9
             return traj
 
-        # a serial run's table is the oracle's own, so the route is the
-        # dense one, here returning the oracle's table: the compare is exact
-        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
+        # on integer tau open_infinite runs the prefix scan, which validate
+        # compares with the oracle's table exactly
+        exact = replace(config, source=replace(config.source, integer_times=True))
         monkeypatch.setattr(cli, "oracle_lindley", nudged)
-        assert validate(dense, trials=1) == 1
+        assert validate(exact, trials=1) == 1
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
 
     def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
@@ -514,12 +504,12 @@ class TestRun:
         blocks."""
         import tandemax.cli as cli
 
-        config = parse_config(make_config(K=600, strategy="vector",
-                                          source={"kind": "uniform", "low": 0, "high": 5,
-                                                  "seed": 3}))
+        config = parse_config(make_config(K=600, source={"kind": "uniform", "low": 0, "high": 5,
+                                                         "seed": 3}))
         real = cli.oracle_lindley
-        # the dense route, returning the oracle's own table: the compare is exact
-        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
+        # float tau compared as the scan is, against a run of the oracle's
+        # own loop: the compare is exact, and the bound is above 0
+        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")
         tau = config.source.sample(3, 600)
         bound = tau.rounding_gap(real(config.spec, tau).departures())
         step = 2.0 ** math.floor(math.log2(bound))  # exact on every departure
@@ -569,7 +559,7 @@ class TestRun:
         on nothing: the one line trial 0 gives, exit 1, and trial 1 never
         runs."""
         cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(variant="open_comm", b=1, n=6, K=300, strategy="vector",
+        cfg.write_text(make_config(variant="open_comm", b=1, n=6, K=300,
                                    source={"kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         oracle, runs = cli.oracle_lindley, []
 
@@ -591,6 +581,7 @@ class TestRun:
             return tau
 
         monkeypatch.setattr(cli, "simulate", route)
+        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")  # compared, as the scan is
         if later == "inf":
             monkeypatch.setattr(ServiceTimeSource, "_draws", inf_at_trial_1)
         argv = ["validate", "--config", str(cfg), "--trials", "3"]
@@ -630,7 +621,7 @@ class TestRun:
         assert built == [9]
         built.clear()
         # n = 6, m = 12: three 72-cell top rows per trial, two trials in 500 cells
-        monkeypatch.setattr(engine, "_BUILD_CELLS", 500)
+        monkeypatch.setattr(cli, "_BUILD_CELLS", 500)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
         assert built == [6, 3]
@@ -656,8 +647,8 @@ class TestRun:
         calls, real = [], sources._uniform01
         monkeypatch.setattr(sources, "_uniform01",
                             lambda seed, i, k: calls.append(len(seed)) or real(seed, i, k))
-        source = {"kind": "exponential", "rate": 0.8, "seed": 2**64 - 3}
-        config = parse_config(make_config(variant="open_mfg", b=1, n=4, K=50, source=source))
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 2**64 - 3, "integer_times": True}
+        config = parse_config(make_config(n=4, K=50, source=source))
         oracle, runs = cli.oracle_lindley, []
 
         def nudged(spec, tau):  # trial 7's oracle is off at d_2(5)
@@ -677,7 +668,7 @@ class TestRun:
             with monkeypatch.context() as m:
                 m.setattr(cli, "oracle_lindley", nudged)
                 runs.clear()
-                assert validate(replace(config, strategy="vector"), trials=12) == 1
+                assert validate(config, trials=12) == 1
             lines.append(capsys.readouterr().out)
         assert len(set(lines)) == 1
         ok, failed = lines[0].splitlines()
@@ -688,8 +679,9 @@ class TestRun:
         """On float tau the state equation adds in another order from the
         oracle, so a serial validate, whose only check is that one, names a
         gap above 0 and its cell.  With the route's rows equal to the
-        oracle's, a dense validate names the same gap: the ok line covers
-        both checks.  On exact tau every gap is 0."""
+        oracle's, a validate that also compares a route, as on the prefix
+        scan, names the same gap: the ok line covers both checks.  On exact
+        tau every gap is 0."""
         import tandemax.cli as cli
 
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1}
@@ -698,9 +690,8 @@ class TestRun:
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(want) and float(re.search(r" max gap (\S+) at ", out)[1]) > 0
-        real = cli.oracle_lindley
-        monkeypatch.setattr(cli, "simulate", lambda spec, tau, *args: real(spec, tau))
-        assert validate(replace(config, strategy="vector"), trials=3) == 0
+        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")
+        assert validate(config, trials=3) == 0
         assert capsys.readouterr().out.endswith(want)
         monkeypatch.undo()
         exact = replace(config, source=replace(config.source, integer_times=True))
@@ -727,14 +718,20 @@ BIG_INTEGERS = {"kind": "uniform", "low": 0, "high": 10**14, "seed": 1, "integer
 
 
 class TestIntegersPast2To53:
-    @pytest.mark.parametrize("strategy", ["vector", "batched"])
-    def test_validate_dense_route_within_rounding_gap(self, tmp_path, capsys, strategy):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(n=8, K=200, strategy=strategy, processors=3,
-                                   source=BIG_INTEGERS))
-        assert main(["validate", "--config", str(cfg)]) == 0
-        line = capsys.readouterr().out
-        gap, bound = re.search(r"^validate: ok .* max gap (\S+) at .*, bound (\S+)\)", line).groups()
+    def test_validate_state_equation_within_rounding_gap(self, tmp_path, capsys):
+        """Past 2**53 every strategy runs the oracle's own loop, so the one
+        check is the state equation's, whose sums round in another order:
+        one ok line for every strategy, naming a gap above 0 within the bound."""
+        lines = []
+        for strategy in ("serial", "vector", "batched"):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(make_config(n=8, K=200, strategy=strategy, processors=3,
+                                       source=BIG_INTEGERS))
+            assert main(["validate", "--config", str(cfg)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert len(set(lines)) == 1
+        gap, bound = re.search(r"^validate: ok .* max gap (\S+) at .*, bound (\S+)\)",
+                               lines[0]).groups()
         assert 0 < float(gap) <= float(bound)
 
     def test_waiting_within_rounding_gap(self, tmp_path):
@@ -1033,17 +1030,19 @@ class TestMainExitCodes:
                                                   ("simulate", "batched"),
                                                   ("validate", "vector")])
     @pytest.mark.parametrize("model,value,message", [
-        # tau_1 + tau_2 in T_1, or d_1(1) + tau_1 in the dense product
-        pytest.param({"n": 3, "K": 4}, 1e308,
-                     "a prefix sum of the service times overflows float64", id="sum"),
+        # d_2(1) = tau_1 + tau_2, or d_1(2) = d_1(1) + tau_1
+        pytest.param({"n": 3, "K": 4}, 1e308, "departure d_2(1) overflows float64", id="sum"),
         pytest.param({"n": 1, "K": 4}, 1e308, "departure d_1(2) overflows float64",
                      id="product"),
-        # d_2(2) = 3 x 6e307; the next product adds the eps of T_3 to it
+        # d_2(2) = 3 x 6e307 under communication blocking
         pytest.param({"variant": "open_comm", "b": 1, "n": 2, "K": 6}, 6e307,
                      "departure d_2(2) overflows float64", id="augmented"),
     ])
     def test_overflow_on_dense_routes_is_a_config_error(self, tmp_path, capsys, command,
                                                         strategy, model, value, message):
+        """vector and batched, whose cost models are the dense algorithms,
+        run serial's kernel and print serial's one line for the first
+        departure that overflows."""
         out = tmp_path / "d.csv"
         cfg = tmp_path / "c.json"
         cfg.write_text(make_config(**model, strategy=strategy, output=str(out),
@@ -1054,28 +1053,6 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
-        assert not out.exists()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("strategy", ["vector", "batched"])
-    def test_overflow_precedence_within_a_build(self, tmp_path, capsys, strategy):
-        """batched with P = 3 builds T_1..T_3 in one call, and T_3 holds a
-        prefix sum that overflows (1e308 + 1e308).  The departure d_2(2) =
-        3 x 6e307 overflows first, so both dense routes print that one
-        line, as when each T_k was built at its own step."""
-        tau = np.ones((2, 6))
-        tau[:, :2] = 6e307
-        tau[:, 2] = 1e308
-        dump_trace(ServiceTimes(tau), tmp_path / "trace.csv")
-        out = tmp_path / "d.csv"
-        cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(variant="open_comm", b=1, n=2, K=6, strategy=strategy,
-                                   processors=3, output=str(out),
-                                   source={"kind": "trace", "path": str(tmp_path / "trace.csv")}))
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "configuration error: departure d_2(2) overflows float64\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -216,32 +216,27 @@ class TestTrajectoryLayout:
 class TestStrategyEquivalence:
     @STRATEGY_SPECS
     def test_all_strategies_bit_identical(self, spec):
-        tau = random_tau(spec.n, spec.horizon, 7)
-        base = simulate_serial(spec, tau)
-        assert np.array_equal(simulate_vectorized(spec, tau).states, base.states)
-        for P in (1, 2, 3, spec.n, 2 * spec.n):
-            assert np.array_equal(simulate_batched(spec, tau, P).states, base.states)
-
-    @STRATEGY_SPECS
-    def test_float_serial_within_rounding_gap_of_dense(self, spec):
-        """On float tau the serial scalar loop and the dense T_k route
-        (batched with P = 1) sum in different orders; every departure,
-        d(0) included, agrees within the float contract."""
-        tau = random_tau(spec.n, spec.horizon, 7, high=5, integer=False)
-        serial = simulate_serial(spec, tau).states
-        dense = simulate_batched(spec, tau, 1).states
-        assert np.array_equal(simulate_vectorized(spec, tau).states, dense)
-        assert np.array_equal(np.isneginf(serial), np.isneginf(dense))
-        gap = np.abs(np.subtract(serial, dense, out=np.zeros_like(dense), where=serial != dense))
-        assert gap.max() <= tau.rounding_gap(dense)
+        """A strategy selects only its cost model: every strategy and P
+        runs the variant's one kernel, so its table is serial's bit for
+        bit, sign of zero included, on integer, float and signed-zero tau."""
+        n, K = spec.n, spec.horizon
+        signed = ServiceTimes(np.random.default_rng(7).choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
+        for tau in (random_tau(n, K, 7), random_tau(n, K, 7, high=5, integer=False), signed):
+            base = simulate_serial(spec, tau).states
+            runs = [simulate_vectorized(spec, tau)]
+            runs += [simulate_batched(spec, tau, P) for P in (1, 2, 3, n, 2 * n, K + 5, 10**6)]
+            for run in runs:
+                assert np.array_equal(run.states, base)
+                assert np.array_equal(np.signbit(run.states), np.signbit(base))
 
     @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
-    def test_dense_kernel_equals_the_carried_state_vector(self, variant, kwargs):
-        """The dense kernel reads d(k-1), ..., d(k-lag) from its table in
-        place of carrying the augmented m-vector through T_k (x): the
-        companion's identity blocks copy the history exactly, as no
-        departure is -0.0, so both forms agree bit for bit, sign of zero
-        included, on integer, float and signed-zero tau."""
+    def test_oracle_equals_the_carried_state_vector(self, variant, kwargs):
+        """The paper's T_k stays the reference at every k: the oracle's
+        d(k) equals the first n entries of the augmented m-vector carried
+        through the full ``build_transition`` T_k (x), bit for bit, sign of
+        zero included, on integer and signed-zero tau, and within the float
+        contract on float tau, whose sums the product adds in another
+        order."""
 
         def carried(spec, tau):
             state = np.full(spec.arity, EPS)
@@ -257,54 +252,25 @@ class TestStrategyEquivalence:
             for K in (1, 3, 40):
                 spec = TandemSpec(variant, n, K, **kwargs)
                 signed = ServiceTimes(rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
-                for tau in (random_tau(n, K, K), random_tau(n, K, K, high=5, integer=False),
-                            signed):
-                    want = carried(spec, tau)
-                    for got in (simulate_vectorized(spec, tau).states,
-                                simulate_batched(spec, tau, 3).states):
-                        assert np.array_equal(got, want)
-                        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3}),
-                                                ("open_mfg", {"buffer_capacity": 409})])
-    def test_batched_equals_vector_for_every_batch_size(self, variant, kwargs):
-        """batched builds the top block rows of P matrices per call, at
-        most 2**20 cells, and applies them in order; vector builds one per
-        step.  The tables agree bit for bit, sign of zero included, for P
-        below, at and past K, and past the cell cap (open_mfg b = 409,
-        n = 8: m = 3280, 39 matrices per build)."""
-        rng = np.random.default_rng(4)
-        K = 40
-        for n in (2, 8):
-            spec = TandemSpec(variant, n, K, **kwargs)
-            signed = ServiceTimes(rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
-            for tau in (random_tau(n, K, n), random_tau(n, K, n, high=5, integer=False), signed):
-                want = simulate_vectorized(spec, tau).states
-                for P in (1, 2, 3, 8, K, K + 5, 10**6):
-                    got = simulate_batched(spec, tau, P).states
+                for tau in (random_tau(n, K, K), signed):
+                    got, want = oracle_lindley(spec, tau).states, carried(spec, tau)
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
+                tau = random_tau(n, K, K, high=5, integer=False)
+                got, want = oracle_lindley(spec, tau).states, carried(spec, tau)
+                assert np.abs(got - want).max() <= tau.rounding_gap(want)
 
-    @pytest.mark.parametrize("strategy,P,m,builds", [
-        ("vector", 3, 16, [1] * 40),
-        ("batched", 3, 16, [3] * 13 + [1]),
-        ("batched", 40, 16, [40]),
-        ("batched", 10**6, 3280, [39, 1]),  # 2**20 // (8 * 3280) = 39 top rows per build
-    ])
-    def test_build_calls_per_strategy(self, monkeypatch, strategy, P, m, builds):
-        """vector builds one T_k per step, K calls; batched builds min(P, K)
-        per call, ceil(K / P) calls, or fewer matrices when the n x m top
-        block rows of P of them would pass 2**20 cells."""
-        built, real = [], engine._transitions
-
-        def counting(spec, v):
-            built.append(len(v))
-            return real(spec, v)
-
-        monkeypatch.setattr(engine, "_transitions", counting)
-        spec = TandemSpec("open_mfg", 8, 40, buffer_capacity=m // 8 - 1)
+    @pytest.mark.parametrize("strategy,P", [("serial", 1), ("sparse-closed", 1), ("vector", 1),
+                                            ("batched", 3), ("batched", 10**6)])
+    def test_build_calls_per_strategy(self, monkeypatch, strategy, P):
+        """No strategy builds a transition matrix: each runs the variant's
+        scalar kernel, and P reaches only the cost model."""
+        built = []
+        monkeypatch.setattr(engine, "_transitions", lambda spec, v: built.append(v.shape))
+        spec = TandemSpec("closed", 8, 40) if strategy == "sparse-closed" else \
+            TandemSpec("open_mfg", 8, 40, buffer_capacity=1)
         simulate(spec, random_tau(8, 40, 1), strategy, P)
-        assert built == builds
+        assert built == []
 
     def test_sparse_matches_serial(self):
         spec = TandemSpec("closed", 6, 40)
@@ -349,16 +315,15 @@ class TestOracleEquivalence:
         ],
     )
     def test_matrix_equals_oracle(self, variant, kwargs):
-        """Serial equals the oracle exactly; the dense route, the product
-        with the paper's T_k, equals it exactly on integer tau and within
-        the float contract on float tau."""
+        """Serial and vector equal the oracle exactly, on integer and float
+        tau: both run the oracle's own loop, or on exact tau a prefix scan
+        equal to it."""
         spec = TandemSpec(variant, 4, 50, **kwargs)
         for seed in range(3):
             for tau in (random_tau(4, 50, seed), random_tau(4, 50, seed, high=5, integer=False)):
                 want = oracle_lindley(spec, tau).departures()
                 assert np.array_equal(simulate_serial(spec, tau).departures(), want)
-                gap = np.abs(simulate_vectorized(spec, tau).departures() - want).max()
-                assert gap <= tau.rounding_gap(want)  # 0 on integer tau
+                assert np.array_equal(simulate_vectorized(spec, tau).departures(), want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4))
@@ -366,7 +331,7 @@ class TestOracleEquivalence:
         """With b + 1 or c up to 5 rows of lookback and K down to 1, the
         oracle's ring reaches back past k = 0; on tau with ties and signed
         zeros it equals serial exactly, sign of zero included, and so do
-        the dense routes."""
+        vector and batched."""
         cells = st.sampled_from([0.0, -0.0, 1.0, 2.5])
         tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
                            .reshape(n, K))
@@ -375,9 +340,9 @@ class TestOracleEquivalence:
                                 ("open_comm", {"buffer_capacity": b})]:
             spec = TandemSpec(variant, n, K, **kwargs)
             want = simulate_serial(spec, tau).states
-            dense = [simulate_batched(spec, tau, P).states for P in (1, 2, 3)]
+            batched = [simulate_batched(spec, tau, P).states for P in (1, 2, 3)]
             for got in [oracle_lindley(spec, tau).states, simulate_vectorized(spec, tau).states,
-                        *dense]:
+                        *batched]:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -398,8 +363,8 @@ class TestOracleEquivalence:
     def test_block_boundaries(self, K, variant, kwargs, initial):
         """Serial and the oracle move tau and d in blocks of 256 customers;
         across block edges, with a ring up to 4 rows deep, serial equals
-        the oracle exactly (sign of zero included) and the dense route
-        exactly on integer tau."""
+        the oracle exactly (sign of zero included) and batched exactly on
+        integer tau."""
         n = 3
         spec = TandemSpec(variant, n, K, **kwargs)
         signed = np.random.default_rng(K).choice([0.0, -0.0, 1.0, 2.5], size=(n, K))
@@ -535,24 +500,6 @@ class TestProperties:
         message = rf"^departure {re.escape(cell)} overflows float64$"
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, constant_tau([1e308] * 3, 4), strategy)
-
-    @pytest.mark.parametrize("strategy", ["vector", "batched"])
-    def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
-        """The dense kernel raises at the first step whose departures
-        overflow, d_2(2) here, and builds no transition matrix past the
-        build holding that step: steps 1 and 2 one at a time for vector,
-        steps 1..3 in one build for batched with P = 3."""
-        built, real = [], engine._transitions
-
-        def counting(spec, v):
-            built.append(len(v))
-            return real(spec, v)
-
-        monkeypatch.setattr(engine, "_transitions", counting)
-        spec = TandemSpec("open_comm", 2, 1000, buffer_capacity=1)
-        with pytest.raises(ModelConfigError, match=r"^departure d_2\(2\) overflows float64$"):
-            simulate(spec, constant_tau([6e307] * 2, 1000), strategy, processors=3)
-        assert built == {"vector": [1, 1], "batched": [3]}[strategy]
 
     def test_dispatch_unknown_strategy(self):
         with pytest.raises(ModelConfigError):

@@ -125,11 +125,10 @@ class TestRecursionConsistency:
            st.sampled_from(["open_mfg", "open_comm"]))
     def test_waiting_nonnegative_with_blocking(self, data, n, K, b, variant):
         """Blocking only adds time, so w >= 0 holds within the rounding gap
-        for blocking variants on float tau too, on the serial kernel and
-        on the dense route; trajectory_waiting raises otherwise."""
+        for blocking variants on float tau too, on the kernel every
+        strategy runs; trajectory_waiting raises otherwise."""
         cells = st.floats(0, 5, allow_nan=False, allow_infinity=False)
         tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
                            .reshape(n, K))
         spec = TandemSpec(variant, n, K, buffer_capacity=b)
-        for strategy in ("serial", "vector"):
-            trajectory_waiting(simulate(spec, tau, strategy).states, tau.tau)
+        trajectory_waiting(simulate(spec, tau).states, tau.tau)
