@@ -718,14 +718,16 @@ BIG_INTEGERS = {"kind": "uniform", "low": 0, "high": 10**14, "seed": 1, "integer
 
 
 class TestIntegersPast2To53:
-    def test_validate_state_equation_within_rounding_gap(self, tmp_path, capsys):
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_validate_state_equation_within_rounding_gap(self, tmp_path, capsys, strategy):
         """Past 2**53 every strategy runs the oracle's own loop, so the one
         check is the state equation's, whose sums round in another order:
-        one ok line for every strategy, naming a gap above 0 within the bound."""
+        the strategy prints serial's ok line, naming a gap above 0 within
+        the bound."""
         lines = []
-        for strategy in ("serial", "vector", "batched"):
+        for name in ("serial", strategy):
             cfg = tmp_path / "c.json"
-            cfg.write_text(make_config(n=8, K=200, strategy=strategy, processors=3,
+            cfg.write_text(make_config(n=8, K=200, strategy=name, processors=3,
                                        source=BIG_INTEGERS))
             assert main(["validate", "--config", str(cfg)]) == 0
             lines.append(capsys.readouterr().out)
@@ -1053,6 +1055,27 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_overflow_precedence_within_a_build(self, tmp_path, capsys, strategy):
+        """tau_3 = 1e308 would overflow a prefix sum of T_3, but the
+        departure d_2(2) = 3 x 6e307 overflows first, so vector and batched
+        with P = 3 print serial's one line for it and warn of nothing."""
+        tau = np.ones((2, 6))
+        tau[:, :2] = 6e307
+        tau[:, 2] = 1e308
+        dump_trace(ServiceTimes(tau), tmp_path / "trace.csv")
+        out = tmp_path / "d.csv"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(variant="open_comm", b=1, n=2, K=6, strategy=strategy,
+                                   processors=3, output=str(out),
+                                   source={"kind": "trace", "path": str(tmp_path / "trace.csv")}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: departure d_2(2) overflows float64\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

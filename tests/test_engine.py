@@ -13,6 +13,9 @@ from tandemax.core import EPS, matvec
 from tandemax.engine import (
     OpLedger,
     _prefix_scan,
+    _state,
+    _step,
+    _tops,
     initial_state,
     oracle_lindley,
     simulate,
@@ -229,6 +232,25 @@ class TestStrategyEquivalence:
                 assert np.array_equal(run.states, base)
                 assert np.array_equal(np.signbit(run.states), np.signbit(base))
 
+    @STRATEGY_SPECS
+    def test_float_serial_within_rounding_gap_of_dense(self, spec):
+        """Each d(k) of serial's table, recomputed from its own rows by the
+        paper's dense state equation (the top block row of T_k, as
+        ``validate`` builds it), equals serial's exactly on integer tau and
+        within the float contract on float tau, whose sums the product adds
+        in another order; eps cells agree everywhere."""
+        K = spec.horizon
+        for tau in (random_tau(spec.n, K, 7), random_tau(spec.n, K, 7, high=5, integer=False)):
+            serial = simulate_serial(spec, tau).states
+            tops = _tops(spec, tau.tau, list(range(K)))
+            dense = _step(tops, np.array([_state(spec, serial, k) for k in range(1, K + 1)]))
+            want = serial[1:]
+            assert np.array_equal(np.isneginf(dense), np.isneginf(want))
+            gap = np.abs(np.subtract(want, dense, out=np.zeros_like(dense), where=want != dense))
+            assert gap.max() <= tau.rounding_gap(want)
+            if tau.exact:
+                assert np.array_equal(dense, want)
+
     @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
     def test_oracle_equals_the_carried_state_vector(self, variant, kwargs):
         """The paper's T_k stays the reference at every k: the oracle's
@@ -259,6 +281,26 @@ class TestStrategyEquivalence:
                 tau = random_tau(n, K, K, high=5, integer=False)
                 got, want = oracle_lindley(spec, tau).states, carried(spec, tau)
                 assert np.abs(got - want).max() <= tau.rounding_gap(want)
+
+    @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3}),
+                                                ("open_mfg", {"buffer_capacity": 409})])
+    def test_batched_equals_vector_for_every_batch_size(self, variant, kwargs):
+        """P reaches only the cost model: batched and vector equal serial
+        bit for bit, sign of zero included, for P below, at and past K, and
+        for an m whose transition matrices are large (open_mfg b = 409,
+        n = 8: m = 3280)."""
+        rng = np.random.default_rng(4)
+        K = 40
+        for n in (2, 8):
+            spec = TandemSpec(variant, n, K, **kwargs)
+            signed = ServiceTimes(rng.choice([0.0, -0.0, 1.0, 2.5], size=(n, K)))
+            for tau in (random_tau(n, K, n), random_tau(n, K, n, high=5, integer=False), signed):
+                want = simulate_serial(spec, tau).states
+                for got in [simulate_vectorized(spec, tau).states,
+                            *(simulate_batched(spec, tau, P).states
+                              for P in (1, 2, 3, 8, K, K + 5, 10**6))]:
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("strategy,P", [("serial", 1), ("sparse-closed", 1), ("vector", 1),
                                             ("batched", 3), ("batched", 10**6)])
@@ -500,6 +542,21 @@ class TestProperties:
         message = rf"^departure {re.escape(cell)} overflows float64$"
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, constant_tau([1e308] * 3, 4), strategy)
+
+    @pytest.mark.parametrize("strategy", ["vector", "batched"])
+    def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
+        """vector and batched, whose cost models are the dense algorithms,
+        raise serial's error for the first departure that overflows, d_2(2)
+        here, and build no transition matrix on the way."""
+        built = []
+        monkeypatch.setattr(engine, "_transitions", lambda spec, v: built.append(v.shape))
+        spec = TandemSpec("open_comm", 2, 1000, buffer_capacity=1)
+        tau = constant_tau([6e307] * 2, 1000)
+        with pytest.raises(ModelConfigError, match=r"^departure d_2\(2\) overflows float64$"):
+            simulate(spec, tau, "serial")
+        with pytest.raises(ModelConfigError, match=r"^departure d_2\(2\) overflows float64$"):
+            simulate(spec, tau, strategy, processors=3)
+        assert built == []
 
     def test_dispatch_unknown_strategy(self):
         with pytest.raises(ModelConfigError):
