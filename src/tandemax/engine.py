@@ -112,7 +112,8 @@ _BLOCK = 256
 def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, from the ordinary scalar
     max/+ recursions, on Python floats: the one scalar loop of each
-    variant, run by ``oracle_lindley``, serial and sparse-closed.
+    variant, run by ``oracle_lindley`` and by every strategy unless
+    ``_kernel`` picks the scan.
 
     With p = d_i(k-1), q = d_{i+1}(k-b-1) and z the departure of the
     station before, d_i(k) = (z (+) p) (x) tau_ik (infinite buffers),

@@ -499,38 +499,32 @@ class TestRun:
         assert "mismatch at k=5 i=4" in capsys.readouterr().out
 
     def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
-        """The compare runs 256 rows at a time; the mismatch and the max-gap
-        cell it names are still the row-major first, across and within
-        blocks."""
+        """The prefix scan's table is compared _CHUNK_ROWS rows at a time;
+        the mismatch it names is still the row-major first, across and
+        within blocks."""
         import tandemax.cli as cli
 
         config = parse_config(make_config(K=600, source={"kind": "uniform", "low": 0, "high": 5,
-                                                         "seed": 3}))
+                                                         "seed": 3, "integer_times": True}))
         real = cli.oracle_lindley
-        # float tau compared as the scan is, against a run of the oracle's
-        # own loop: the compare is exact, and the bound is above 0
-        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")
-        tau = config.source.sample(3, 600)
-        bound = tau.rounding_gap(real(config.spec, tau).departures())
-        step = 2.0 ** math.floor(math.log2(bound))  # exact on every departure
+        assert 100 < cli._CHUNK_ROWS < 520  # rows 520 and 590 share the second block
 
-        def nudged(late):
+        def nudged(cells):
             def oracle(spec, tau):
                 traj = real(spec, tau)
                 traj.states = traj.states.copy()
-                traj.states[100, 1] += step / 2
-                traj.states[[520, 590], [2, 0]] += late
+                for k, i in cells:
+                    traj.states[k, i] += 1.0
                 return traj
             return oracle
 
-        for late, gap, cell in [(step, step, "k=520 i=3"), (step / 2, step / 2, "k=100 i=2")]:
-            monkeypatch.setattr(cli, "oracle_lindley", nudged(late))
-            assert validate(config, trials=1) == 0
-            assert capsys.readouterr().out.endswith(
-                f"max gap {gap:.3g} at {cell}, bound {bound:.3g})\n")
-        monkeypatch.setattr(cli, "oracle_lindley", nudged(1.0))
-        assert validate(config, trials=1) == 1
-        assert capsys.readouterr().out.startswith("mismatch at k=520 i=3: ")
+        assert validate(config, trials=1) == 0
+        assert capsys.readouterr().out.endswith(", max gap 0 at k=1 i=1, bound 0)\n")
+        for cells, cell in [([(590, 0), (520, 2)], "k=520 i=3"),
+                            ([(520, 2), (590, 0), (100, 1)], "k=100 i=2")]:
+            monkeypatch.setattr(cli, "oracle_lindley", nudged(cells))
+            assert validate(config, trials=1) == 1
+            assert capsys.readouterr().out.startswith(f"mismatch at {cell}: ")
 
     @pytest.mark.parametrize("model", [{"variant": "open_comm", "b": 1},
                                        {"variant": "closed", "c": 2}])
@@ -559,8 +553,8 @@ class TestRun:
         on nothing: the one line trial 0 gives, exit 1, and trial 1 never
         runs."""
         cfg = tmp_path / "c.json"
-        cfg.write_text(make_config(variant="open_comm", b=1, n=6, K=300,
-                                   source={"kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        cfg.write_text(make_config(n=6, K=300, source={"kind": "uniform", "low": 0, "high": 5,
+                                                       "seed": 1, "integer_times": True}))
         oracle, runs = cli.oracle_lindley, []
 
         def route(spec, tau, *args):  # the oracle's own table, off or raising at trial 1
@@ -580,8 +574,7 @@ class TestRun:
             tau[1, 0, 0] = np.inf  # tau_1(1), read by trial 1's k = 1 build
             return tau
 
-        monkeypatch.setattr(cli, "simulate", route)
-        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")  # compared, as the scan is
+        monkeypatch.setattr(cli, "simulate", route)  # compared: open_infinite's kernel is the scan
         if later == "inf":
             monkeypatch.setattr(ServiceTimeSource, "_draws", inf_at_trial_1)
         argv = ["validate", "--config", str(cfg), "--trials", "3"]
@@ -596,7 +589,7 @@ class TestRun:
             runs.clear()
             assert main(argv) == 1
         out, err = capsys.readouterr()
-        assert out.startswith("state equation fails at k=300 i=2: ") and out.endswith("(trial 0)\n")
+        assert out.startswith("state equation fails at k=1 i=2: ") and out.endswith("(trial 0)\n")
         assert out.count("\n") == 1 and err == "" and len(runs) == 1
 
     def test_validate_builds_its_state_equation_steps_in_one_call(self, capsys, monkeypatch):
@@ -675,25 +668,16 @@ class TestRun:
         assert "(12 trial(s)" in ok and failed.startswith("mismatch at k=5 i=2: ")
         assert failed.endswith("(trial 7)")
 
-    def test_validate_names_the_largest_state_equation_gap(self, capsys, monkeypatch):
+    def test_validate_names_the_largest_state_equation_gap(self, capsys):
         """On float tau the state equation adds in another order from the
-        oracle, so a serial validate, whose only check is that one, names a
-        gap above 0 and its cell.  With the route's rows equal to the
-        oracle's, a validate that also compares a route, as on the prefix
-        scan, names the same gap: the ok line covers both checks.  On exact
-        tau every gap is 0."""
-        import tandemax.cli as cli
-
+        oracle, so a validate, whose only check there is that one, names a
+        gap above 0 and its cell.  On exact tau every gap is 0."""
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1}
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source=source))
         want = state_equation_gap(config, 3)
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
         assert out.endswith(want) and float(re.search(r" max gap (\S+) at ", out)[1]) > 0
-        monkeypatch.setattr(cli, "_kernel", lambda spec, tau: "scan")
-        assert validate(config, trials=3) == 0
-        assert capsys.readouterr().out.endswith(want)
-        monkeypatch.undo()
         exact = replace(config, source=replace(config.source, integer_times=True))
         assert validate(exact, trials=3) == 0
         assert capsys.readouterr().out.endswith(", max gap 0 at k=1 i=1, bound 0)\n")

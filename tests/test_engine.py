@@ -45,6 +45,26 @@ def float_tau(draw):
                         .reshape(n, K))
 
 
+def assert_state_equation(spec, tau, states, exact=False):
+    """Each d(k) of ``states``, recomputed from its own rows by the paper's
+    state equation (the top block row of T_k, as ``validate`` builds it),
+    equals it bit for bit, sign of zero included, when ``tau.exact`` or
+    ``exact`` (tau of halves and signed zeros, whose sums are exact too);
+    else within ``tau.rounding_gap``, as the product adds in another
+    order, and eps cells agree."""
+    K = spec.horizon
+    tops = _tops(spec, tau.tau, list(range(K)))
+    got = _step(tops, np.array([_state(spec, states, k) for k in range(1, K + 1)]))
+    want = states[1:]
+    if exact or tau.exact:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        gap = np.abs(np.subtract(want, got, out=np.zeros_like(got), where=want != got))
+        assert gap.max() <= tau.rounding_gap(want)
+
+
 class TestHandTrajectories:
     def test_open_infinite(self):
         spec = TandemSpec("open_infinite", 2, 3)
@@ -241,15 +261,7 @@ class TestStrategyEquivalence:
         in another order; eps cells agree everywhere."""
         K = spec.horizon
         for tau in (random_tau(spec.n, K, 7), random_tau(spec.n, K, 7, high=5, integer=False)):
-            serial = simulate_serial(spec, tau).states
-            tops = _tops(spec, tau.tau, list(range(K)))
-            dense = _step(tops, np.array([_state(spec, serial, k) for k in range(1, K + 1)]))
-            want = serial[1:]
-            assert np.array_equal(np.isneginf(dense), np.isneginf(want))
-            gap = np.abs(np.subtract(want, dense, out=np.zeros_like(dense), where=want != dense))
-            assert gap.max() <= tau.rounding_gap(want)
-            if tau.exact:
-                assert np.array_equal(dense, want)
+            assert_state_equation(spec, tau, simulate_serial(spec, tau).states)
 
     @pytest.mark.parametrize("variant,kwargs", [*GRID_CONFIGS, ("closed", {"population": 3})])
     def test_oracle_equals_the_carried_state_vector(self, variant, kwargs):
@@ -359,13 +371,15 @@ class TestOracleEquivalence:
     def test_matrix_equals_oracle(self, variant, kwargs):
         """Serial and vector equal the oracle exactly, on integer and float
         tau: both run the oracle's own loop, or on exact tau a prefix scan
-        equal to it."""
+        equal to it.  The oracle's table satisfies the paper's state
+        equation at every k, exactly on integer tau."""
         spec = TandemSpec(variant, 4, 50, **kwargs)
         for seed in range(3):
             for tau in (random_tau(4, 50, seed), random_tau(4, 50, seed, high=5, integer=False)):
-                want = oracle_lindley(spec, tau).departures()
-                assert np.array_equal(simulate_serial(spec, tau).departures(), want)
-                assert np.array_equal(simulate_vectorized(spec, tau).departures(), want)
+                want = oracle_lindley(spec, tau).states
+                assert np.array_equal(simulate_serial(spec, tau).states, want)
+                assert np.array_equal(simulate_vectorized(spec, tau).states, want)
+                assert_state_equation(spec, tau, want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4))
@@ -373,7 +387,8 @@ class TestOracleEquivalence:
         """With b + 1 or c up to 5 rows of lookback and K down to 1, the
         oracle's ring reaches back past k = 0; on tau with ties and signed
         zeros it equals serial exactly, sign of zero included, and so do
-        vector and batched."""
+        vector and batched.  The paper's state equation gives the same
+        table, sign of zero included."""
         cells = st.sampled_from([0.0, -0.0, 1.0, 2.5])
         tau = ServiceTimes(np.array(data.draw(st.lists(cells, min_size=n * K, max_size=n * K)))
                            .reshape(n, K))
@@ -387,6 +402,7 @@ class TestOracleEquivalence:
                         *batched]:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert_state_equation(spec, tau, want, exact=True)
 
     @pytest.mark.parametrize("K", [255, 256, 257, 513])
     @pytest.mark.parametrize(
@@ -405,19 +421,22 @@ class TestOracleEquivalence:
     def test_block_boundaries(self, K, variant, kwargs, initial):
         """Serial and the oracle move tau and d in blocks of 256 customers;
         across block edges, with a ring up to 4 rows deep, serial equals
-        the oracle exactly (sign of zero included) and batched exactly on
-        integer tau."""
+        the oracle exactly (sign of zero included), and every d(k) of
+        serial's table satisfies the paper's state equation: exactly on
+        integer and signed-zero tau, within the float contract on float
+        tau."""
         n = 3
         spec = TandemSpec(variant, n, K, **kwargs)
         signed = np.random.default_rng(K).choice([0.0, -0.0, 1.0, 2.5], size=(n, K))
-        for tau in (random_tau(n, K, K, high=5, integer=False), ServiceTimes(signed)):
+        for tau, exact in [(random_tau(n, K, K, high=5, integer=False), False),
+                           (ServiceTimes(signed), True)]:
             got = simulate_serial(spec, tau).states
             want = oracle_lindley(spec, tau).states
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert_state_equation(spec, tau, got, exact)
         tau = random_tau(n, K, K)
-        assert np.array_equal(simulate_serial(spec, tau).states,
-                              simulate_batched(spec, tau, 1).states)
+        assert_state_equation(spec, tau, simulate_serial(spec, tau).states)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 5), st.integers(1, 8), st.booleans())
