@@ -381,7 +381,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
                 top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
                 # the route in row blocks, so no K x n gap table is made
                 for k in [] if recursion else range(1, K + 1, _CHUNK_ROWS):
-                    top = max(top, _gap("mismatch at k={} i={}: matrix", range(k, K + 1),
+                    top = max(top, _gap("mismatch at k={} i={}: scan", range(k, K + 1),
                                         traj.states[k:k + _CHUNK_ROWS],
                                         states[k:k + _CHUNK_ROWS], bound, t))
                 if steps:

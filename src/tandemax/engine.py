@@ -5,16 +5,18 @@ selects only the cost model it charges, not the kernel that runs.  A
 trajectory holds the departures d(0..K) only, n columns for every
 variant: the augmented state (d(k-1), ..., d(k-lag)) that makes the
 blocking and closed recursions first order is the table's own earlier
-rows, kept in the scalar loop's ring or read back by ``_state``.
+rows, which the scalar loop reads back at each block of customers
+(closed keeps a ring) and ``_state`` for the T_k check.
 
 ``simulate`` is the one place that runs a strategy.  It applies the
 strategy and array-size rules (``check_strategy``, which the CLI's
 config parser and ``bench`` apply too), runs the one kernel of the
 variant that ``_kernel`` picks and charges the strategy's cost model
 (``_ledger``).  That kernel is ``_lindley``, the oracle's own scalar
-loop, O(m) per customer, or for open_infinite on exact tau a prefix scan
-equal to it, so every strategy's table is the oracle's, on float tau as
-well, and runs of different variants on shared float tau keep
+loop, one max/+ cell per departure with, for the open variants, no
+Python work per customer; or, for open_infinite on exact tau, a prefix
+scan equal to it.  So every strategy's table is the oracle's, on float
+tau as well, and runs of different variants on shared float tau keep
 d_comm >= d_mfg >= d_inf exactly.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -109,6 +112,15 @@ def _tri(m: int) -> int:
 _BLOCK = 256
 
 
+def _rows(table: np.ndarray, lo: int, hi: int) -> list:
+    """Rows lo..hi-1 of a table, each followed by one eps cell, as one flat
+    list of Python floats; eps for rows before 0."""
+    rows = np.full((hi - lo, table.shape[1] + 1), EPS)
+    if hi > 0:
+        rows[max(-lo, 0):, :-1] = table[max(lo, 0):hi]
+    return rows.ravel().tolist()
+
+
 def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     """Departures d(0..K), a (K+1) x n array, from the ordinary scalar
     max/+ recursions, on Python floats: the one scalar loop of each
@@ -118,50 +130,79 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     With p = d_i(k-1), q = d_{i+1}(k-b-1) and z the departure of the
     station before, d_i(k) = (z (+) p) (x) tau_ik (infinite buffers),
     (z (+) p (+) q) (x) tau_ik (communication) or (z (+) p) (x) tau_ik (+) q
-    (manufacturing); closed, (d_{i-1}(k-c) (+) p) (x) tau_ik.  Rows k-b-1
-    and k-c come from a ring of the last ``lag`` rows (b+1, or c, at most
-    K+1), eps before k = 0, so any b >= 0, c >= 1 resolves.  Each max(a, b)
+    (manufacturing); closed, (d_{i-1}(k-c) (+) p) (x) tau_ik.  Each max(a, b)
     is written ``b if b > a else a``: CPython's ``max`` returns b only
     when b > a, so this is the same function, ties of +-0.0 and NaN
     included, without a call per cell.
+
+    Blocks of _BLOCK customers, and in the open variants no Python work
+    per customer.  open_infinite runs one zip per station.  open_mfg and
+    open_comm run one flat loop over the block's cells, each row followed
+    by an eps cell whose tau is eps, which restarts z at station 1.  Each
+    cell is appended to a list seeded with the history rows, the last
+    lag = b+1 (at most K+1) read back from the table, eps before k = 0
+    (past a block of look-back, only the rows q reads); p and q iterate
+    that list one row and lag rows less one cell behind.  Closed keeps
+    its last c rows in a ring.
+
+    The eps cell of open_mfg holds d_1(k-b), not eps.  That is harmless:
+    d never holds -0.0 and is nondecreasing in k and i, so as z of
+    station 1 (against p = d_1(k)) and as q of station n (against
+    z >= d_1(k+b)) it loses the max or ties bit for bit.  After a
+    departure overflows, eps cells make inf + -inf = NaN, but only after
+    the row-major first +inf, which ``simulate`` names.
     """
-    n = spec.n
-    K = spec.horizon
+    n, K = spec.n, spec.horizon
     variant = spec.variant
-    closed = variant == "closed"
     lag = min(spec.arity // n, K + 1)
     states = np.empty((K + 1, n))
     states[0] = initial_state(spec)
-    ring = [states[0].tolist()] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
+    if variant == "closed":
+        ring = [states[0].tolist()] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
     for k0 in range(0, K, _BLOCK):
-        rows = []
-        for k, tk in enumerate(tau.tau[:, k0 : k0 + _BLOCK].T.tolist(), k0 + 1):
-            prev = ring[(k - 1) % lag]
-            old = ring[k % lag]  # d(k - lag)
-            if closed:
+        k1 = min(k0 + _BLOCK, K)
+        block = tau.tau[:, k0:k1]
+        if variant == "closed":
+            rows = []
+            for k, tk in enumerate(block.T.tolist(), k0 + 1):
+                prev = ring[(k - 1) % lag]
+                old = ring[k % lag]  # d(k - c)
                 # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
                 feed = old[-1:] + old[:-1]
                 y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
-            else:
-                y, z = [], EPS
-                if variant == "open_infinite":
-                    for t, p in zip(tk, prev):
-                        z = (p if p > z else z) + t
-                        y.append(z)
-                elif variant == "open_mfg":
-                    # q = eps past the last station: max(z, eps) is z
-                    for t, p, q in zip(tk, prev, old[1:] + [EPS]):
-                        z = (p if p > z else z) + t
-                        z = q if q > z else z
-                        y.append(z)
-                else:  # open_comm
-                    for t, p, q in zip(tk, prev, old[1:] + [EPS]):
-                        z = p if p > z else z
-                        z = (q if q > z else z) + t
-                        y.append(z)
-            ring[k % lag] = y
-            rows.append(y)
-        states[k0 + 1 : k0 + 1 + len(rows)] = rows
+                ring[k % lag] = y
+                rows.append(y)
+            states[k0 + 1 : k1 + 1] = rows
+        elif variant == "open_infinite":
+            y = [EPS] * (k1 - k0)  # the departures before station 1: eps
+            for i, (tk, p) in enumerate(zip(block.tolist(), states[k0].tolist())):
+                zs, y = y, []
+                append = y.append
+                for t, z in zip(tk, zs):
+                    p = (p if p > z else z) + t
+                    append(p)
+                states[k0 + 1 : k1 + 1, i] = y
+        else:
+            w = n + 1
+            tk = iter(_rows(block.T, 0, k1 - k0))  # an iterator frees the list at its end
+            # from d(k0+1-lag), at most _BLOCK + 1 rows for q, then d(k0) for p
+            out = _rows(states, k0 + 1 - lag, min(k0, k1 + 2 - lag)) + _rows(states, k0, k0 + 1)
+            start = len(out)
+            ps, qs = iter(out), iter(out)
+            next(islice(ps, start - w, start - w), None)  # at d_1(k0)
+            next(qs)  # at d_2(k0+1-lag)
+            append, z = out.append, EPS
+            if variant == "open_mfg":
+                for t, p, q in zip(tk, ps, qs):
+                    z = (p if p > z else z) + t
+                    z = q if q > z else z
+                    append(z)
+            else:  # open_comm
+                for t, p, q in zip(tk, ps, qs):
+                    z = p if p > z else z
+                    z = (q if q > z else z) + t
+                    append(z)
+            states[k0 + 1 : k1 + 1] = np.reshape(out, (-1, w))[start // w :, :n]
     return states
 
 

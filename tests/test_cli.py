@@ -496,7 +496,8 @@ class TestRun:
         exact = replace(config, source=replace(config.source, integer_times=True))
         monkeypatch.setattr(cli, "oracle_lindley", nudged)
         assert validate(exact, trials=1) == 1
-        assert "mismatch at k=5 i=4" in capsys.readouterr().out
+        # the one route validate compares with the oracle is the prefix scan
+        assert "mismatch at k=5 i=4: scan=" in capsys.readouterr().out
 
     def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
         """The prefix scan's table is compared _CHUNK_ROWS rows at a time;

@@ -65,6 +65,41 @@ def assert_state_equation(spec, tau, states, exact=False):
         assert gap.max() <= tau.rounding_gap(want)
 
 
+def reference_lindley(spec, tau):
+    """Departures d(0..K) from the per-cell scalar recursions, customer by
+    customer, written out here apart from engine: a reference for its
+    kernel, which the oracle and every strategy run.  d(0) = 0, and the
+    rows before it are eps; p = d_i(k-1), q = d_{i+1}(k-b-1) (eps past
+    station n), z the departure of the station before."""
+    n, K, variant = spec.n, spec.horizon, spec.variant
+    lag = spec.arity // n  # b + 1, or c
+    rows = [[0.0] * n]
+    for k, tk in enumerate(tau.tau.T.tolist(), 1):
+        prev = rows[k - 1]
+        old = rows[k - lag] if k >= lag else [EPS] * n  # d(k - lag)
+        if variant == "closed":
+            feed = old[-1:] + old[:-1]
+            y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
+        else:
+            y, z = [], EPS
+            if variant == "open_infinite":
+                for t, p in zip(tk, prev):
+                    z = (p if p > z else z) + t
+                    y.append(z)
+            elif variant == "open_mfg":
+                for t, p, q in zip(tk, prev, old[1:] + [EPS]):
+                    z = (p if p > z else z) + t
+                    z = q if q > z else z
+                    y.append(z)
+            else:  # open_comm
+                for t, p, q in zip(tk, prev, old[1:] + [EPS]):
+                    z = p if p > z else z
+                    z = (q if q > z else z) + t
+                    y.append(z)
+        rows.append(y)
+    return np.array(rows)
+
+
 class TestHandTrajectories:
     def test_open_infinite(self):
         spec = TandemSpec("open_infinite", 2, 3)
@@ -111,7 +146,7 @@ class TestInitialState:
     def test_lag_past_horizon_reads_eps(self, variant, value):
         """b + 1 or c past K + 1 looks back to rows before k = 0 only, all
         eps: serial and the oracle give the states of the lag = K + 1 run,
-        and hold no ring rows beyond K + 1."""
+        and look back no further than K + 1 rows."""
         n, K = 3, 6
         key = "population" if variant == "closed" else "buffer_capacity"
         spec = TandemSpec(variant, n, K, **{key: value})
@@ -385,7 +420,7 @@ class TestOracleEquivalence:
     @given(st.data(), st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(1, 4))
     def test_oracle_ring_edges(self, data, n, K, b, c):
         """With b + 1 or c up to 5 rows of lookback and K down to 1, the
-        oracle's ring reaches back past k = 0; on tau with ties and signed
+        oracle's look-back reaches past k = 0; on tau with ties and signed
         zeros it equals serial exactly, sign of zero included, and so do
         vector and batched.  The paper's state equation gives the same
         table, sign of zero included."""
@@ -420,7 +455,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("initial", ["zero"])  # d(0) = e; keeps the case ids stable
     def test_block_boundaries(self, K, variant, kwargs, initial):
         """Serial and the oracle move tau and d in blocks of 256 customers;
-        across block edges, with a ring up to 4 rows deep, serial equals
+        across block edges, with up to 4 rows of look-back, serial equals
         the oracle exactly (sign of zero included), and every d(k) of
         serial's table satisfies the paper's state equation: exactly on
         integer and signed-zero tau, within the float contract on float
@@ -437,6 +472,28 @@ class TestOracleEquivalence:
             assert_state_equation(spec, tau, got, exact)
         tau = random_tau(n, K, K)
         assert_state_equation(spec, tau, simulate_serial(spec, tau).states)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 5), st.sampled_from([1, 2, 255, 256, 257, 513]),
+           st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_kernel_equals_reference(self, data, n, K, c, signed, seed):
+        """The oracle and simulate equal the per-cell reference bit for
+        bit, sign of zero included, for every variant: K across the block
+        edges, b up to past K (past a block of look-back at K = 513) and c
+        up to 4, on tau with ties, signed zeros and subnormals, or on
+        uniform floats."""
+        b = data.draw(st.sampled_from([0, 1, 2, 3, 4, K, K + 1, 10**11]))
+        rng = np.random.default_rng(seed)
+        tau = ServiceTimes(rng.choice([0.0, -0.0, 5e-324, 1.0, 2.5], (n, K)) if signed
+                           else rng.uniform(0, 5, (n, K)))
+        for variant, kwargs in [("closed", {"population": c}), ("open_infinite", {}),
+                                ("open_mfg", {"buffer_capacity": b}),
+                                ("open_comm", {"buffer_capacity": b})]:
+            spec = TandemSpec(variant, n, K, **kwargs)
+            want = reference_lindley(spec, tau)
+            for got in (oracle_lindley(spec, tau).states, simulate(spec, tau).states):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 5), st.integers(1, 8), st.booleans())
@@ -561,6 +618,35 @@ class TestProperties:
         message = rf"^departure {re.escape(cell)} overflows float64$"
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, constant_tau([1e308] * 3, 4), strategy)
+
+    @pytest.mark.parametrize("pattern", ["tail", "pair"])
+    @pytest.mark.parametrize(
+        "variant,kwargs",
+        [
+            ("open_infinite", {}),
+            ("open_mfg", {"buffer_capacity": 0}),
+            ("open_mfg", {"buffer_capacity": 3}),
+            ("open_comm", {"buffer_capacity": 0}),
+            ("open_comm", {"buffer_capacity": 3}),
+            ("closed", {"population": 2}),
+        ],
+    )
+    def test_overflow_in_second_block(self, variant, kwargs, pattern):
+        """tau that first overflows past the first block edge: simulate
+        names the row-major first +inf cell of the per-cell reference,
+        though later cells of the kernel's table may be NaN."""
+        n, K = 4, 400
+        cells = np.ones((n, K))
+        if pattern == "tail":
+            cells[:, 300:] = 1e308
+        else:  # d_2(299) near the top of float64, then tau_3(301)
+            cells[1, 298] = cells[2, 300] = 1e308
+        spec = TandemSpec(variant, n, K, **kwargs)
+        k, i = np.argwhere(np.isposinf(reference_lindley(spec, ServiceTimes(cells))))[0]
+        assert k >= 257
+        message = rf"^departure d_{i + 1}\({k}\) overflows float64$"
+        with pytest.raises(ModelConfigError, match=message):
+            simulate(spec, ServiceTimes(cells))
 
     @pytest.mark.parametrize("strategy", ["vector", "batched"])
     def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
