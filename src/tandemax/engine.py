@@ -17,7 +17,9 @@ loop, one max/+ cell per departure with, for the open variants, no
 Python work per customer; or, for open_infinite on exact tau, a prefix
 scan equal to it.  So every strategy's table is the oracle's, on float
 tau as well, and runs of different variants on shared float tau keep
-d_comm >= d_mfg >= d_inf exactly.
+d_comm >= d_mfg >= d_inf exactly.  The loop takes tau through a
+``memoryview`` and gives departures back through ``np.fromiter``; the
+overflow check is one ``max`` unless a departure overflowed.
 
 ``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
 recursions, independent of all matrix machinery.  The paper's T_k of
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -112,13 +114,13 @@ def _tri(m: int) -> int:
 _BLOCK = 256
 
 
-def _rows(table: np.ndarray, lo: int, hi: int) -> list:
+def _rows(table: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of a table, each followed by one eps cell, as one flat
-    list of Python floats; eps for rows before 0."""
+    C-order float64 array; eps for rows before 0."""
     rows = np.full((hi - lo, table.shape[1] + 1), EPS)
     if hi > 0:
         rows[max(-lo, 0):, :-1] = table[max(lo, 0):hi]
-    return rows.ravel().tolist()
+    return rows.ravel()
 
 
 def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
@@ -136,14 +138,16 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     included, without a call per cell.
 
     Blocks of _BLOCK customers, and in the open variants no Python work
-    per customer.  open_infinite runs one zip per station.  open_mfg and
-    open_comm run one flat loop over the block's cells, each row followed
-    by an eps cell whose tau is eps, which restarts z at station 1.  Each
-    cell is appended to a list seeded with the history rows, the last
-    lag = b+1 (at most K+1) read back from the table, eps before k = 0
-    (past a block of look-back, only the rows q reads); p and q iterate
-    that list one row and lag rows less one cell behind.  Closed keeps
-    its last c rows in a ring.
+    per customer.  tau is read through a ``memoryview``, one Python float
+    per cell as it is consumed, and the new cells leave by ``np.fromiter``.
+    open_infinite runs one zip per station into a station-major block.
+    open_mfg and open_comm run one flat loop over the block's cells, each
+    row followed by an eps cell whose tau is eps, which restarts z at
+    station 1.  Each cell is appended to a list seeded with the history
+    rows, the last lag = b+1 (at most K+1) read back from the table, eps
+    before k = 0 (past a block of look-back, only the rows q reads); p and
+    q iterate that list one row and lag rows less one cell behind.  Closed
+    keeps its last c rows in a ring.
 
     The eps cell of open_mfg holds d_1(k-b), not eps.  That is harmless:
     d never holds -0.0 and is nondecreasing in k and i, so as z of
@@ -163,30 +167,36 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
         k1 = min(k0 + _BLOCK, K)
         block = tau.tau[:, k0:k1]
         if variant == "closed":
+            tk = iter(memoryview(block.T.ravel()))
             rows = []
-            for k, tk in enumerate(block.T.tolist(), k0 + 1):
+            for k in range(k0 + 1, k1 + 1):
                 prev = ring[(k - 1) % lag]
                 old = ring[k % lag]  # d(k - c)
                 # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
                 feed = old[-1:] + old[:-1]
-                y = [t + (p if p >= q else q) for t, p, q in zip(tk, prev, feed)]
+                # tk last, so zip stops at prev's end without taking a cell
+                y = [t + (p if p >= q else q) for p, q, t in zip(prev, feed, tk)]
                 ring[k % lag] = y
                 rows.append(y)
-            states[k0 + 1 : k1 + 1] = rows
+            cells = np.fromiter(chain.from_iterable(rows), np.float64, (k1 - k0) * n)
+            states[k0 + 1 : k1 + 1] = cells.reshape(-1, n)
         elif variant == "open_infinite":
             y = [EPS] * (k1 - k0)  # the departures before station 1: eps
-            for i, (tk, p) in enumerate(zip(block.tolist(), states[k0].tolist())):
+            out = np.empty((n, k1 - k0))
+            for i, (tk, p) in enumerate(zip(block, states[k0].tolist())):
                 zs, y = y, []
                 append = y.append
-                for t, z in zip(tk, zs):
+                for t, z in zip(memoryview(tk), zs):
                     p = (p if p > z else z) + t
                     append(p)
-                states[k0 + 1 : k1 + 1, i] = y
+                out[i] = y
+            states[k0 + 1 : k1 + 1] = out.T
         else:
             w = n + 1
-            tk = iter(_rows(block.T, 0, k1 - k0))  # an iterator frees the list at its end
+            tk = memoryview(_rows(block.T, 0, k1 - k0))
             # from d(k0+1-lag), at most _BLOCK + 1 rows for q, then d(k0) for p
-            out = _rows(states, k0 + 1 - lag, min(k0, k1 + 2 - lag)) + _rows(states, k0, k0 + 1)
+            out = (_rows(states, k0 + 1 - lag, min(k0, k1 + 2 - lag)).tolist()
+                   + _rows(states, k0, k0 + 1).tolist())
             start = len(out)
             ps, qs = iter(out), iter(out)
             next(islice(ps, start - w, start - w), None)  # at d_1(k0)
@@ -202,7 +212,8 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
                     z = p if p > z else z
                     z = (q if q > z else z) + t
                     append(z)
-            states[k0 + 1 : k1 + 1] = np.reshape(out, (-1, w))[start // w :, :n]
+            cells = np.fromiter(islice(out, start, None), np.float64, (k1 - k0) * w)
+            states[k0 + 1 : k1 + 1] = cells.reshape(-1, w)[:, :n]
     return states
 
 
@@ -401,9 +412,10 @@ def simulate(
     _check_inputs(spec, tau)
     with np.errstate(over="ignore"):
         states = (_prefix_scan if _kernel(spec, tau) == "scan" else _lindley)(spec, tau)
-    over = np.argwhere(np.isposinf(states))
-    if over.size:
-        raise _overflow(*over[0])
+    if not states.max() < np.inf:  # NaN too: eps cells after an overflow hold NaN
+        over = np.argwhere(np.isposinf(states))
+        if over.size:
+            raise _overflow(*over[0])
     return Trajectory(states, spec, _ledger(spec, strategy, processors), strategy)
 
 

@@ -150,11 +150,13 @@ class ServiceTimes:
 def _check_tau(tau, ndim: int = 1) -> np.ndarray:
     """tau as a float64 array, a service vector (ndim 1) or the n x K
     matrix (ndim 2), every entry finite and >= 0: the one validity rule
-    for service times, shared by ``ServiceTimes`` and the 1-D builders."""
+    for service times, shared by ``ServiceTimes`` and the 1-D builders.
+    Two reductions: NaN fails both comparisons, and ``initial`` lets an
+    empty array pass."""
     v = np.asarray(tau, dtype=np.float64)
     if v.ndim != ndim:
         raise ModelConfigError(f"service times must be {ndim}-dimensional, got ndim={v.ndim}")
-    if not np.isfinite(v).all() or (v < 0).any():
+    if not (v.min(initial=0.0) >= 0 and v.max(initial=0.0) < np.inf):
         raise ModelConfigError("service times must be finite and >= 0")
     return v
 

@@ -527,6 +527,21 @@ class TestRun:
             assert validate(config, trials=1) == 1
             assert capsys.readouterr().out.startswith(f"mismatch at {cell}: ")
 
+    def test_gap_names_the_first_cell_past_the_bound(self):
+        """validate's compare raises at the row-major first gap past the
+        bound, not at the largest, also behind a NaN gap, which is not
+        past it; within the bound it returns the row-major first largest
+        gap, with its k and i negated."""
+        ks = [10, 20, 30]
+        want = np.zeros((3, 3))
+        got = np.array([[0.0, 1.0, 0.0], [0.0, 3.0, 5.0], [5.0, 0.0, 0.0]])
+        assert cli._gap("at k={} i={}", ks, got, want, 5.0, 0) == (5.0, -20, -3)
+        for first in (0.0, np.nan):
+            got[0, 0] = first
+            with pytest.raises(cli._Mismatch,
+                               match=r"^at k=20 i=2=3 oracle=0 gap 3 > bound 2 \(trial 4\)$"):
+                cli._gap("at k={} i={}", ks, got, want, 2.0, 4)
+
     @pytest.mark.parametrize("model", [{"variant": "open_comm", "b": 1},
                                        {"variant": "closed", "c": 2}])
     def test_validate_checks_the_state_equation(self, capsys, monkeypatch, model):

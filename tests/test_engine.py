@@ -473,6 +473,37 @@ class TestOracleEquivalence:
         tau = random_tau(n, K, K)
         assert_state_equation(spec, tau, simulate_serial(spec, tau).states)
 
+    @pytest.mark.parametrize(
+        "variant,kwargs",
+        [
+            ("open_infinite", {}),
+            ("open_mfg", {"buffer_capacity": 0}),
+            ("open_mfg", {"buffer_capacity": 3}),
+            ("open_comm", {"buffer_capacity": 0}),
+            ("open_comm", {"buffer_capacity": 3}),
+            ("closed", {"population": 1}),
+            ("closed", {"population": 3}),
+        ],
+    )
+    def test_any_tau_layout(self, variant, kwargs):
+        """The kernel reads tau through a memoryview over its buffer: tau
+        in Fortran order, as a strided view or reversed gives the table
+        of C-order tau bit for bit, sign of zero included, at K = 600,
+        across two block edges."""
+        n, K = 5, 600
+        rng = np.random.default_rng(600)
+        raw = rng.uniform(0, 5, (n, K))
+        raw[rng.random((n, K)) < 0.2] = -0.0
+        spec = TandemSpec(variant, n, K, **kwargs)
+        want = oracle_lindley(spec, ServiceTimes(raw)).states
+        rev = raw[:, ::-1].copy()
+        for laid in (np.asfortranarray(raw), np.repeat(raw, 2, axis=1)[:, ::2], rev[:, ::-1]):
+            tau = ServiceTimes(laid)
+            assert not tau.tau.flags.c_contiguous
+            for got in (oracle_lindley(spec, tau).states, simulate(spec, tau).states):
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(2, 5), st.sampled_from([1, 2, 255, 256, 257, 513]),
            st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
@@ -644,6 +675,33 @@ class TestProperties:
         spec = TandemSpec(variant, n, K, **kwargs)
         k, i = np.argwhere(np.isposinf(reference_lindley(spec, ServiceTimes(cells))))[0]
         assert k >= 257
+        message = rf"^departure d_{i + 1}\({k}\) overflows float64$"
+        with pytest.raises(ModelConfigError, match=message):
+            simulate(spec, ServiceTimes(cells))
+
+    @pytest.mark.parametrize("first", [5, 300])
+    @pytest.mark.parametrize(
+        "variant,kwargs",
+        [
+            ("open_mfg", {"buffer_capacity": 1}),
+            ("open_comm", {"buffer_capacity": 0}),
+            ("open_comm", {"buffer_capacity": 3}),
+        ],
+    )
+    def test_overflow_named_before_nan(self, variant, kwargs, first):
+        """After an overflow the kernel's eps cells make NaN in later cells,
+        so the table's max is NaN, not +inf.  simulate still raises, and
+        names the row-major first +inf of the per-cell reference, in the
+        first block and in a later one."""
+        n, K = 4, 400
+        cells = np.ones((n, K))
+        cells[2, first:] = 1e308
+        spec = TandemSpec(variant, n, K, **kwargs)
+        states = oracle_lindley(spec, ServiceTimes(cells)).states
+        k, i = np.argwhere(np.isposinf(reference_lindley(spec, ServiceTimes(cells))))[0]
+        assert (k - 1) // 256 == first // 256
+        assert tuple(np.argwhere(np.isposinf(states))[0]) == (k, i)
+        assert np.isnan(states[k:]).any() and np.isnan(states.max())
         message = rf"^departure d_{i + 1}\({k}\) overflows float64$"
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, ServiceTimes(cells))

@@ -85,6 +85,18 @@ class TestWaiting:
         with pytest.raises(MeasureConsistencyError):
             self._waiting([1, 1.5 - 4 * ulp], [0.5, 0.5])
 
+    def test_first_negative_waiting_named(self):
+        """The error names the row-major first w below the bound, not the
+        most negative; a NaN w is not below it."""
+        states = np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 4.0], [2.0, 3.0, 3.0],
+                           [3.0, 1.0, 5.0], [4.0, 5.0, 6.0]])
+        tau = np.ones((3, 4))
+        with pytest.raises(MeasureConsistencyError, match=r"^negative waiting time w_3\(2\) = -1\.0$"):
+            trajectory_waiting(states, tau)
+        states[2:4] = [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]]
+        w = trajectory_waiting(states, tau)
+        assert np.isnan(w[0, 1]) and np.nanmin(w) == 0.0
+
 
 class TestRecursionConsistency:
     """Matrix recursions for s and w must match the direct definitions."""

@@ -290,6 +290,20 @@ class TestSpecValidation:
         st = ServiceTimes(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert list(st.column(2)) == [2.0, 4.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 299)])
+    def test_service_times_rule(self, bad, at):
+        """One rule, with one message, for every cell that is not finite
+        and >= 0, wherever it sits, among cells that pass; -0.0 and an
+        empty matrix pass."""
+        tau = np.full((3, 300), 2.0)
+        tau[at] = bad
+        with pytest.raises(ModelConfigError, match=r"^service times must be finite and >= 0$"):
+            ServiceTimes(tau)
+        tau[at] = -0.0
+        assert np.signbit(ServiceTimes(tau).tau[at])
+        assert ServiceTimes(np.empty((3, 0))).horizon == 0
+
 
 def test_rounding_gap():
     d = np.array([[EPS, 3.0], [-8.0, 5.0]])
