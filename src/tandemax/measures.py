@@ -80,7 +80,11 @@ def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np
     """
     tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
     w = trajectory_sojourn(states)
-    w[:, 1:] -= np.cumsum(tau.tau[1:], axis=0).T
+    # station sums one row at a time, added in cumsum's order; -0.0 + x is x
+    run = np.full(tau.horizon, -0.0)
+    for i in range(1, tau.n):
+        run += tau.tau[i]
+        w[:, i] -= run
     w[:, 0] = 0.0
     low = -tau.rounding_gap(states[1:])
     if not w.min() >= low:  # a NaN min fails this too, and the scan decides

@@ -140,11 +140,14 @@ class ServiceTimes:
         if self.exact:
             return 0.0
         d = np.asarray(d, dtype=np.float64)
-        # max|d| as max(max d, -min d): no temporary as large as d
-        finite = np.isfinite(d)
-        top = max(0.0, float(d.max(where=finite, initial=0.0)),
-                  -float(d.min(where=finite, initial=0.0)))
-        return (self.n + self.horizon) * 2.0**-53 * top
+        # max|d| as max(max d, -min d): no temporary as large as d, and a
+        # finite mask only when eps, inf or NaN cells must be skipped
+        hi, lo = float(d.max(initial=0.0)), float(d.min(initial=0.0))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            finite = np.isfinite(d)
+            hi = float(d.max(where=finite, initial=0.0))
+            lo = float(d.min(where=finite, initial=0.0))
+        return (self.n + self.horizon) * 2.0**-53 * max(0.0, hi, -lo)
 
 
 def _check_tau(tau, ndim: int = 1) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,55 @@ class TestWaiting:
         states[2:4] = [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]]
         w = trajectory_waiting(states, tau)
         assert np.isnan(w[0, 1]) and np.nanmin(w) == 0.0
+
+    @staticmethod
+    def _cumsum_waiting(states, tau):
+        """The reference formula: one (n - 1) x K cumsum of the station times."""
+        w = trajectory_sojourn(states)
+        w[:, 1:] -= np.cumsum(tau[1:], axis=0).T
+        w[:, 0] = 0.0
+        return w
+
+    @pytest.mark.parametrize("kind", ["integer", "float", "negzero", "subnormal"])
+    @pytest.mark.parametrize("K", [1, 2, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_matches_cumsum_bit_for_bit(self, n, K, kind):
+        """Running station sums add the terms in cumsum's order, so every
+        cell, its sign bit included, is the reference formula's.  Signed
+        zeros in both tau and the epochs give w cells of either sign."""
+        rng = np.random.default_rng(n * 1000 + K)
+        tau = {
+            "integer": lambda: rng.integers(0, 6, (n, K)).astype(float),
+            "float": lambda: rng.uniform(0, 5, (n, K)),
+            "negzero": lambda: np.where(rng.random((n, K)) < 0.5, -0.0, 0.0),
+            "subnormal": lambda: np.ldexp(rng.uniform(0, 1, (n, K)), -1030),
+        }[kind]()
+        if kind == "negzero":
+            states = np.where(rng.random((K + 1, n)) < 0.5, -0.0, 0.0)
+        else:
+            states = simulate(TandemSpec("open_infinite", n, K), ServiceTimes(tau)).states
+        want = self._cumsum_waiting(states, tau)
+        for arg in (ServiceTimes(tau), tau):
+            got = trajectory_waiting(states, arg)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        if kind == "negzero" and n > 1 and K > 2:
+            assert np.signbit(got).any()
+
+    def test_waiting_memory(self):
+        """No (n - 1) x K temporary: the traced peak of one call stays
+        within a quarter of its result's size."""
+        n, K = 16, 3000
+        tau = ServiceTimeSource(kind="uniform", low=0, high=5, seed=1).sample(n, K)
+        states = simulate(TandemSpec("open_infinite", n, K), tau).states
+        trajectory_waiting(states, tau)
+        tracemalloc.start()
+        try:
+            w = trajectory_waiting(states, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * w.nbytes
 
 
 class TestRecursionConsistency:

@@ -315,6 +315,12 @@ def test_rounding_gap():
     assert below.rounding_gap(d) == 0.0
     at = ServiceTimes(np.array([[2.0**52, 1.0], [2.0**52 - 1, 0.0]]))
     assert at.rounding_gap(d) == (2 + 2) * 2.0**-53 * 8.0
+    # NaN and +inf cells are skipped like eps, also where the other
+    # reduction is NaN too and max(0.0, nan, nan) would drop both
+    for d in ([[np.nan, 3.0], [-8.0, 5.0]], [[np.inf, 3.0], [-8.0, 5.0]],
+              [[np.nan, np.inf], [EPS, 8.0]], [[np.nan, 3.0], [1.0, 8.0]]):
+        assert tau.rounding_gap(np.array(d)) == (2 + 2) * 2.0**-53 * 8.0
+    assert tau.rounding_gap(np.array([[np.nan, np.inf], [EPS, -0.0]])) == 0.0
 
 
 def test_is_exact():
