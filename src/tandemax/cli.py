@@ -1,12 +1,13 @@
 """Command-line surface: simulate, validate, and bench subcommands.
 
-Configs are JSON documents; see README for the schema.  Exit codes:
-0 success, 1 validation mismatch, 2 configuration error, 3 I/O error.
+Configs are JSON documents; see README for the schema.  Exit codes: 0 success,
+1 validation mismatch or negative waiting time, 2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -16,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    STRATEGIES, Trajectory, _kernel, _ledger, _paper_formulas, _state, _step, _tops,
-    check_strategy, oracle_lindley, simulate,
+    STRATEGIES, _check_overflow, _kernel, _ledger, _paper_formulas, _start, _state, _step,
+    _step_block, _tops, check_strategy, oracle_lindley, simulate,
 )
-from .measures import trajectory_sojourn, trajectory_waiting
-from .models import ModelConfigError, ServiceTimes, TandemSpec
+from .measures import MeasureConsistencyError, _Lows, _waiting, trajectory_sojourn
+from .models import ModelConfigError, ServiceTimes, TandemSpec, _rounding_gap
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -127,18 +128,11 @@ def parse_config(document: str | dict) -> RunConfig:
     )
 
 
-# Tables are written in blocks of _CHUNK_ROWS rows, as the bytes of %.17g.
-# _layout prints a block of exact integers below 2**53 (not -0.0) as |x|,
-# and any other block from _fixed17: a cell of 0 or 1e-4 <= |x| < 1e17,
-# which %.17g prints in fixed notation, as 17 digits N = x 10**(16-E)
-# rounded half to even, E = floor(log10|x|). 10**(16-E) is exact, Dekker's
-# TwoProduct splits the product exactly into h + l, and h >= 2**53 is even,
-# so N = h + rint(l). A cell %.17g prints in exponent form (or nan, inf) is
-# laid out empty and its format(x, ".17g") spliced in: a few per table.
-# The two kinds compact their right-aligned cells differently (see _layout);
-# a block pays a few dozen numpy calls whatever its size, so larger blocks
-# write integer tables faster, but each float block's _fixed17 temporaries
-# grow with it (variant-grid's peak RSS: +1% at 512 rows, +3% at 1024).
+# Tables are written in blocks of _CHUNK_ROWS rows, as the bytes of %.17g:
+# exact integers below 2**53 (not -0.0) as |x|, other blocks from _fixed17,
+# with exponent-form cells spliced in (README, "Config schema").  Larger
+# blocks write integer tables faster, but each float block's _fixed17
+# temporaries grow with it (variant-grid's peak RSS: +1% at 512, +3% at 1024).
 _CHUNK_ROWS = 384
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
@@ -208,7 +202,10 @@ def _layout(table: np.ndarray, neg: np.ndarray, mag: np.ndarray,
 
 def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_layout's (mag, cols, point) for the %.17g text of a >= 0: where a is
-    0 or 1e-4 <= a < 1e17, M is N with its trailing zeros past the point
+    0 or 1e-4 <= a < 1e17, which %.17g prints fixed, its 17 digits are
+    N = a 10**(16-E) rounded half to even, E = floor(log10 a): Dekker's
+    TwoProduct splits the exact product into h + l, h >= 2**53 is even, so
+    N = h + rint(l).  M is N with its trailing zeros past the point
     stripped, leaving f digits past it, and mag = M + 9 (M - M mod 10**f)
     has a 0 digit where the point goes (``0.`` leads if E < 0); elsewhere
     cols is 0."""
@@ -247,43 +244,35 @@ def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return N + N // unit * unit * 9, cols, f
 
 
-def _write_measure(rows: np.ndarray, prefix: str, path: Path) -> None:
-    """Write rows (K x n) under a k column as CSV, each cell as ``.17g``
-    text, one block of _CHUNK_ROWS rows at a time (see above)."""
-    K, n = rows.shape
-    with path.open("w") as fh:
-        fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, n + 1)) + "\n")
-        for k0 in range(0, K, _CHUNK_ROWS):
-            block = rows[k0:k0 + _CHUNK_ROWS]
-            table = np.column_stack((np.arange(k0 + 1, k0 + len(block) + 1), block))
-            a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
-            if np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
-                fh.write(_layout(table, neg, a))
-            else:
-                mag, cols, point = _fixed17(a)
-                fh.write(_layout(table, neg & (cols > 0), mag, cols, point))
+def _write_rows(fh, rows: np.ndarray, k0: int) -> None:
+    """Write rows (L x n), those of customers k0+1..k0+L, under their k
+    column as CSV, each cell as ``.17g`` text, one block of _CHUNK_ROWS
+    rows at a time (see above)."""
+    for j in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[j:j + _CHUNK_ROWS]
+        table = np.column_stack((np.arange(k0 + j + 1, k0 + j + len(block) + 1), block))
+        a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
+        if np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
+            fh.write(_layout(table, neg, a))
+        else:
+            mag, cols, point = _fixed17(a)
+            fh.write(_layout(table, neg & (cols > 0), mag, cols, point))
 
 
-def op_report(traj: Trajectory, processors: int) -> str:
-    """The run's ledger, then the reference counts of the open-infinite
-    tandem with the run's n, K and P: its serial and batched ledgers
-    (``engine._ledger``) and the paper's idealized formulas (the speedup
+def op_report(spec: TandemSpec, strategy: str, processors: int) -> str:
+    """The run's ledger (``engine._ledger``), then the reference counts of
+    the open-infinite tandem with the run's n, K and P: its serial and
+    batched ledgers and the paper's idealized formulas (the speedup
     figures are formula values, not timings)."""
-    led = traj.ledger
-    n, K = traj.spec.n, traj.spec.horizon
+    led = _ledger(spec, strategy, processors)
+    n, K = spec.n, spec.horizon
     ref = TandemSpec("open_infinite", n, K)
     serial = _ledger(ref, "serial", 1)
     batches = _ledger(ref, "batched", processors).batches
     f = _paper_formulas(n, K, processors)
-    lines = [
-        f"strategy: {traj.strategy}",
-        f"steps: {led.steps}",
-        f"scalar_oplus: {led.scalar_oplus}",
-        f"scalar_otimes: {led.scalar_otimes}",
-        f"vector_ops: {led.vector_ops}",
-        f"parallel_ops: {led.parallel_ops}",
-        f"batches: {led.batches}",
-        f"memory_cells: {led.memory_cells}",
+    counters = ("steps", "scalar_oplus", "scalar_otimes", "vector_ops", "parallel_ops",
+                "batches", "memory_cells")
+    lines = [f"strategy: {strategy}"] + [f"{c}: {getattr(led, c)}" for c in counters] + [
         "-- reference formulas (open-infinite tandem) --",
         f"serial per-step ops n(n+1)/2 + n^2: {serial.scalar_ops // K}",
         f"serial total K(N1+N2): {serial.scalar_ops}",
@@ -297,21 +286,50 @@ def op_report(traj: Trajectory, processors: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Customers per chunk of a streamed run: three engine._BLOCK and two
+# _CHUNK_ROWS.  Chunks of 384 or 512 slowed open-long by 3-8%.
+_CHUNK = 768
+
+
 def run(config: RunConfig) -> int:
-    """Execute one simulation and write the requested artifacts."""
-    tau = config.source.sample(config.spec.n, config.spec.horizon)
-    traj = simulate(config.spec, tau, config.strategy, config.processors)
+    """Execute one simulation in memory O((_CHUNK + lag) n): per chunk,
+    sample tau, step the carry (``engine._step_block``), check for an
+    overflow and append each table's rows to its ``.part`` file.  The
+    waiting check waits for the rounding gap, from the carry's exactness
+    and d(K), the largest departure.  Success renames the tables."""
+    spec, n, K = config.spec, config.spec.n, config.spec.horizon
     out = Path(config.output_path)
-    if "departures" in config.measures or not config.measures:
-        _write_measure(traj.departures(), "d", out)
-    if "sojourn" in config.measures:
-        s = trajectory_sojourn(traj.states)
-        _write_measure(s, "s", out.with_name(out.stem + "_sojourn.csv"))
-    if "waiting" in config.measures:
-        w = trajectory_waiting(traj.states, tau)
-        _write_measure(w, "w", out.with_name(out.stem + "_waiting.csv"))
+    paths = {m: out if m == "departures" else out.with_name(f"{out.stem}_{m}.csv")
+             for m in MEASURES if m in (config.measures or ("departures",))}
+    parts = {m: path.with_name(path.name + ".part") for m, path in paths.items()}
+    track = spec.variant == "open_infinite" or "waiting" in paths
+    carry, lows = None, _Lows()  # the carry waits for a sampled chunk: a huge n fails there
+    try:
+        with contextlib.ExitStack() as stack:
+            files = {}
+            for k0, tau in zip(range(0, K, _CHUNK), config.source._chunks(n, K, _CHUNK)):
+                carry, states = _step_block(spec, carry or _start(spec, track), tau)
+                _check_overflow(states, k0)
+                if not files:  # opened once the first chunk passes: its errors leave no file
+                    for m, part in parts.items():
+                        files[m] = stack.enter_context(part.open("w"))
+                        files[m].write(f"k,{','.join(f'{m[0]}_{i}' for i in range(1, n + 1))}\n")
+                if "departures" in files:
+                    _write_rows(files["departures"], states[1:], k0)
+                if "sojourn" in files:
+                    _write_rows(files["sojourn"], trajectory_sojourn(states), k0)
+                if "waiting" in files:
+                    _write_rows(files["waiting"], lows.add(_waiting(states, tau.tau), k0), k0)
+                del tau, states  # the next chunk is sampled and stepped without this one's
+        lows.check(0.0 if carry.exact or not lows else _rounding_gap(n, K, carry.rows[-1]))
+        for m, part in parts.items():
+            part.replace(paths[m])
+    except BaseException:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+        raise
     if config.count_ops:
-        report = op_report(traj, config.processors)
+        report = op_report(spec, config.strategy, config.processors)
         out.with_name(out.stem + "_ops.txt").write_text(report)
         sys.stdout.write(report)
     return 0
@@ -377,7 +395,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
             for t, (tau, t_k) in enumerate(zip(batch, tops), start=t0):
                 tau = ServiceTimes(tau)
                 traj = simulate(spec, tau, config.strategy, config.processors)
-                recursion = _kernel(spec, tau) == "recursion"  # the oracle's own loop
+                recursion = _kernel(spec, tau.exact) == "recursion"  # the oracle's own loop
                 states = traj.states if recursion else oracle_lindley(spec, tau).states
                 bound = tau.rounding_gap(states[1:])
                 top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
@@ -510,6 +528,9 @@ def main(argv=None) -> int:
     except (ConfigError, ModelConfigError, SourceConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MeasureConsistencyError as exc:
+        print(f"consistency error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

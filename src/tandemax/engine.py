@@ -1,32 +1,23 @@
 """State-recursion execution strategies and the scalar reference oracle.
 
 Every strategy evaluates d(k) = T_k (x) d(k-1) for k = 1..K; a strategy
-selects only the cost model it charges, not the kernel that runs.  A
-trajectory holds the departures d(0..K) only, n columns for every
-variant: the augmented state (d(k-1), ..., d(k-lag)) that makes the
-blocking and closed recursions first order is the table's own earlier
-rows, which the scalar loop reads back at each block of customers
-(closed keeps a ring) and ``_state`` for the T_k check.
+selects only the cost model it charges (``_ledger``), not the kernel that
+runs.  A trajectory holds the departures d(0..K) only, n columns for
+every variant.  The recursion is first order in the augmented state
+(d(k-1), ..., d(k-lag)), so a run goes on from a ``_Carry``, its last lag
+rows and the running exactness of its tau.  ``_step_block`` advances it
+over a block of customers with the variant's one kernel (``_kernel``):
+``_lindley``, the oracle's own scalar loop, or, for open_infinite while
+tau is exact, a prefix scan equal to it.  So every strategy's table is
+the oracle's, on float tau too, and runs of different variants on
+shared float tau keep d_comm >= d_mfg >= d_inf exactly.
 
-``simulate`` is the one place that runs a strategy.  It applies the
-strategy and array-size rules (``check_strategy``, which the CLI's
-config parser and ``bench`` apply too), runs the one kernel of the
-variant that ``_kernel`` picks and charges the strategy's cost model
-(``_ledger``).  That kernel is ``_lindley``, the oracle's own scalar
-loop, one max/+ cell per departure with, for the open variants, no
-Python work per customer; or, for open_infinite on exact tau, a prefix
-scan equal to it.  So every strategy's table is the oracle's, on float
-tau as well, and runs of different variants on shared float tau keep
-d_comm >= d_mfg >= d_inf exactly.  The loop takes tau through a
-``memoryview`` and gives departures back through ``np.fromiter``; the
-overflow check is one ``max`` unless a departure overflowed.
-
-``oracle_lindley`` runs ``_lindley``, the ordinary scalar max/+
-recursions, independent of all matrix machinery.  The paper's T_k of
-``models.build_transition`` stays the specification every run is
-checked against: ``tandemax validate`` multiplies the top block row of
-T_k (``_tops``, ``_step``) with the oracle's augmented state
-(``_state``) at up to 3 k per trial.
+``simulate`` and ``oracle_lindley`` (which never scans and uses no matrix
+code) take one step over all K customers, the CLI's ``simulate`` one per
+chunk.  The paper's T_k of ``models.build_transition`` stays the
+specification: ``tandemax validate`` multiplies the top block row of T_k
+(``_tops``, ``_step``) with the oracle's augmented state (``_state``) at
+up to 3 k per trial.
 """
 
 from __future__ import annotations
@@ -35,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,20 +106,46 @@ def _tri(m: int) -> int:
 _BLOCK = 256
 
 
-def _rows(table: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of a table, each followed by one eps cell, as one flat
-    C-order float64 array; eps for rows before 0."""
-    rows = np.full((hi - lo, table.shape[1] + 1), EPS)
-    if hi > 0:
-        rows[max(-lo, 0):, :-1] = table[max(lo, 0):hi]
+class _Carry(NamedTuple):
+    """A run so far: its last lag = min(m / n, K + 1) rows of d, eps before 0,
+    and ``ServiceTimes.exact`` of its tau (None: untracked), summing to ``total``."""
+
+    rows: np.ndarray
+    exact: bool | None = None
+    total: float = 0.0
+
+
+def _start(spec: TandemSpec, track: bool = False) -> _Carry:
+    """The carry at k = 0: d(0) = ``initial_state`` under lag - 1 eps rows."""
+    rows = np.full((min(spec.arity // spec.n, spec.horizon + 1), spec.n), EPS)
+    rows[-1] = initial_state(spec)
+    return _Carry(rows, True if track else None)
+
+
+def _step_block(spec: TandemSpec, carry: _Carry, tau: ServiceTimes) -> tuple[_Carry, np.ndarray]:
+    """Step the carry after k0 over customers k0+1..k1, whose service times
+    are tau; returns the carry after k1 and the rows d(k0..k1).  It scans
+    only while all tau so far is exact, so it gives ``_lindley``'s bits."""
+    exact, total = carry.exact, carry.total
+    if exact:
+        exact = tau.exact and (total := total + tau.tau.sum()) < 2.0**53
+    lag = len(carry.rows)
+    kernel = _prefix_scan if _kernel(spec, exact) == "scan" else _lindley
+    table = kernel(spec, carry.rows, tau.tau)
+    return _Carry(table[-lag:], exact, total), table[lag - 1:]
+
+
+def _rows(table: np.ndarray) -> np.ndarray:
+    """The rows of a table, each followed by one eps cell, flat."""
+    rows = np.full((len(table), table.shape[1] + 1), EPS)
+    rows[:, :-1] = table
     return rows.ravel()
 
 
-def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
-    """Departures d(0..K), a (K+1) x n array, from the ordinary scalar
-    max/+ recursions, on Python floats: the one scalar loop of each
-    variant, run by ``oracle_lindley`` and by every strategy unless
-    ``_kernel`` picks the scan.
+def _lindley(spec: TandemSpec, hist: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The carry's rows hist, then the departures of the customers of tau,
+    from the ordinary scalar max/+ recursions on Python floats: the one
+    scalar loop of each variant, which ``oracle_lindley`` runs.
 
     With p = d_i(k-1), q = d_{i+1}(k-b-1) and z the departure of the
     station before, d_i(k) = (z (+) p) (x) tau_ik (infinite buffers),
@@ -138,65 +156,62 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
     included, without a call per cell.
 
     Blocks of _BLOCK customers, and in the open variants no Python work
-    per customer.  tau is read through a ``memoryview``, one Python float
-    per cell as it is consumed, and the new cells leave by ``np.fromiter``.
-    open_infinite runs one zip per station into a station-major block.
+    per customer: tau comes in through a ``memoryview``, the new cells
+    leave by ``np.fromiter``.  open_infinite runs one zip per station.
     open_mfg and open_comm run one flat loop over the block's cells, each
     row followed by an eps cell whose tau is eps, which restarts z at
-    station 1.  Each cell is appended to a list seeded with the history
-    rows, the last lag = b+1 (at most K+1) read back from the table, eps
-    before k = 0 (past a block of look-back, only the rows q reads); p and
-    q iterate that list one row and lag rows less one cell behind.  Closed
-    keeps its last c rows in a ring.
+    station 1.  Each cell is appended to a list seeded with the lag = b+1
+    (at most K+1) history rows q reads and d(k0); p and q iterate that
+    list one row and lag rows less one cell behind.  Closed keeps its
+    last c rows in a ring.
 
     The eps cell of open_mfg holds d_1(k-b), not eps.  That is harmless:
     d never holds -0.0 and is nondecreasing in k and i, so as z of
     station 1 (against p = d_1(k)) and as q of station n (against
     z >= d_1(k+b)) it loses the max or ties bit for bit.  After a
     departure overflows, eps cells make inf + -inf = NaN, but only after
-    the row-major first +inf, which ``simulate`` names.
+    the row-major first +inf, which ``_check_overflow`` names.
     """
-    n, K = spec.n, spec.horizon
+    lag, n = hist.shape
     variant = spec.variant
-    lag = min(spec.arity // n, K + 1)
-    states = np.empty((K + 1, n))
-    states[0] = initial_state(spec)
+    states = np.empty((lag + tau.shape[1], n))
+    states[:lag] = hist
     if variant == "closed":
-        ring = [states[0].tolist()] + [[EPS] * n] * (lag - 1)  # row j at ring[j % lag]
-    for k0 in range(0, K, _BLOCK):
-        k1 = min(k0 + _BLOCK, K)
-        block = tau.tau[:, k0:k1]
+        ring = hist.tolist()  # table row r at ring[r % lag]
+    for r0 in range(lag, len(states), _BLOCK):
+        r1 = min(r0 + _BLOCK, len(states))  # table rows r0..r1-1, the block's customers
+        block = tau[:, r0 - lag:r1 - lag]
         if variant == "closed":
             tk = iter(memoryview(block.T.ravel()))
             rows = []
-            for k in range(k0 + 1, k1 + 1):
-                prev = ring[(k - 1) % lag]
-                old = ring[k % lag]  # d(k - c)
+            for r in range(r0, r1):
+                prev = ring[(r - 1) % lag]
+                old = ring[r % lag]  # d(k - c)
                 # station i's arrival d_{i-1}(k-c); station 1's is d_n(k-c)
                 feed = old[-1:] + old[:-1]
                 # tk last, so zip stops at prev's end without taking a cell
                 y = [t + (p if p >= q else q) for p, q, t in zip(prev, feed, tk)]
-                ring[k % lag] = y
+                ring[r % lag] = y
                 rows.append(y)
-            cells = np.fromiter(chain.from_iterable(rows), np.float64, (k1 - k0) * n)
-            states[k0 + 1 : k1 + 1] = cells.reshape(-1, n)
+            cells = np.fromiter(chain.from_iterable(rows), np.float64, (r1 - r0) * n)
+            states[r0:r1] = cells.reshape(-1, n)
         elif variant == "open_infinite":
-            y = [EPS] * (k1 - k0)  # the departures before station 1: eps
-            out = np.empty((n, k1 - k0))
-            for i, (tk, p) in enumerate(zip(block, states[k0].tolist())):
+            y = [EPS] * (r1 - r0)  # the departures before station 1: eps
+            out = np.empty((n, r1 - r0))
+            for i, (tk, p) in enumerate(zip(block, states[r0 - 1].tolist())):
                 zs, y = y, []
                 append = y.append
                 for t, z in zip(memoryview(tk), zs):
                     p = (p if p > z else z) + t
                     append(p)
                 out[i] = y
-            states[k0 + 1 : k1 + 1] = out.T
+            states[r0:r1] = out.T
         else:
             w = n + 1
-            tk = memoryview(_rows(block.T, 0, k1 - k0))
+            tk = memoryview(_rows(block.T))
             # from d(k0+1-lag), at most _BLOCK + 1 rows for q, then d(k0) for p
-            out = (_rows(states, k0 + 1 - lag, min(k0, k1 + 2 - lag)).tolist()
-                   + _rows(states, k0, k0 + 1).tolist())
+            out = _rows(states[r0 - lag:min(r0 - 1, r1 - lag + 1)]).tolist() + _rows(
+                states[r0 - 1:r0]).tolist()
             start = len(out)
             ps, qs = iter(out), iter(out)
             next(islice(ps, start - w, start - w), None)  # at d_1(k0)
@@ -212,44 +227,50 @@ def _lindley(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
                     z = p if p > z else z
                     z = (q if q > z else z) + t
                     append(z)
-            cells = np.fromiter(islice(out, start, None), np.float64, (k1 - k0) * w)
-            states[k0 + 1 : k1 + 1] = cells.reshape(-1, w)[:, :n]
+            cells = np.fromiter(islice(out, start, None), np.float64, (r1 - r0) * w)
+            states[r0:r1] = cells.reshape(-1, w)[:, :n]
     return states
 
 
-def _prefix_scan(spec: TandemSpec, tau: ServiceTimes) -> np.ndarray:
-    """Departures d(0..K) of open_infinite, a (K+1) x n array, by one
-    max-plus prefix scan per station (Greenberg, Lubachevsky & Mitrani,
-    "Algorithms for unboundedly parallel simulations", ACM TOCS 1991).
+def _prefix_scan(spec: TandemSpec, hist: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """d(k0) = hist[-1], then the open_infinite departures of the customers
+    of tau, by one max-plus prefix scan per station (Greenberg,
+    Lubachevsky & Mitrani, "Algorithms for unboundedly parallel
+    simulations", ACM TOCS 1991).
 
     Station i is the Lindley recursion d_i(k) = (a_k (+) d_i(k-1)) (x)
     tau_ik with arrivals a_k = d_{i-1}(k), eps for station 1.  Unrolled
-    over k, with C_k = tau_i1 + ... + tau_ik and C_0 = 0,
-    d_i(k) = C_k + max(d_i(0), max_{j <= k} (a_j - C_{j-1})): one cumsum
-    and one maximum.accumulate per station, on K-vectors only.  It adds
-    in another order from the scalar recursion, so it equals
-    ``_lindley`` only when every sum is exact: ``_kernel`` takes it only
-    when ``tau.exact``.
+    over k, with C_k = tau_i,k0+1 + ... + tau_ik and C_k0 = 0,
+    d_i(k) = C_k + max(d_i(k0), max_{k0 < j <= k} (a_j - C_{j-1})): one
+    cumsum and one maximum.accumulate per station, on L-vectors only.  It
+    adds in another order from the scalar recursion, so it equals
+    ``_lindley`` only when every sum is exact.
     """
-    K = spec.horizon
-    states = np.empty((K + 1, spec.n))
-    states[0] = initial_state(spec)
-    c = np.zeros(K + 1)  # C_0..C_K
-    d = np.full(K, EPS)  # a_1..a_K, then d_i(1..K)
-    x = np.empty(K)
-    for i, row in enumerate(tau.tau):
-        np.cumsum(row, out=c[1:])
-        np.subtract(d, c[:-1], out=x)
-        np.maximum.accumulate(x, out=x)
-        np.maximum(x, states[0, i], out=x)
-        np.add(c[1:], x, out=d)
-        states[1:, i] = d
+    L = tau.shape[1]
+    states = np.empty((L + 1, spec.n))
+    states[0] = hist[-1]
+    c = np.zeros(L + 1)  # C_k0..C_k1
+    d = np.full(L, EPS)  # the arrivals, then d_i(k0+1..k1)
+    x = np.empty(L)
+    with np.errstate(over="ignore"):  # an overflowed departure is named by _check_overflow
+        for i, row in enumerate(tau):
+            np.cumsum(row, out=c[1:])
+            np.subtract(d, c[:-1], out=x)
+            np.maximum.accumulate(x, out=x)
+            np.maximum(x, states[0, i], out=x)
+            np.add(c[1:], x, out=d)
+            states[1:, i] = d
     return states
 
 
-def _overflow(k: int, i: int) -> ModelConfigError:
-    """The error for departure d_{i+1}(k), which overflowed float64 to +inf."""
-    return ModelConfigError(f"departure d_{i + 1}({k}) overflows float64")
+def _check_overflow(states: np.ndarray, k0: int = 0) -> None:
+    """Name the row-major first departure of the rows d(k0), ... of states
+    that overflowed float64 to +inf (eps is legal) in a configuration error."""
+    if not states.max() < np.inf:  # NaN too: eps cells after an overflow hold NaN
+        over = np.argwhere(np.isposinf(states))
+        if over.size:
+            k, i = over[0]
+            raise ModelConfigError(f"departure d_{i + 1}({k0 + k}) overflows float64")
 
 
 def _state(spec: TandemSpec, states: np.ndarray, k: int) -> np.ndarray:
@@ -285,7 +306,8 @@ def oracle_lindley(spec: TandemSpec, tau: ServiceTimes) -> Trajectory:
     """Ground-truth departures from the ordinary scalar recursions
     (``_lindley``), for any buffer capacity b >= 0 and population c >= 1."""
     _check_inputs(spec, tau)
-    return Trajectory(_lindley(spec, tau), spec, OpLedger(steps=spec.horizon), strategy="oracle")
+    states = _step_block(spec, _start(spec), tau)[1]
+    return Trajectory(states, spec, OpLedger(steps=spec.horizon), strategy="oracle")
 
 
 STRATEGIES = ("serial", "sparse-closed", "vector", "batched")
@@ -391,31 +413,23 @@ def _paper_formulas(n: int, K: int, P: int) -> dict:
     }
 
 
-def _kernel(spec: TandemSpec, tau: ServiceTimes) -> str:
-    """The kernel every strategy runs: ``"scan"`` for open_infinite when
-    ``tau.exact`` (decided once per tau), else ``"recursion"``, the
-    oracle's own loop."""
-    if spec.variant == "open_infinite" and tau.exact:
-        return "scan"
-    return "recursion"
+def _kernel(spec: TandemSpec, exact: bool | None) -> str:
+    """The kernel every strategy runs: ``"scan"`` for open_infinite on exact
+    tau (``ServiceTimes.exact``, or a carry's), else ``"recursion"``, ``_lindley``."""
+    return "scan" if spec.variant == "open_infinite" and exact else "recursion"
 
 
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
-    """Run one strategy: check its rules and tau's shape, run the
-    variant's kernel (``_kernel``) and charge the strategy's cost model;
+    """Run one strategy: check its rules and tau's shape, step over all K
+    customers (``_step_block``) and charge the strategy's cost model;
     ``processors`` reaches only the cost model.  A departure that
-    overflows float64 to +inf is a configuration error (eps is legal),
-    reported here rather than as a numpy overflow warning."""
+    overflows float64 to +inf is a configuration error (``_check_overflow``)."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
-    with np.errstate(over="ignore"):
-        states = (_prefix_scan if _kernel(spec, tau) == "scan" else _lindley)(spec, tau)
-    if not states.max() < np.inf:  # NaN too: eps cells after an overflow hold NaN
-        over = np.argwhere(np.isposinf(states))
-        if over.size:
-            raise _overflow(*over[0])
+    states = _step_block(spec, _start(spec, spec.variant == "open_infinite"), tau)[1]
+    _check_overflow(states)
     return Trajectory(states, spec, _ledger(spec, strategy, processors), strategy)
 
 

@@ -60,36 +60,51 @@ def waiting_transition(t_k: MaxPlusMatrix, tau_k, tau_prev) -> MaxPlusMatrix:
 
 
 def trajectory_sojourn(states: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Sojourn vectors for k = 1..K from the raw state rows.
-
-    ``states`` is the (K + 1) x n departure table of a ``Trajectory``:
-    d(k) in row k, row 0 the initial state.  ``n`` is unused, as the table
-    is n wide; existing two-argument calls keep working.
-    """
+    """Sojourn vectors of the rows of states after its first: k = 1..K of a
+    ``Trajectory``'s table, or a streamed block.  ``n`` is unused."""
     return sojourn_direct(states[1:])
 
 
 def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np.ndarray:
-    """Waiting vectors for k = 1..K; tau is the run's ``ServiceTimes``, or
-    its n x K matrix, which is wrapped once here.
-
-    w_1(k) = 0; w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  Every open
-    variant has d_i(k) >= d_{i-1}(k) + tau_ik, since blocking only adds
-    time, so an entry below zero by more than the float contract's
-    rounding gap (``tau.rounding_gap``) signals a model bug and raises.
-    """
+    """Waiting vectors for k = 1..K (``_waiting``), tau the run's
+    ``ServiceTimes`` or n x K matrix.  As d_i(k) >= d_{i-1}(k) + tau_ik in
+    every open variant, a w below -``tau.rounding_gap`` is a bug: it raises."""
     tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
-    w = trajectory_sojourn(states)
+    lows = _Lows()
+    w = lows.add(_waiting(states, tau.tau), 0)
+    lows.check(tau.rounding_gap(states[1:]))
+    return w
+
+
+def _waiting(states: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The block formula: for the rows of states after its first and their
+    tau, w_1(k) = 0 and w_i(k) = s_i(k) - (tau_2k + ... + tau_ik)."""
+    w = sojourn_direct(states[1:])
     # station sums one row at a time, added in cumsum's order; -0.0 + x is x
-    run = np.full(tau.horizon, -0.0)
-    for i in range(1, tau.n):
-        run += tau.tau[i]
+    run = np.full(tau.shape[1], -0.0)
+    for i in range(1, len(tau)):
+        run += tau[i]
         w[:, i] -= run
     w[:, 0] = 0.0
-    low = -tau.rounding_gap(states[1:])
-    if not w.min() >= low:  # a NaN min fails this too, and the scan decides
-        bad = np.argwhere(w < low)
-        if bad.size:
-            k, i = bad[0]
-            raise MeasureConsistencyError(f"negative waiting time w_{i + 1}({k + 1}) = {w[k, i]}")
     return w
+
+
+class _Lows(list):
+    """The record lows (x, k, i) of a waiting table fed in row blocks: each
+    cell below 0 and below every cell before it, row-major.  So the first
+    cell below a bound known only at the end is one of them; NaN never is."""
+
+    def add(self, w: np.ndarray, k0: int) -> np.ndarray:
+        """Feed the rows w of customers k0+1, ...; returns w."""
+        best = self[-1][0] if self else 0.0  # the lows so far fall strictly
+        if not w.min() >= best:  # one reduction when nothing is low
+            at = np.flatnonzero(w < best)
+            x = w.ravel()[at]
+            keep = x < np.minimum.accumulate(np.r_[best, x[:-1]])
+            self += zip(x[keep], k0 + at[keep] // w.shape[1] + 1, at[keep] % w.shape[1] + 1)
+        return w
+
+    def check(self, gap: float) -> None:
+        for x, k, i in self:
+            if x < -gap:
+                raise MeasureConsistencyError(f"negative waiting time w_{i}({k}) = {x}")

@@ -133,21 +133,23 @@ class ServiceTimes:
             return all((np.rint(b) == b).all() for b in blocks) and tau.sum() < 2.0**53
 
     def rounding_gap(self, d: np.ndarray) -> float:
-        """Largest gap allowed between two routes that sum tau in different
-        orders to results d: 0 when ``exact``, else (n + K) * u * max|d|
-        over finite d with u = 2**-53, as each d sums at most n + K terms
-        (Higham, "The accuracy of floating point summation", SISC 1993)."""
-        if self.exact:
-            return 0.0
-        d = np.asarray(d, dtype=np.float64)
-        # max|d| as max(max d, -min d): no temporary as large as d, and a
-        # finite mask only when eps, inf or NaN cells must be skipped
-        hi, lo = float(d.max(initial=0.0)), float(d.min(initial=0.0))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            finite = np.isfinite(d)
-            hi = float(d.max(where=finite, initial=0.0))
-            lo = float(d.min(where=finite, initial=0.0))
-        return (self.n + self.horizon) * 2.0**-53 * max(0.0, hi, -lo)
+        """Largest gap of two routes that sum tau in different orders to d:
+        0 when ``exact``."""
+        return 0.0 if self.exact else _rounding_gap(self.n, self.horizon, d)
+
+
+def _rounding_gap(n: int, horizon: int, d: np.ndarray) -> float:
+    """(n + K) * u * max|d| over finite d with u = 2**-53, as each d sums at
+    most n + K terms (Higham, "The accuracy of floating point summation", SISC 1993)."""
+    d = np.asarray(d, dtype=np.float64)
+    # max|d| as max(max d, -min d): no temporary as large as d, and a
+    # finite mask only when eps, inf or NaN cells must be skipped
+    hi, lo = float(d.max(initial=0.0)), float(d.min(initial=0.0))
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        finite = np.isfinite(d)
+        hi = float(d.max(where=finite, initial=0.0))
+        lo = float(d.min(where=finite, initial=0.0))
+    return (n + horizon) * 2.0**-53 * max(0.0, hi, -lo)
 
 
 def _check_tau(tau, ndim: int = 1) -> np.ndarray:

@@ -92,16 +92,16 @@ class ServiceTimeSource:
             return load_trace(self.path, n, horizon)
         return ServiceTimes(self._draws(n, horizon, [self.seed])[0])
 
-    def _draws(self, n: int, horizon: int, seeds) -> np.ndarray:
-        """The n x K service times of each seed in seeds (ints), a
-        (len(seeds), n, K) array from one ``_uniform01`` call, or the
-        constant; a trace has no seed and no stack."""
+    def _draws(self, n: int, horizon: int, seeds, k0: int = 0) -> np.ndarray:
+        """The service times of customers k0+1..K of each seed in seeds
+        (ints), a (len(seeds), n, K - k0) array from one ``_uniform01``
+        call, or the constant; a trace has no seed and no stack."""
         if self.kind == "constant":
-            tau = np.full((len(seeds), n, horizon), self.value, dtype=float)
+            tau = np.full((len(seeds), n, horizon - k0), self.value, dtype=float)
         else:
             tau = _uniform01(np.array(seeds, dtype=object).reshape(-1, 1, 1),
                              np.arange(1, n + 1, dtype=np.uint64)[:, None],
-                             np.arange(1, horizon + 1, dtype=np.uint64))
+                             np.arange(k0 + 1, horizon + 1, dtype=np.uint64))
             if self.kind == "uniform":
                 tau *= self.high - self.low
                 tau += self.low
@@ -113,6 +113,14 @@ class ServiceTimeSource:
         if self.integer_times:
             np.rint(tau, out=tau)
         return tau
+
+    def _chunks(self, n: int, horizon: int, size: int):
+        """``sample``'s cells as ServiceTimes of customers k0+1..k0+size, k0 =
+        0, size, ...: each drawn alone, or cut from a trace loaded whole."""
+        whole = self.sample(n, horizon).tau if self.kind == "trace" else None
+        for k0 in range(0, horizon, size):
+            yield ServiceTimes(whole[:, k0:k0 + size] if whole is not None else
+                               self._draws(n, min(k0 + size, horizon), [self.seed], k0)[0])
 
     def _trials(self, n: int, horizon: int, trials: int, most: int):
         """The raw service times of seeds seed, seed+1, ..., seed+trials-1,

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from tandemax import cli, engine
 from tandemax.cli import (
     _CHUNK_ROWS,
     ConfigError,
-    _write_measure,
+    _write_rows,
     build_parser,
     main,
     parse_config,
@@ -26,6 +27,7 @@ from tandemax.cli import (
 )
 from tandemax.core import EPS, matvec
 from tandemax.engine import oracle_lindley, simulate, simulate_serial
+from tandemax.measures import trajectory_sojourn, trajectory_waiting
 from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 from tandemax.sources import (
     ServiceTimeSource,
@@ -740,6 +742,14 @@ class TestIntegersPast2To53:
         assert_waiting_below_zero_within_gap(tmp_path, dict(BIG_INTEGERS, seed=2))
 
 
+def _write_measure(rows, prefix, path):
+    """A whole table as ``run`` writes it: the header, then the rows of
+    customers 1..K through the CSV encoder."""
+    with path.open("w") as fh:
+        fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, rows.shape[1] + 1)) + "\n")
+        _write_rows(fh, rows, 0)
+
+
 def reference_csv(rows, prefix):
     """The per-row writer: one ``.17g`` format call per cell."""
     n = rows.shape[1]
@@ -923,6 +933,150 @@ class TestWriter:
                 for rows in (np.array(cells)[:, None], np.array(cells)[None, :]):
                     _write_measure(rows, "d", path)
                     assert path.read_text() == reference_csv(rows, "d")
+
+
+C = cli._CHUNK
+STREAM_MODELS = [
+    {"variant": "closed", "c": 1}, {"variant": "closed", "c": 2}, {"variant": "open_infinite"},
+    {"variant": "open_mfg", "b": 0}, {"variant": "open_mfg", "b": 2},
+    {"variant": "open_comm", "b": 0}, {"variant": "open_comm", "b": 3},
+]
+
+
+def stream(tmp_path, **doc):
+    """Run ``simulate`` on a config; return its exit code and its tables'
+    paths by measure."""
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(make_config(output=str(out), **doc))
+    paths = {"departures": out, "sojourn": tmp_path / "r_sojourn.csv",
+             "waiting": tmp_path / "r_waiting.csv"}
+    return main(["simulate", "--config", str(cfg)]), paths
+
+
+def assert_streamed_bytes(paths, config):
+    """Each streamed table is the .17g text of the whole-run table:
+    ``simulate``'s departures and ``trajectory_sojourn``/``_waiting``."""
+    spec = config.spec
+    tau = config.source.sample(spec.n, spec.horizon)
+    states = simulate(spec, tau).states
+    tables = {"departures": lambda: states[1:], "sojourn": lambda: trajectory_sojourn(states),
+              "waiting": lambda: trajectory_waiting(states, tau)}
+    for m in config.measures:
+        assert paths[m].read_text() == reference_csv(tables[m](), m[0])
+    assert not list(paths["departures"].parent.glob("*.part"))
+
+
+def write_trace(tmp_path, tau):
+    dump_trace(ServiceTimes(tau), tmp_path / "trace.csv")
+    return {"kind": "trace", "path": str(tmp_path / "trace.csv")}
+
+
+class TestStream:
+    @pytest.mark.parametrize("K", [1, C - 1, C, C + 1, 2 * C + 5])
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("model", STREAM_MODELS, ids=lambda m: "-".join(map(str, m.values())))
+    def test_streamed_bytes_across_chunk_edges(self, tmp_path, model, integer, K):
+        """simulate runs _CHUNK customers at a time and writes each table's
+        bytes as the whole run's: every variant, both kinds of tau, and K
+        on both sides of the chunk edges."""
+        measures = ["departures"] if model["variant"] == "closed" else list(cli.MEASURES)
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": integer}
+        code, paths = stream(tmp_path, **model, n=3, K=K, measures=measures, source=source)
+        assert code == 0
+        assert_streamed_bytes(paths, parse_config(make_config(**model, n=3, K=K, measures=measures,
+                                                              source=source)))
+
+    @pytest.mark.parametrize("late", ["half", "past 2**53"])
+    def test_exactness_is_carried_chunk_by_chunk(self, tmp_path, monkeypatch, late):
+        """open_infinite runs the prefix scan on a chunk only while all tau
+        so far is exact: integer tau in chunk 1, then a cell of 0.5 in
+        chunk 2, or 2**52 in chunks 1 and 2, whose sums each stay below
+        2**53 while the running sum passes it.  From there the chunks take
+        the scalar loop, and the bytes are the whole run's, which takes the
+        scalar loop throughout."""
+        n, K = 3, 2 * C + 5
+        tau = np.random.default_rng(4).integers(0, 6, (n, K)).astype(float)
+        if late == "half":
+            tau[1, C + 7] = 0.5
+        else:
+            tau[1, [7, C + 7]] = 2.0**52
+            assert tau[:, :C].sum() < 2**53 and tau[:, C:2 * C].sum() < 2**53
+        source = write_trace(tmp_path, tau)
+        kernels = []
+        for name in ("_prefix_scan", "_lindley"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *a, real=real, name=name:
+                                kernels.append(name) or real(*a))
+        code, paths = stream(tmp_path, n=n, K=K, measures=list(cli.MEASURES), source=source)
+        assert code == 0
+        assert kernels == ["_prefix_scan", "_lindley", "_lindley"]
+        config = parse_config(make_config(n=n, K=K, measures=list(cli.MEASURES), source=source))
+        assert not config.source.sample(n, K).exact
+        assert_streamed_bytes(paths, config)
+
+    @pytest.mark.parametrize("integer_times", [True, False])
+    def test_memory_stays_bounded(self, tmp_path, integer_times):
+        """The traced peak of one simulate at K = 20 _CHUNK (n = 16, all
+        three tables) stays within 1.25 times its peak at K = _CHUNK."""
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1, "integer_times": integer_times}
+        peaks = []
+        for K in (C, 20 * C):
+            cfg = tmp_path / f"c{K}.json"
+            cfg.write_text(make_config(n=16, K=K, measures=list(cli.MEASURES), source=source,
+                                       output=str(tmp_path / "r.csv")))
+            assert main(["simulate", "--config", str(cfg)]) == 0  # warm
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("model", [{"variant": "open_infinite"},
+                                       {"variant": "open_comm", "b": 1},
+                                       {"variant": "closed", "c": 2}])
+    def test_overflow_in_a_later_chunk(self, tmp_path, capsys, model):
+        """A departure that first overflows in chunk 2: exit 2 with the
+        whole run's line, no table or .part left, and a file already at
+        the output path untouched."""
+        n, K = 3, 2 * C + 5
+        tau = np.ones((n, K))
+        tau[:, C + 9:] = 1e308
+        source = write_trace(tmp_path, tau)
+        config = parse_config(make_config(**model, n=n, K=K, source=source))
+        with pytest.raises(ModelConfigError) as want:
+            simulate(config.spec, config.source.sample(n, K))
+        assert re.fullmatch(r"departure d_\d\(\d+\) overflows float64", str(want.value))
+        (tmp_path / "r.csv").write_text("keep\n")
+        measures = ["departures"] if model["variant"] == "closed" else list(cli.MEASURES)
+        code, paths = stream(tmp_path, **model, n=n, K=K, measures=measures, source=source)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"configuration error: {want.value}\n")
+        assert paths["departures"].read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "r.csv", "trace.csv"]
+
+    def test_negative_waiting_in_a_later_chunk(self, tmp_path, capsys, monkeypatch):
+        """A waiting time below its bound in chunk 2, here one corrupted
+        cell, is one stderr line and exit 1, not a traceback, and leaves
+        no table: not even the departures and sojourn tables, whose chunks
+        were all written."""
+        real = cli._waiting
+
+        def corrupted(states, tau):
+            w = real(states, tau)
+            if len(states) - 1 == C and states[0, 0] > 0:  # chunk 2's first row is d(C)
+                w[5, 1] = -1.0
+            return w
+
+        monkeypatch.setattr(cli, "_waiting", corrupted)
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1, "integer_times": True}
+        code, paths = stream(tmp_path, n=3, K=3 * C, measures=list(cli.MEASURES), source=source)
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"consistency error: negative waiting time w_2({C + 6}) = -1.0\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
 class TestMainExitCodes:

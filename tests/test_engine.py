@@ -543,7 +543,8 @@ class TestOracleEquivalence:
         tau = ServiceTimes(tau)
         assert tau.exact
         spec = TandemSpec("open_infinite", n, K)
-        got, want = _prefix_scan(spec, tau), oracle_lindley(spec, tau).states
+        got = _prefix_scan(spec, initial_state(spec)[None], tau.tau)
+        want = oracle_lindley(spec, tau).states
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -555,7 +556,7 @@ class TestOracleEquivalence:
         spec = TandemSpec("open_infinite", 8, 200)
         want = oracle_lindley(spec, tau).states
         assert not tau.exact
-        assert not np.array_equal(_prefix_scan(spec, tau), want)
+        assert not np.array_equal(_prefix_scan(spec, initial_state(spec)[None], tau.tau), want)
         assert np.array_equal(simulate_serial(spec, tau).states, want)
 
     def test_oracle_names_no_matrix_code(self):

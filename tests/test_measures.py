@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tandemax.core import EPS, MaxPlusMatrix
 from tandemax.engine import simulate, simulate_serial
 from tandemax.measures import (
+    _Lows,
     MeasureConsistencyError,
     ReferenceEpochError,
     sojourn_direct,
@@ -98,6 +99,27 @@ class TestWaiting:
         states[2:4] = [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]]
         w = trajectory_waiting(states, tau)
         assert np.isnan(w[0, 1]) and np.nanmin(w) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 2.0, -1e-15, -2e-15, -1.0, np.nan]),
+                    min_size=3, max_size=60),
+           st.integers(1, 7), st.sampled_from([0.0, 1e-15, 1.5e-15, 0.5, 2.0]))
+    def test_record_lows_name_the_first_cell_below_the_bound(self, cells, rows, gap):
+        """Fed in blocks of rows before the bound is known, the record lows
+        name the row-major first cell below -gap, as a whole-table scan
+        does; NaN cells are never below it."""
+        w = np.array(cells[: len(cells) // 3 * 3]).reshape(-1, 3)
+        lows = _Lows()
+        for k0 in range(0, len(w), rows):
+            lows.add(w[k0:k0 + rows], k0)
+        below = np.argwhere(w < -gap)
+        if not below.size:
+            lows.check(gap)
+            return
+        k, i = below[0]
+        with pytest.raises(MeasureConsistencyError,
+                           match=rf"^negative waiting time w_{i + 1}\({k + 1}\) = {w[k, i]}$"):
+            lows.check(gap)
 
     @staticmethod
     def _cumsum_waiting(states, tau):
