@@ -128,11 +128,12 @@ def parse_config(document: str | dict) -> RunConfig:
     )
 
 
-# Tables are written in blocks of _CHUNK_ROWS rows, as the bytes of %.17g:
-# exact integers below 2**53 (not -0.0) as |x|, other blocks from _fixed17,
-# with exponent-form cells spliced in (README, "Config schema").  Larger
-# blocks write integer tables faster, but each float block's _fixed17
-# temporaries grow with it (variant-grid's peak RSS: +1% at 512, +3% at 1024).
+# Tables are written as the bytes of %.17g (README, "Config schema"), a
+# chunk of an exact run as one block, others in checked blocks of _CHUNK_ROWS
+# rows: exact integers below 2**53 (not -0.0) as |x| after their sign, other
+# blocks from _fixed17, with exponent-form cells spliced in.  Larger blocks
+# write integer tables faster, but each float block's _fixed17 temporaries
+# grow with it (variant-grid's peak RSS: +1% at 512, +3% at 1024).
 _CHUNK_ROWS = 384
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
@@ -244,15 +245,18 @@ def _fixed17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return N + N // unit * unit * 9, cols, f
 
 
-def _write_rows(fh, rows: np.ndarray, k0: int) -> None:
+def _write_rows(fh, rows: np.ndarray, k0: int, exact: bool | None = None) -> None:
     """Write rows (L x n), those of customers k0+1..k0+L, under their k
-    column as CSV, each cell as ``.17g`` text, one block of _CHUNK_ROWS
-    rows at a time (see above)."""
-    for j in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[j:j + _CHUNK_ROWS]
+    column as CSV, each cell as ``.17g`` text (see above).  Given exact
+    (the rows of a chunk whose run is exact, ``engine._Carry``: every cell
+    an integer below 2**53), they are one integer block, unchecked; else
+    one block of _CHUNK_ROWS rows at a time, each checked."""
+    step = len(rows) if exact else _CHUNK_ROWS
+    for j in range(0, len(rows), step):
+        block = rows[j:j + step]
         table = np.column_stack((np.arange(k0 + j + 1, k0 + j + len(block) + 1), block))
         a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
-        if np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
+        if exact or np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
             fh.write(_layout(table, neg, a))
         else:
             mag, cols, point = _fixed17(a)
@@ -286,17 +290,19 @@ def op_report(spec: TandemSpec, strategy: str, processors: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Customers per chunk of a streamed run: three engine._BLOCK and two
-# _CHUNK_ROWS.  Chunks of 384 or 512 slowed open-long by 3-8%.
+# Customers per chunk of a streamed run: three engine._BLOCK, and one
+# _write_rows block while the run is exact, else two _CHUNK_ROWS.  Chunks of
+# 384 or 512 slowed open-long by 3-8%.
 _CHUNK = 768
 
 
 def run(config: RunConfig) -> int:
     """Execute one simulation in memory O((_CHUNK + lag) n): per chunk,
     sample tau, step the carry (``engine._step_block``), check for an
-    overflow and append each table's rows to its ``.part`` file.  The
-    waiting check waits for the rounding gap, from the carry's exactness
-    and d(K), the largest departure.  Success renames the tables."""
+    overflow and append each table's rows to its ``.part`` file, in one
+    integer block while the carry is exact (``_write_rows``).  The waiting
+    check waits for the rounding gap, from the carry's exactness and d(K),
+    the largest departure.  Success renames the tables."""
     spec, n, K = config.spec, config.spec.n, config.spec.horizon
     out = Path(config.output_path)
     paths = {m: out if m == "departures" else out.with_name(f"{out.stem}_{m}.csv")
@@ -315,12 +321,14 @@ def run(config: RunConfig) -> int:
                         files[m] = stack.enter_context(part.open("w"))
                         files[m].write(f"k,{','.join(f'{m[0]}_{i}' for i in range(1, n + 1))}\n")
                 if "departures" in files:
-                    _write_rows(files["departures"], states[1:], k0)
+                    _write_rows(files["departures"], states[1:], k0, carry.exact)
+                s = trajectory_sojourn(states) if {"sojourn", "waiting"} & files.keys() else None
                 if "sojourn" in files:
-                    _write_rows(files["sojourn"], trajectory_sojourn(states), k0)
-                if "waiting" in files:
-                    _write_rows(files["waiting"], lows.add(_waiting(states, tau.tau), k0), k0)
-                del tau, states  # the next chunk is sampled and stepped without this one's
+                    _write_rows(files["sojourn"], s, k0, carry.exact)
+                if "waiting" in files:  # the waiting rows overwrite s
+                    _write_rows(files["waiting"], lows.add(_waiting(s, tau.tau), k0), k0,
+                                carry.exact)
+                del tau, states, s  # the next chunk is sampled and stepped without this one's
         lows.check(0.0 if carry.exact or not lows else _rounding_gap(n, K, carry.rows[-1]))
         for m, part in parts.items():
             part.replace(paths[m])

@@ -71,15 +71,15 @@ def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np
     every open variant, a w below -``tau.rounding_gap`` is a bug: it raises."""
     tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
     lows = _Lows()
-    w = lows.add(_waiting(states, tau.tau), 0)
+    w = lows.add(_waiting(trajectory_sojourn(states), tau.tau), 0)
     lows.check(tau.rounding_gap(states[1:]))
     return w
 
 
-def _waiting(states: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The block formula: for the rows of states after its first and their
-    tau, w_1(k) = 0 and w_i(k) = s_i(k) - (tau_2k + ... + tau_ik)."""
-    w = sojourn_direct(states[1:])
+def _waiting(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The block formula, over the sojourn rows w (``trajectory_sojourn``)
+    in place: for those customers and their tau, w_1(k) = 0 and
+    w_i(k) = s_i(k) - (tau_2k + ... + tau_ik).  Returns w."""
     # station sums one row at a time, added in cumsum's order; -0.0 + x is x
     run = np.full(tau.shape[1], -0.0)
     for i in range(1, len(tau)):

@@ -1,7 +1,10 @@
 import functools
+import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -918,6 +921,14 @@ class TestWriter:
             _write_measure(rows, "d", path)
             assert path.read_text() == reference_csv(rows, "d")
 
+    def test_exact_rows_keep_their_sign_bits(self):
+        # rows given as exact are one block, unchecked: each sign, -0.0's
+        # too, comes from signbit, as in %.17g
+        fh = io.StringIO()
+        rows = np.array([[-0.0, 3.0, -7.0], [0.0, -0.0, 2.0**53 - 1]])
+        _write_rows(fh, rows, 4, exact=True)
+        assert fh.getvalue() == "5,-0,3,-7\n6,0,-0,9007199254740991\n"
+
     def test_float_blocks_raise_no_warning(self, tmp_path):
         # a first exponent guess one off near 10**j or 1e17 must not index
         # or cast out of range; log-uniform cells with their neighbours
@@ -1015,6 +1026,86 @@ class TestStream:
         assert not config.source.sample(n, K).exact
         assert_streamed_bytes(paths, config)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from([m for m in STREAM_MODELS if m["variant"] != "closed"]),
+        measures=st.sets(st.sampled_from(cli.MEASURES), min_size=1),
+        n=st.integers(2, 4),
+        K=st.sampled_from([1, C - 1, C, C + 1, 2 * C + 5]),
+        zeros=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(model={"variant": "open_comm", "b": 1}, measures={"waiting"}, n=4, K=2 * C + 5,
+             zeros=0.5, seed=0)
+    def test_exact_chunks_byte_identical(self, model, measures, n, K, zeros, seed):
+        """The runs that track exactness (open_infinite with any tables, a
+        blocking variant with its waiting table) write each chunk of exact
+        tau as one unchecked integer block, and the bytes are the per-cell
+        writer's: integer tau with some -0.0 cells, and K on both sides of
+        the chunk edges."""
+        if model["variant"] != "open_infinite":
+            measures = measures | {"waiting"}
+        measures = [m for m in cli.MEASURES if m in measures]
+        rng = np.random.default_rng(seed)
+        tau = rng.integers(0, 6, (n, K)).astype(float)
+        tau[rng.random((n, K)) < zeros] = -0.0
+        flags = []
+        real = cli._write_rows
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_write_rows", lambda fh, rows, k0, exact=None:
+                       flags.append(exact) or real(fh, rows, k0, exact))
+            source = write_trace(Path(tmp), tau)
+            code, paths = stream(Path(tmp), **model, n=n, K=K, measures=measures, source=source)
+            assert code == 0
+            assert flags == [True] * (len(measures) * -(-K // C))
+            assert_streamed_bytes(paths, parse_config(make_config(
+                **model, n=n, K=K, measures=measures, source=source)))
+
+    @pytest.mark.parametrize("late", [False, True], ids=["exact", "past 2**53"])
+    @pytest.mark.parametrize("model", [{"variant": "open_infinite"},
+                                       {"variant": "open_mfg", "b": 2},
+                                       {"variant": "open_comm", "b": 1}],
+                             ids=lambda m: "-".join(map(str, m.values())))
+    def test_exact_chunks_hold_integers_below_2_53(self, tmp_path, monkeypatch, model, late):
+        """The writer trusts the carry: after each ``_step_block`` that
+        leaves ``carry.exact`` true, every cell of that chunk's three
+        tables passes the checked blocks' integer rule.  With 2**52 in
+        chunks 1 and 2, the running sum passes 2**53 in chunk 2, whose
+        departures pass it too; from there the chunks are checked."""
+        n, K = 3, 2 * C + 5
+        tau = np.random.default_rng(6).integers(0, 6, (n, K)).astype(float)
+        if late:
+            tau[1, [7, C + 7]] = 2.0**52
+        source = write_trace(tmp_path, tau)
+        exact, written = [], []
+        real_step, real_write = cli._step_block, cli._write_rows
+
+        def step(*args):
+            carry, states = real_step(*args)
+            exact.append(carry.exact)
+            return carry, states
+
+        def write(fh, rows, k0, flag=None):
+            written.append((len(exact) - 1, k0, flag, rows.copy()))
+            real_write(fh, rows, k0, flag)
+
+        monkeypatch.setattr(cli, "_step_block", step)
+        monkeypatch.setattr(cli, "_write_rows", write)
+        code, paths = stream(tmp_path, **model, n=n, K=K, measures=list(cli.MEASURES),
+                             source=source)
+        assert code == 0
+        assert exact == ([True, False, False] if late else [True] * 3)
+        assert [(c, k0) for c, k0, _, _ in written] == [(c, c * C) for c in range(3) for _ in "dsw"]
+        for c, _, flag, rows in written:
+            assert flag is exact[c]
+            a = np.abs(rows)
+            integer = (a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~np.signbit(rows))
+            assert integer.all() or not flag
+        if late:
+            assert (written[3][3] >= 2.0**53).any()  # chunk 2's departures
+        assert_streamed_bytes(paths, parse_config(make_config(
+            **model, n=n, K=K, measures=list(cli.MEASURES), source=source)))
+
     @pytest.mark.parametrize("integer_times", [True, False])
     def test_memory_stays_bounded(self, tmp_path, integer_times):
         """The traced peak of one simulate at K = 20 _CHUNK (n = 16, all
@@ -1062,11 +1153,12 @@ class TestStream:
         cell, is one stderr line and exit 1, not a traceback, and leaves
         no table: not even the departures and sojourn tables, whose chunks
         were all written."""
-        real = cli._waiting
+        real, calls = cli._waiting, []
 
-        def corrupted(states, tau):
-            w = real(states, tau)
-            if len(states) - 1 == C and states[0, 0] > 0:  # chunk 2's first row is d(C)
+        def corrupted(s, tau):
+            w = real(s, tau)
+            calls.append(len(s))
+            if len(calls) == 2:  # chunk 2: customers C + 1, ...
                 w[5, 1] = -1.0
             return w
 
@@ -1115,15 +1207,24 @@ class TestMainExitCodes:
         assert out.out == ""
         assert out.err == "configuration error: '--trials' must be >= 1\n"
 
-    def test_unallocatable_run_is_a_config_error(self, tmp_path, capsys):
-        # n x K doubles are 6.94 EiB, so the first allocation fails at once
+    def test_unallocatable_run_is_a_config_error(self, tmp_path):
+        # n x K doubles are 6.94 EiB, so the first allocation fails at once;
+        # the run goes in a child process under a 1 GiB address-space limit,
+        # so a regression that allocates less, but too much, fails there
+        # instead of exhausting the host's memory
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"variant": "open_infinite", "n": 1000000000, "K": 1000000000,
                                    "source": {"kind": "constant", "value": 1}}))
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: n x K = 1000000000 x 1000000000 ")
-        assert err.count("\n") == 1
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "from tandemax.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child, "simulate", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("configuration error: n x K = 1000000000 x 1000000000 ")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["simulate", "validate"])
