@@ -11,17 +11,19 @@ import contextlib
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .engine import (
     STRATEGIES, _check_overflow, _kernel, _ledger, _paper_formulas, _start, _state, _step,
-    _step_block, _tops, check_strategy, oracle_lindley, simulate,
+    _step_block, _tops, check_strategy,
 )
-from .measures import MeasureConsistencyError, _Lows, _waiting, trajectory_sojourn
-from .models import ModelConfigError, ServiceTimes, TandemSpec, _rounding_gap
+from .measures import (
+    MeasureConsistencyError, _check_lows, _Records, _waiting, trajectory_sojourn,
+)
+from .models import ModelConfigError, TandemSpec, _rounding_gap
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -309,7 +311,7 @@ def run(config: RunConfig) -> int:
              for m in MEASURES if m in (config.measures or ("departures",))}
     parts = {m: path.with_name(path.name + ".part") for m, path in paths.items()}
     track = spec.variant == "open_infinite" or "waiting" in paths
-    carry, lows = None, _Lows()  # the carry waits for a sampled chunk: a huge n fails there
+    carry, lows = None, _Records()  # the carry waits for a sampled chunk: a huge n fails there
     try:
         with contextlib.ExitStack() as stack:
             files = {}
@@ -326,10 +328,11 @@ def run(config: RunConfig) -> int:
                 if "sojourn" in files:
                     _write_rows(files["sojourn"], s, k0, carry.exact)
                 if "waiting" in files:  # the waiting rows overwrite s
-                    _write_rows(files["waiting"], lows.add(_waiting(s, tau.tau), k0), k0,
-                                carry.exact)
+                    w = _waiting(s, tau.tau)
+                    lows.add(-w, range(k0 + 1, K + 1))
+                    _write_rows(files["waiting"], w, k0, carry.exact)
                 del tau, states, s  # the next chunk is sampled and stepped without this one's
-        lows.check(0.0 if carry.exact or not lows else _rounding_gap(n, K, carry.rows[-1]))
+        _check_lows(lows, 0.0 if carry.exact or not lows else _rounding_gap(n, K, carry.rows[-1]))
         for m, part in parts.items():
             part.replace(paths[m])
     except BaseException:
@@ -345,48 +348,74 @@ def run(config: RunConfig) -> int:
 
 # past m = _STATE_CHECK_ARITY validate skips its state-equation check
 _STATE_CHECK_ARITY = 1024
-# T_k top-row cells per validate build (``engine._tops``): 8 MiB, however many trials
-_BUILD_CELLS = 2**20
 
 
 class _Mismatch(Exception):
     """The one line ``validate`` prints for its first departure past the bound."""
 
 
-def _gap(label: str, ks, got: np.ndarray, want: np.ndarray, bound: float, t: int) -> tuple:
-    """(gap, -k, -i) of the row-major first largest gap between rows got and
-    want, row r at k = ks[r]; raises _Mismatch, naming trial t, at the
-    row-major first gap past bound."""
-    diff = np.abs(got - want)
-    top = diff.argmax()  # the first largest, or the first NaN
-    if not diff.flat[top] <= bound:
-        over = np.argwhere(diff > bound)
-        if over.size:
-            r, i = over[0]
-            raise _Mismatch(f"{label.format(ks[r], i + 1)}={got[r, i]:.17g} "
-                            f"oracle={want[r, i]:.17g} gap {diff[r, i]:.3g} > bound {bound:.3g} "
-                            f"(trial {t})")
-    r, i = np.unravel_index(top, diff.shape)
-    return float(diff[r, i]), -ks[r], -(i + 1)
+def _first_past(records: _Records, bound: float, label: str, t: int) -> None:
+    """Raise _Mismatch, naming trial t, at the first record past bound."""
+    first = records.past(bound)
+    if first:
+        gap, k, i, got, want = first
+        raise _Mismatch(f"{label.format(k, i)}={got:.17g} oracle={want:.17g} "
+                        f"gap {gap:.3g} > bound {bound:.3g} (trial {t})")
+
+
+def _trial(spec: TandemSpec, source: ServiceTimeSource, steps: list, t: int) -> tuple:
+    """Trial t of ``validate``, streamed as ``run`` streams.  Per chunk, step
+    the route (a tracked carry: its exactness picks the scan) and, where it
+    scanned, an untracked oracle carry, recording their gaps; elsewhere the
+    route's rows are the oracle's.  Keep T_k's top rows and the oracle's
+    state for each k in steps.  The bound comes at the end, from the route's
+    exactness and d(K): then the scan's first gap past it, then the state
+    equation's.  Returns (gap, bound, k, i) of the row-major first largest."""
+    n, K = spec.n, spec.horizon
+    route = _start(spec, True)
+    oracle = route._replace(exact=None)
+    scans, pairs = _Records(), []
+    for k0, tau in zip(range(0, K, _CHUNK), source._chunks(n, K, _CHUNK)):
+        hist = oracle.rows
+        route, got = _step_block(spec, route, tau)
+        _check_overflow(got, k0)
+        if _kernel(spec, route.exact) == "scan":
+            oracle, want = _step_block(spec, oracle, tau)
+            scans.add(np.abs(got[1:] - want[1:]), range(k0 + 1, K + 1), got[1:], want[1:])
+        else:
+            oracle, want = route, got
+        ks = [k for k in steps if k0 < k <= k0 + tau.horizon]
+        if ks:
+            rows = np.concatenate((hist, want[1:]))  # d(k0 + 1 - len(hist)), ..., d(k1)
+            pairs += zip(_tops(spec, tau.tau, [k - k0 - 1 for k in ks]),
+                         [_state(spec, rows, k - k0 + len(hist) - 1) for k in ks],
+                         want[[k - k0 for k in ks]], ks)
+    bound = 0.0 if route.exact else _rounding_gap(n, K, oracle.rows[-1])
+    _first_past(scans, bound, "mismatch at k={} i={}: scan", t)
+    eqs = _Records()
+    if pairs:
+        tops, xs, wants, ks = zip(*pairs)
+        got, want = _step(np.array(tops), np.array(xs)), np.array(wants)
+        eqs.add(np.abs(got - want), ks, got, want)
+        _first_past(eqs, bound, "state equation fails at k={} i={}: T_k", t)
+    gap, k, i = max([(r[0], -r[1], -r[2]) for r in scans[-1:] + eqs[-1:]],
+                    default=(0.0, -1, -1))
+    return gap, bound, -k, -i
 
 
 def validate(config: RunConfig, trials: int = 10) -> int:
-    """Two checks per trial, over several seeds, exact when ``tau.exact``
-    and else within ``tau.rounding_gap``; exit 1 at the first departure
-    past that.  The prefix scan's table against the oracle's, when the
-    variant's kernel is the scan (open_infinite on exact tau; else it is
-    the oracle's own loop, whatever the strategy); then the oracle's d(k)
-    against the paper's state equation (``engine._step``) at k = 1,
-    lag = m / n (where blocking or closed feedback first reads d(0)) and
-    K, or none past m = _STATE_CHECK_ARITY.  The ok line names the
-    largest gap over both checks, the row-major first.  A trace or
-    constant source ignores the seed, so it gives one trial.
-
-    The trials run in batches (``ServiceTimeSource._trials``), each one
-    sample call and, unless the check is skipped, one ``engine._tops`` call
-    for its trials' <= 3 T_k each, at most _BUILD_CELLS top-row cells:
-    T_k depends on tau alone, so the build comes first and raises nothing.
-    Then each trial, in order, is checked whole, its service times first."""
+    """Two checks per trial (``_trial``), seeds seed, seed+1, ..., exact
+    while tau is exact and else within ``models._rounding_gap``; exit 1
+    at the first departure past that.  The prefix scan's rows against the
+    oracle's, in the chunks where the variant's kernel is the scan
+    (open_infinite on exact tau; else it is the oracle's own loop,
+    whatever the strategy); then the oracle's d(k) against the paper's
+    state equation (``engine._step``) at k = 1, lag = m / n (where
+    blocking or closed feedback first reads d(0)) and K, or none past
+    m = _STATE_CHECK_ARITY.  The ok line names the largest gap over both
+    checks, the row-major first.  A trace or constant source ignores the
+    seed, so it gives one trial.  Memory is O((_CHUNK + lag) n + 3 n m)
+    for a generated source, whatever K and the trials."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -394,31 +423,11 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     steps = sorted({1, min(m // n, K), K}) if m <= _STATE_CHECK_ARITY else []
     clause = (f"state equation at k={','.join(map(str, steps))}" if steps
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
-    most = max(1, _BUILD_CELLS // (len(steps) * n * m)) if steps else trials
     worst = (0.0, 0.0, 0, 0)
-    t0 = 0
     try:
-        for batch in config.source._trials(n, K, trials, most):
-            tops = _tops(spec, batch, [k - 1 for k in steps]) if steps else [None] * len(batch)
-            for t, (tau, t_k) in enumerate(zip(batch, tops), start=t0):
-                tau = ServiceTimes(tau)
-                traj = simulate(spec, tau, config.strategy, config.processors)
-                recursion = _kernel(spec, tau.exact) == "recursion"  # the oracle's own loop
-                states = traj.states if recursion else oracle_lindley(spec, tau).states
-                bound = tau.rounding_gap(states[1:])
-                top = (0.0, -1, -1)  # (gap, -k, -i): max is the row-major first largest
-                # the route in row blocks, so no K x n gap table is made
-                for k in [] if recursion else range(1, K + 1, _CHUNK_ROWS):
-                    top = max(top, _gap("mismatch at k={} i={}: scan", range(k, K + 1),
-                                        traj.states[k:k + _CHUNK_ROWS],
-                                        states[k:k + _CHUNK_ROWS], bound, t))
-                if steps:
-                    got = _step(t_k, np.array([_state(spec, states, k) for k in steps]))
-                    top = max(top, _gap("state equation fails at k={} i={}: T_k",
-                                        steps, got, states[steps], bound, t))
-                gap, k, i = top
-                worst = max(worst, (gap, bound, -k, -i))
-            t0 += len(batch)
+        for t in range(trials):
+            source = replace(config.source, seed=config.source.seed + t)
+            worst = max(worst, _trial(spec, source, steps, t))
     except _Mismatch as failed:
         print(failed)
         return 1

@@ -13,9 +13,9 @@ the oracle's, on float tau too, and runs of different variants on
 shared float tau keep d_comm >= d_mfg >= d_inf exactly.
 
 ``simulate`` and ``oracle_lindley`` (which never scans and uses no matrix
-code) take one step over all K customers, the CLI's ``simulate`` one per
-chunk.  The paper's T_k of ``models.build_transition`` stays the
-specification: ``tandemax validate`` multiplies the top block row of T_k
+code) take one step over all K customers, the CLI's ``simulate`` and
+``validate`` one per chunk.  The paper's T_k of ``models.build_transition``
+stays the specification: ``validate`` multiplies the top block row of T_k
 (``_tops``, ``_step``) with the oracle's augmented state (``_state``) at
 up to 3 k per trial.
 """
@@ -275,8 +275,8 @@ def _check_overflow(states: np.ndarray, k0: int = 0) -> None:
 
 def _state(spec: TandemSpec, states: np.ndarray, k: int) -> np.ndarray:
     """The augmented state T_k acts on, (d(k-1), ..., d(k-lag)) with
-    lag = m / n, the rows read from the departure table ``states``, eps
-    before k = 0."""
+    lag = m / n, rows k-1, ..., k-lag of ``states`` (a departure table,
+    or a carry's rows and a chunk's), eps before its row 0."""
     lag = spec.arity // spec.n
     if k >= lag:
         return states[k - lag:k][::-1].ravel()

@@ -70,9 +70,11 @@ def trajectory_waiting(states: np.ndarray, tau: ServiceTimes | np.ndarray) -> np
     ``ServiceTimes`` or n x K matrix.  As d_i(k) >= d_{i-1}(k) + tau_ik in
     every open variant, a w below -``tau.rounding_gap`` is a bug: it raises."""
     tau = tau if isinstance(tau, ServiceTimes) else ServiceTimes(tau)
-    lows = _Lows()
-    w = lows.add(_waiting(trajectory_sojourn(states), tau.tau), 0)
-    lows.check(tau.rounding_gap(states[1:]))
+    w = _waiting(trajectory_sojourn(states), tau.tau)
+    lows = _Records()
+    for k0 in range(0, len(w), 256):  # -w in row blocks: no second K x n table
+        lows.add(-w[k0:k0 + 256], range(k0 + 1, len(w) + 1))
+    _check_lows(lows, tau.rounding_gap(states[1:]))
     return w
 
 
@@ -89,22 +91,32 @@ def _waiting(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return w
 
 
-class _Lows(list):
-    """The record lows (x, k, i) of a waiting table fed in row blocks: each
-    cell below 0 and below every cell before it, row-major.  So the first
-    cell below a bound known only at the end is one of them; NaN never is."""
+class _Records(list):
+    """The records (x, k, i, *cells) of a table x fed in row blocks: each
+    cell of x above 0 and above every cell before it, row-major, with the
+    cells there of the tables fed alongside.  So the first cell past a
+    bound known only at the end is one of them, and the last is the
+    row-major first largest; NaN never is."""
 
-    def add(self, w: np.ndarray, k0: int) -> np.ndarray:
-        """Feed the rows w of customers k0+1, ...; returns w."""
-        best = self[-1][0] if self else 0.0  # the lows so far fall strictly
-        if not w.min() >= best:  # one reduction when nothing is low
-            at = np.flatnonzero(w < best)
-            x = w.ravel()[at]
-            keep = x < np.minimum.accumulate(np.r_[best, x[:-1]])
-            self += zip(x[keep], k0 + at[keep] // w.shape[1] + 1, at[keep] % w.shape[1] + 1)
-        return w
+    def add(self, x: np.ndarray, ks, *tables: np.ndarray) -> None:
+        """Feed the rows x, of customers ks[0], ks[1], ..., and tables of its shape."""
+        best = self[-1][0] if self else 0.0  # the records so far rise strictly
+        if not x.max() <= best:  # one reduction when no cell is a record
+            at = np.flatnonzero(x > best)
+            v = x.ravel()[at]
+            keep = v > np.concatenate(([best], np.maximum.accumulate(v)[:-1]))
+            at, n = at[keep], x.shape[1]
+            self += zip(v[keep].tolist(), [ks[r] for r in (at // n).tolist()],
+                        (at % n + 1).tolist(), *(t.ravel()[at].tolist() for t in tables))
 
-    def check(self, gap: float) -> None:
-        for x, k, i in self:
-            if x < -gap:
-                raise MeasureConsistencyError(f"negative waiting time w_{i}({k}) = {x}")
+    def past(self, bound: float) -> tuple | None:
+        """The first record above bound, if any."""
+        return next((r for r in self if r[0] > bound), None)
+
+
+def _check_lows(lows: _Records, gap: float) -> None:
+    """Raise for the row-major first w below -gap, from the records of -w."""
+    low = lows.past(gap)
+    if low:
+        x, k, i = low
+        raise MeasureConsistencyError(f"negative waiting time w_{i}({k}) = {-x}")

@@ -2,11 +2,10 @@
 
 The random kinds use a counter-based generator: the splitmix64 finalizer
 applied twice to a key of (seed, station i, customer k), evaluated on
-the whole n x K index grid at once in numpy uint64 arithmetic, so tau_ik
-is the same on every platform and in every iteration order.  One call
-samples the grids of several seeds, a (T, n, K) stack: ``validate``'s
-trials seed, seed+1, ... come from one call per batch.  Uniform
-sampling scales the 53-bit mantissa fraction; exponential sampling is
+the whole n x K index grid (or a chunk of its customers) at once in
+numpy uint64 arithmetic, so tau_ik is the same on every platform, in
+every iteration order and in chunks of any size.  Uniform sampling
+scales the 53-bit mantissa fraction; exponential sampling is
 -log1p(-u) / rate per cell with the platform libm's log1p (numpy's SIMD
 log1p can differ in the last bit).  Integer mode rounds samples to the
 nearest integer so cross-route comparisons are exact.
@@ -34,24 +33,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform01(seed, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _uniform01(seed: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index
-    arrays, for one seed or an array of seeds that broadcasts with them,
-    (T, 1, 1) for T grids; each seed is an int reduced mod 2**64."""
-    seed = np.asarray(np.asarray(seed, dtype=object) % 2**64, dtype=np.uint64)
-    # the key is written into the full stack, so one seed allocates one grid;
-    # a 0-d array, unlike a scalar, wraps silently
-    z = np.empty(np.broadcast(seed, i, k).shape, np.uint64)
+    arrays; the seed is an int reduced mod 2**64."""
+    # the key is written into an array: a 0-d array, unlike a scalar, wraps silently
+    z = np.empty(np.broadcast(i, k).shape, np.uint64)
     np.bitwise_xor(i << np.uint64(32), k, out=z)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z += seed
+    z += np.uint64(seed % 2**64)
     z = _mix64(_mix64(z))
     z >>= np.uint64(11)
     return z * 2.0 ** -53
-
-
-# tau cells per batch of validate's trials: 8 MiB, however many trials
-_TRIAL_CELLS = 2**20
 
 
 class SourceConfigError(ValueError):
@@ -90,17 +82,15 @@ class ServiceTimeSource:
     def sample(self, n: int, horizon: int) -> ServiceTimes:
         if self.kind == "trace":
             return load_trace(self.path, n, horizon)
-        return ServiceTimes(self._draws(n, horizon, [self.seed])[0])
+        return ServiceTimes(self._draws(n, horizon))
 
-    def _draws(self, n: int, horizon: int, seeds, k0: int = 0) -> np.ndarray:
-        """The service times of customers k0+1..K of each seed in seeds
-        (ints), a (len(seeds), n, K - k0) array from one ``_uniform01``
-        call, or the constant; a trace has no seed and no stack."""
+    def _draws(self, n: int, horizon: int, k0: int = 0) -> np.ndarray:
+        """The service times of customers k0+1..K, an n x (K - k0) array
+        from one ``_uniform01`` call, or the constant; a trace has none."""
         if self.kind == "constant":
-            tau = np.full((len(seeds), n, horizon - k0), self.value, dtype=float)
+            tau = np.full((n, horizon - k0), self.value, dtype=float)
         else:
-            tau = _uniform01(np.array(seeds, dtype=object).reshape(-1, 1, 1),
-                             np.arange(1, n + 1, dtype=np.uint64)[:, None],
+            tau = _uniform01(self.seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
                              np.arange(k0 + 1, horizon + 1, dtype=np.uint64))
             if self.kind == "uniform":
                 tau *= self.high - self.low
@@ -108,8 +98,7 @@ class ServiceTimeSource:
             else:
                 log1p = np.frompyfunc(math.log1p, 1, 1)
                 with np.errstate(over="ignore"):  # ServiceTimes rejects the +inf
-                    for u in tau:  # a grid at a time: log1p makes a Python float per cell
-                        u[...] = log1p(-u).astype(float) / -self.rate
+                    tau = log1p(-tau).astype(float) / -self.rate
         if self.integer_times:
             np.rint(tau, out=tau)
         return tau
@@ -120,19 +109,7 @@ class ServiceTimeSource:
         whole = self.sample(n, horizon).tau if self.kind == "trace" else None
         for k0 in range(0, horizon, size):
             yield ServiceTimes(whole[:, k0:k0 + size] if whole is not None else
-                               self._draws(n, min(k0 + size, horizon), [self.seed], k0)[0])
-
-    def _trials(self, n: int, horizon: int, trials: int, most: int):
-        """The raw service times of seeds seed, seed+1, ..., seed+trials-1,
-        unchecked, in (T, n, K) batches of at most ``most`` seeds and
-        _TRIAL_CELLS cells, at least one seed each; a trace gives its one
-        grid."""
-        if self.kind == "trace":
-            yield self.sample(n, horizon).tau[None]
-            return
-        size = max(1, min(most, _TRIAL_CELLS // (n * horizon)))
-        for s in range(self.seed, self.seed + trials, size):
-            yield self._draws(n, horizon, range(s, min(s + size, self.seed + trials)))
+                               self._draws(n, min(k0 + size, horizon), k0))
 
 
 TRACE_HEADER = ["k", "i", "tau"]

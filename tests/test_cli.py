@@ -30,7 +30,7 @@ from tandemax.cli import (
 )
 from tandemax.core import EPS, matvec
 from tandemax.engine import oracle_lindley, simulate, simulate_serial
-from tandemax.measures import trajectory_sojourn, trajectory_waiting
+from tandemax.measures import _Records, trajectory_sojourn, trajectory_waiting
 from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
 from tandemax.sources import (
     ServiceTimeSource,
@@ -188,20 +188,22 @@ class TestPortableGenerator:
 
     @pytest.mark.parametrize("kind", ["uniform", "exponential"])
     @pytest.mark.parametrize("integer_times", [False, True])
-    def test_seed_vector_equals_per_seed_sample(self, kind, integer_times):
-        """One ``_draws`` call over a run of seeds gives each seed's
-        ``sample`` bit for bit, sign bits included, across the 2**64 wrap
+    def test_chunked_draws_equal_the_whole_draw(self, kind, integer_times):
+        """``_chunks`` of any size give ``sample``'s grid bit for bit, sign
+        bits included, and a seed is the seed mod 2**64, across the wrap
         and past it."""
         src = ServiceTimeSource(kind=kind, low=0.5, high=3.0, rate=2.5,
                                 integer_times=integer_times)
-        for first in (0, 7, -1, 2**64 - 2, 2**70 + 3):
-            seeds = range(first, first + 4)
-            stack = src._draws(5, 30, seeds)
-            assert stack.shape == (4, 5, 30)
-            for got, seed in zip(stack, seeds):
-                want = replace(src, seed=seed).sample(5, 30).tau
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+        for seed in (0, 7, -1, 2**64 - 2, 2**64 + 1, 2**70 + 3):
+            whole = replace(src, seed=seed).sample(5, 30).tau
+            wrapped = replace(src, seed=seed % 2**64).sample(5, 30).tau
+            assert np.array_equal(whole.view(np.int64), wrapped.view(np.int64))
+            for size in (1, 7, 29, 30, 31):
+                chunks = list(replace(src, seed=seed)._chunks(5, 30, size))
+                sizes = [min(size, 30 - k0) for k0 in range(0, 30, size)]
+                assert [c.horizon for c in chunks] == sizes
+                got = np.concatenate([c.tau for c in chunks], axis=1)
+                assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
     def test_range_and_spread(self):
         us = [cell_u(7, i, k) for i in range(1, 20) for k in range(1, 20)]
@@ -309,30 +311,73 @@ def wrong_transitions(spec, v):
     return a
 
 
-def state_equation_gap(config, trials):
-    """The end of a serial validate's ok line, recomputed from the oracle,
-    ``build_transition`` and ``matvec``: the largest gap between the first
-    n entries of T_k (x) (d(k-1), ..., d(k-lag)), eps before k = 0, and the
-    oracle's d(k) at k = 1, lag and K, the row-major first of its trial,
-    with that trial's bound."""
+def reference_validate(config, trials, top_rows=None):
+    """A serial validate's stdout, recomputed whole trial by whole trial
+    from ``simulate``, the oracle, ``build_transition`` (or top_rows, the
+    top n rows of a faulty T_k from its service vector) and ``matvec``.
+    On exact open_infinite tau the scan's table is checked against the
+    oracle's; then the first n entries of T_k (x) (d(k-1), ..., d(k-lag)),
+    eps before k = 0, against the oracle's d(k) at k = 1, lag and K.  The
+    first gap past the trial's bound is the line; else the ok line names
+    the largest gap, the row-major first of its trial."""
     spec = config.spec
-    n, K = spec.n, spec.horizon
-    lag = spec.arity // n
+    n, K, m = spec.n, spec.horizon, spec.arity
+    lag = m // n
+    top_rows = top_rows or (lambda v: build_transition(spec, v).readonly()[:n])
+    steps = sorted({1, min(lag, K), K}) if m <= 1024 else []
     worst = (0.0, 0.0, 0, 0)
     for t in range(trials):
         tau = replace(config.source, seed=config.source.seed + t).sample(n, K)
         d = oracle_lindley(spec, tau).states
+        bound = tau.rounding_gap(d[1:])
+        checks = []
+        if spec.variant == "open_infinite" and tau.exact:
+            checks.append(("mismatch at", "scan", range(1, K + 1), simulate(spec, tau).states[1:],
+                           d[1:]))
+        rows = [matvec(top_rows(tau.column(k)),
+                       np.concatenate([d[j] if j >= 0 else np.full(n, EPS)
+                                       for j in range(k - 1, k - 1 - lag, -1)]))
+                for k in steps]
+        checks.append(("state equation fails at", "T_k", steps, np.reshape(rows, (-1, n)),
+                       d[steps]))
         top = (0.0, 1, 1)
-        for k in sorted({1, min(lag, K), K}):
-            state = np.concatenate([d[j] if j >= 0 else np.full(n, EPS)
-                                    for j in range(k - 1, k - 1 - lag, -1)])
-            row = matvec(build_transition(spec, tau.column(k)).readonly(), state)[:n]
-            for i, gap in enumerate(np.abs(row - d[k]), 1):
-                if gap > top[0]:
-                    top = (float(gap), k, i)
-        worst = max(worst, (top[0], tau.rounding_gap(d[1:]), *top[1:]))
+        for what, route, ks, got, want in checks:
+            for r, k in enumerate(ks):
+                for i, (x, y) in enumerate(zip(got[r], want[r]), 1):
+                    gap = abs(x - y)
+                    if gap > bound:
+                        return (f"{what} k={k} i={i}: {route}={x:.17g} oracle={y:.17g} "
+                                f"gap {gap:.3g} > bound {bound:.3g} (trial {t})\n")
+                    if gap > top[0] or gap == top[0] and (k, i) < top[1:]:
+                        top = (gap, k, i)
+        worst = max(worst, (top[0], bound, *top[1:]))
     gap, bound, k, i = worst
-    return f"max gap {gap:.3g} at k={k} i={i}, bound {bound:.3g})\n"
+    clause = (f"state equation at k={','.join(map(str, steps))}" if steps
+              else f"state equation skipped (m = {m} > 1024)")
+    return (f"validate: ok ({trials} trial(s), variant={spec.variant}, {clause}, "
+            f"max gap {gap:.3g} at k={k} i={i}, bound {bound:.3g})\n")
+
+
+_PREFIX_SCAN = engine._prefix_scan
+
+
+class ScanFault:
+    """``engine._prefix_scan`` with d_{i+1}(k) of trial t moved by delta,
+    for each (t, k, i) in cells.  A trial scans its K customers in one
+    call or in chunks, all of them on small integer tau, so the calls
+    count the customers of trial 0, then of trial 1, ..."""
+
+    def __init__(self, K, cells, delta=1.0):
+        self.K, self.cells, self.delta, self.seen = K, cells, delta, 0
+
+    def __call__(self, spec, hist, tau):
+        states = _PREFIX_SCAN(spec, hist, tau)
+        t, k0 = divmod(self.seen, self.K)
+        self.seen += tau.shape[1]
+        for trial, k, i in self.cells:
+            if trial == t and k0 < k <= k0 + tau.shape[1]:
+                states[k - k0, i] += self.delta
+        return states
 
 
 # The reference block of the --count-ops report for K = 7, P = 3.
@@ -434,11 +479,9 @@ class TestRun:
 
     def test_validate_constant_source_runs_one_trial(self, capsys, monkeypatch):
         """A constant source ignores the seed, as a trace does: one trial."""
-        import tandemax.cli as cli
-
-        real, calls = cli.oracle_lindley, []
-        monkeypatch.setattr(cli, "oracle_lindley",
-                            lambda spec, tau: calls.append(tau) or real(spec, tau))
+        real, calls = ServiceTimeSource._chunks, []
+        monkeypatch.setattr(ServiceTimeSource, "_chunks",
+                            lambda src, *args: calls.append(args) or real(src, *args))
         assert validate(parse_config(make_config()), trials=10) == 0
         assert len(calls) == 1
         assert "validate: ok (1 trial(s)" in capsys.readouterr().out
@@ -488,64 +531,48 @@ class TestRun:
         # a strategy selects only its cost model: vector runs serial's kernel
         assert validate(replace(config, strategy="vector", processors=3), trials=2) == 0
         assert capsys.readouterr().out == line
-        real = cli.oracle_lindley
-
-        def nudged(spec, tau):
-            traj = real(spec, tau)
-            traj.states = traj.states.copy()
-            traj.states[5, 3] += 1e-9
-            return traj
-
         # on integer tau open_infinite runs the prefix scan, which validate
         # compares with the oracle's table exactly
         exact = replace(config, source=replace(config.source, integer_times=True))
-        monkeypatch.setattr(cli, "oracle_lindley", nudged)
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(200, [(0, 5, 3)], 1e-9))
         assert validate(exact, trials=1) == 1
         # the one route validate compares with the oracle is the prefix scan
         assert "mismatch at k=5 i=4: scan=" in capsys.readouterr().out
 
     def test_validate_compares_in_row_blocks(self, capsys, monkeypatch):
-        """The prefix scan's table is compared _CHUNK_ROWS rows at a time;
-        the mismatch it names is still the row-major first, across and
-        within blocks."""
-        import tandemax.cli as cli
-
-        config = parse_config(make_config(K=600, source={"kind": "uniform", "low": 0, "high": 5,
-                                                         "seed": 3, "integer_times": True}))
-        real = cli.oracle_lindley
-        assert 100 < cli._CHUNK_ROWS < 520  # rows 520 and 590 share the second block
-
-        def nudged(cells):
-            def oracle(spec, tau):
-                traj = real(spec, tau)
-                traj.states = traj.states.copy()
-                for k, i in cells:
-                    traj.states[k, i] += 1.0
-                return traj
-            return oracle
-
+        """The prefix scan's rows are compared one chunk of _CHUNK customers
+        at a time, and the bound is known only at the end; the mismatch it
+        names is still the row-major first, across and within chunks."""
+        C = cli._CHUNK
+        config = parse_config(make_config(K=2 * C + 5, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": True}))
         assert validate(config, trials=1) == 0
         assert capsys.readouterr().out.endswith(", max gap 0 at k=1 i=1, bound 0)\n")
-        for cells, cell in [([(590, 0), (520, 2)], "k=520 i=3"),
-                            ([(520, 2), (590, 0), (100, 1)], "k=100 i=2")]:
-            monkeypatch.setattr(cli, "oracle_lindley", nudged(cells))
+        for cells, cell in [([(C + 90, 0), (C + 20, 2)], f"k={C + 20} i=3"),
+                            ([(C + 20, 2), (C + 90, 0), (100, 1)], "k=100 i=2")]:
+            monkeypatch.setattr(engine, "_prefix_scan",
+                                ScanFault(2 * C + 5, [(0, k, i) for k, i in cells]))
             assert validate(config, trials=1) == 1
             assert capsys.readouterr().out.startswith(f"mismatch at {cell}: ")
 
     def test_gap_names_the_first_cell_past_the_bound(self):
         """validate's compare raises at the row-major first gap past the
         bound, not at the largest, also behind a NaN gap, which is not
-        past it; within the bound it returns the row-major first largest
-        gap, with its k and i negated."""
-        ks = [10, 20, 30]
+        past it, and across row blocks; within the bound its last record
+        is the row-major first largest gap."""
         want = np.zeros((3, 3))
         got = np.array([[0.0, 1.0, 0.0], [0.0, 3.0, 5.0], [5.0, 0.0, 0.0]])
-        assert cli._gap("at k={} i={}", ks, got, want, 5.0, 0) == (5.0, -20, -3)
         for first in (0.0, np.nan):
             got[0, 0] = first
+            records = _Records()
+            for r in (0, 1, 2):  # customers 10, 11, 12
+                rows = slice(r, r + 1)
+                records.add(np.abs(got[rows] - want[rows]), [10 + r], got[rows], want[rows])
+            assert records[-1][:3] == (5.0, 11, 3)
+            cli._first_past(records, 5.0, "at k={} i={}", 0)
             with pytest.raises(cli._Mismatch,
-                               match=r"^at k=20 i=2=3 oracle=0 gap 3 > bound 2 \(trial 4\)$"):
-                cli._gap("at k={} i={}", ks, got, want, 2.0, 4)
+                               match=r"^at k=11 i=2=3 oracle=0 gap 3 > bound 2 \(trial 4\)$"):
+                cli._first_past(records, 2.0, "at k={} i={}", 4)
 
     @pytest.mark.parametrize("model", [{"variant": "open_comm", "b": 1},
                                        {"variant": "closed", "c": 2}])
@@ -559,7 +586,7 @@ class TestRun:
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
-        assert out.endswith(", state equation at k=1,2,300, " + state_equation_gap(config, 3))
+        assert ", state equation at k=1,2,300, " in out and out == reference_validate(config, 3)
         monkeypatch.setattr(engine, "_transitions", wrong_transitions)
         assert validate(config, trials=3) == 1
         out = capsys.readouterr().out
@@ -569,33 +596,28 @@ class TestRun:
     def test_validate_reports_an_earlier_trials_state_equation_first(
             self, tmp_path, capsys, monkeypatch, later):
         """Trial 0's state-equation failure comes before trial 1's route
-        mismatch, trial 1's error from simulate, or trial 1's +inf service
-        time, which the batch's one build reads first and raises and warns
-        on nothing: the one line trial 0 gives, exit 1, and trial 1 never
-        runs."""
+        mismatch, trial 1's error from the route, or trial 1's +inf service
+        time: the one line trial 0 gives, exit 1, and trial 1 never runs."""
         cfg = tmp_path / "c.json"
         cfg.write_text(make_config(n=6, K=300, source={"kind": "uniform", "low": 0, "high": 5,
                                                        "seed": 1, "integer_times": True}))
-        oracle, runs = cli.oracle_lindley, []
+        fault, runs = ScanFault(300, [(1, 4, 0)]), []
 
-        def route(spec, tau, *args):  # the oracle's own table, off or raising at trial 1
+        def route(spec, hist, tau):  # open_infinite's kernel: off or raising at trial 1
             runs.append(tau)
-            traj = oracle(spec, tau)
-            if len(runs) == 2:
-                if later == "raise":
-                    raise ModelConfigError("departure d_1(1) overflows float64")
-                traj.states = traj.states.copy()
-                traj.states[4, 0] += 1.0
-            return traj
+            if later == "raise" and len(runs) == 2:
+                raise ModelConfigError("departure d_1(1) overflows float64")
+            return fault(spec, hist, tau)
 
         draws = ServiceTimeSource._draws
 
-        def inf_at_trial_1(self, n, horizon, seeds):
-            tau = draws(self, n, horizon, seeds)
-            tau[1, 0, 0] = np.inf  # tau_1(1), read by trial 1's k = 1 build
+        def inf_at_trial_1(self, n, horizon, k0=0):
+            tau = draws(self, n, horizon, k0)
+            if self.seed == 2:
+                tau[0, 0] = np.inf  # tau_1(1)
             return tau
 
-        monkeypatch.setattr(cli, "simulate", route)  # compared: open_infinite's kernel is the scan
+        monkeypatch.setattr(engine, "_prefix_scan", route)
         if later == "inf":
             monkeypatch.setattr(ServiceTimeSource, "_draws", inf_at_trial_1)
         argv = ["validate", "--config", str(cfg), "--trials", "3"]
@@ -608,37 +630,38 @@ class TestRun:
                 "inf": "service times must be finite and >= 0\n"}[later])
             monkeypatch.setattr(engine, "_transitions", wrong_transitions)
             runs.clear()
+            fault.seen = 0
             assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out.startswith("state equation fails at k=1 i=2: ") and out.endswith("(trial 0)\n")
         assert out.count("\n") == 1 and err == "" and len(runs) == 1
 
-    def test_validate_builds_its_state_equation_steps_in_one_call(self, capsys, monkeypatch):
+    def test_validate_builds_each_chunks_steps_in_one_call(self, capsys, monkeypatch):
         """A serial validate builds the top block rows, n x m, of the T_k of
-        the k = 1, lag and K checks of all its trials in one stacked call,
-        and runs no other build.  Past _BUILD_CELLS top-row cells a call
-        takes fewer trials, and the line is the same."""
+        the k = 1, lag and K checks in one stacked call per chunk that
+        holds any of them, and runs no other build; the line is the same
+        whatever the chunk."""
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         built, real = [], engine._transitions
 
-        def counting(spec, v):  # v: (trials, 3, n) service vectors
+        def counting(spec, v):  # v: (steps, n) service vectors
             top = real(spec, v)
             assert top.shape == v.shape[:-1] + (6, 12)
-            built.append(v.size // 6)
+            built.append(len(v))
             return top
 
         monkeypatch.setattr(engine, "_transitions", counting)
         assert validate(config, trials=3) == 0
         line = capsys.readouterr().out
         assert ", state equation at k=1,2,300, " in line
-        assert built == [9]
+        assert built == [3] * 3
         built.clear()
-        # n = 6, m = 12: three 72-cell top rows per trial, two trials in 500 cells
-        monkeypatch.setattr(cli, "_BUILD_CELLS", 500)
+        # chunks of 100 customers: k = 1, 2 in the first, k = 300 in the third
+        monkeypatch.setattr(cli, "_CHUNK", 100)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
-        assert built == [6, 3]
+        assert built == [2, 1] * 3
 
     def test_validate_builds_nothing_when_it_skips_the_state_equation(self, capsys, monkeypatch):
         """Past m = _STATE_CHECK_ARITY a serial validate makes no T_k at
@@ -651,37 +674,27 @@ class TestRun:
         assert ", state equation skipped (m = 1025 > 1024), " in capsys.readouterr().out
         assert built == []
 
-    def test_validate_samples_its_trials_in_batches(self, capsys, monkeypatch):
-        """The trials' service times come from one generator call per batch
-        of at most _TRIAL_CELLS cells, at least one trial each; the lines
-        are the same whatever the batch, ok and failure alike."""
-        import tandemax.cli as cli
+    def test_validate_samples_each_trial_chunk_by_chunk(self, capsys, monkeypatch):
+        """Each trial's service times come from one generator call per
+        chunk, trial after trial, seeds past 2**64 wrapping; the lines are
+        the same whatever the chunk, ok and failure alike, and a failure
+        names its trial."""
         from tandemax import sources
 
         calls, real = [], sources._uniform01
         monkeypatch.setattr(sources, "_uniform01",
-                            lambda seed, i, k: calls.append(len(seed)) or real(seed, i, k))
+                            lambda seed, i, k: calls.append((seed, k.size)) or real(seed, i, k))
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": 2**64 - 3, "integer_times": True}
         config = parse_config(make_config(n=4, K=50, source=source))
-        oracle, runs = cli.oracle_lindley, []
-
-        def nudged(spec, tau):  # trial 7's oracle is off at d_2(5)
-            traj = oracle(spec, tau)
-            runs.append(tau)
-            if len(runs) == 8:
-                traj.states = traj.states.copy()
-                traj.states[5, 1] += 1.0
-            return traj
-
         lines = []
-        for cells, batches in [(2**20, [12]), (4 * 50 * 5, [5, 5, 2]), (1, [1] * 12)]:
-            monkeypatch.setattr(sources, "_TRIAL_CELLS", cells)
+        for chunk in (cli._CHUNK, 20, 1):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
             calls.clear()
             assert validate(config, trials=12) == 0
-            assert calls == batches
-            with monkeypatch.context() as m:
-                m.setattr(cli, "oracle_lindley", nudged)
-                runs.clear()
+            assert calls == [(2**64 - 3 + t, min(chunk, 50 - k0))
+                             for t in range(12) for k0 in range(0, 50, chunk)]
+            with monkeypatch.context() as m:  # trial 7's route is off at d_2(5)
+                m.setattr(engine, "_prefix_scan", ScanFault(50, [(7, 5, 1)]))
                 assert validate(config, trials=12) == 1
             lines.append(capsys.readouterr().out)
         assert len(set(lines)) == 1
@@ -695,10 +708,10 @@ class TestRun:
         gap above 0 and its cell.  On exact tau every gap is 0."""
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1}
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source=source))
-        want = state_equation_gap(config, 3)
         assert validate(config, trials=3) == 0
         out = capsys.readouterr().out
-        assert out.endswith(want) and float(re.search(r" max gap (\S+) at ", out)[1]) > 0
+        assert out == reference_validate(config, 3)
+        assert float(re.search(r" max gap (\S+) at ", out)[1]) > 0
         exact = replace(config, source=replace(config.source, integer_times=True))
         assert validate(exact, trials=3) == 0
         assert capsys.readouterr().out.endswith(", max gap 0 at k=1 i=1, bound 0)\n")
@@ -998,6 +1011,53 @@ class TestStream:
         assert_streamed_bytes(paths, parse_config(make_config(**model, n=3, K=K, measures=measures,
                                                               source=source)))
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("model,n,K", [(m, 3, K) for m in STREAM_MODELS
+                                           for K in (1, C - 1, C, C + 1, 2 * C + 5)]
+                             + [({"variant": "open_mfg", "b": 511}, 2, 3)],
+                             ids=lambda x: "-".join(map(str, x.values())) if isinstance(x, dict)
+                             else str(x))
+    def test_validate_lines_across_chunk_edges(self, capsys, model, n, K, integer, trials):
+        """validate steps each trial _CHUNK customers at a time, and its
+        line is the whole-trial reference's: every variant, both kinds of
+        tau, K on both sides of the chunk edges, and m = 1024, the largest
+        m it checks."""
+        config = parse_config(make_config(**model, n=n, K=K, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": integer}))
+        assert validate(config, trials) == 0
+        assert capsys.readouterr().out == reference_validate(config, trials)
+
+    @pytest.mark.parametrize("fault", ["scan", "T_k", "both"])
+    def test_validate_faults_in_later_chunks(self, capsys, monkeypatch, fault):
+        """A scan fault in chunk 2 of trial 1, a fault of T_K, in the last
+        chunk of trial 1, or both: validate's one line is the whole-trial
+        reference's, the scan's when both fail."""
+        K = 2 * C + 5
+        config = parse_config(make_config(n=3, K=K, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": True}))
+        tau_k = replace(config.source, seed=4).sample(3, K).tau[:, [0, -1]]
+        assert (tau_k[:, 0] != tau_k[:, 1]).any()  # tau_1 is not tau_K: T_1 is right
+
+        def wrong(spec, v):  # row i = 2 of trial 1's T_K raised by 1
+            top = _TRANSITIONS(spec, v)
+            top[(v == tau_k[:, 1]).all(-1), 1] += 1.0
+            return top
+
+        top_rows = None
+        if fault != "scan":
+            monkeypatch.setattr(engine, "_transitions", wrong)
+            top_rows = lambda v: wrong(config.spec, v[None])[0]  # noqa: E731
+        cells = [] if fault == "T_k" else [(1, C + 9, 1)]
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
+        assert validate(config, trials=3) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"state equation fails at k={K} i=2: " if fault == "T_k"
+                              else f"mismatch at k={C + 9} i=2: ")
+        assert out.endswith("(trial 1)\n")
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
+        assert out == reference_validate(config, 3, top_rows)
+
     @pytest.mark.parametrize("late", ["half", "past 2**53"])
     def test_exactness_is_carried_chunk_by_chunk(self, tmp_path, monkeypatch, late):
         """open_infinite runs the prefix scan on a chunk only while all tau
@@ -1283,6 +1343,27 @@ class TestMainExitCodes:
         assert captured.err == "configuration error: departure d_2(1) overflows float64\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_errors_come_in_customer_order(self, tmp_path, capsys, monkeypatch, command):
+        """Both commands stream, so a departure that overflows in chunk 1
+        is reported, and a service time that is not finite in chunk 2 is
+        never reached: one stderr line, exit 2."""
+        draws = ServiceTimeSource._draws
+
+        def inf_in_chunk_2(self, n, horizon, k0=0):
+            tau = draws(self, n, horizon, k0)
+            if k0 == cli._CHUNK:
+                tau[0, 5] = np.inf
+            return tau
+
+        monkeypatch.setattr(ServiceTimeSource, "_draws", inf_in_chunk_2)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(make_config(K=2 * cli._CHUNK, output=str(tmp_path / "d.csv"), source={
+            "kind": "uniform", "low": 1e308, "high": 1e308}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: departure d_2(1) overflows float64\n")
+
     @pytest.mark.parametrize("command,strategy", [("simulate", "vector"),
                                                   ("simulate", "batched"),
                                                   ("validate", "vector")])
@@ -1392,21 +1473,10 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3
 
     def test_validate_mismatch_is_1(self, tmp_path, monkeypatch):
-        # force a mismatch by corrupting the oracle
-        import tandemax.cli as cli
-
+        # force a mismatch by corrupting the prefix scan
         cfg = tmp_path / "c.json"
         cfg.write_text(make_config())
-        real = cli.oracle_lindley
-
-        def corrupted(spec, tau):
-            traj = real(spec, tau)
-            states = traj.states.copy()
-            states[1, 0] += 1
-            traj.states = states
-            return traj
-
-        monkeypatch.setattr(cli, "oracle_lindley", corrupted)
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(10, [(0, 1, 0)]))
         assert main(["validate", "--config", str(cfg), "--trials", "1"]) == 1
 
     def test_bench(self, tmp_path, monkeypatch):
@@ -1417,7 +1487,7 @@ class TestMainExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("bench must not sample or simulate")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(cli, "_step_block", forbidden)
         monkeypatch.setattr(ServiceTimeSource, "sample", forbidden)
         out = tmp_path / "bench.csv"
         assert main(["bench", "--n-list", "2,3", "--k-list", "5",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from tandemax.core import EPS, MaxPlusMatrix
 from tandemax.engine import simulate, simulate_serial
 from tandemax.measures import (
-    _Lows,
+    _check_lows,
+    _Records,
     MeasureConsistencyError,
     ReferenceEpochError,
     sojourn_direct,
@@ -109,17 +110,46 @@ class TestWaiting:
         name the row-major first cell below -gap, as a whole-table scan
         does; NaN cells are never below it."""
         w = np.array(cells[: len(cells) // 3 * 3]).reshape(-1, 3)
-        lows = _Lows()
+        lows = _Records()
         for k0 in range(0, len(w), rows):
-            lows.add(w[k0:k0 + rows], k0)
+            lows.add(-w[k0:k0 + rows], range(k0 + 1, len(w) + 1))
         below = np.argwhere(w < -gap)
         if not below.size:
-            lows.check(gap)
+            _check_lows(lows, gap)
             return
         k, i = below[0]
         with pytest.raises(MeasureConsistencyError,
                            match=rf"^negative waiting time w_{i + 1}\({k + 1}\) = {w[k, i]}$"):
-            lows.check(gap)
+            _check_lows(lows, gap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.0, 3.0, 1e-300, -1.0, np.nan]),
+                    min_size=1, max_size=60),
+           st.integers(1, 4), st.lists(st.integers(1, 7), min_size=1, max_size=8),
+           st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]))
+    def test_records_match_a_whole_table_scan(self, cells, n, blocks, bound):
+        """Fed a table in row blocks of random sizes, with ties, -0.0 and
+        repeated maxima, the records give the row-major first cell past
+        any bound, as ``argwhere`` does, and the row-major first largest
+        cell above 0, as ``argmax`` does with NaN put below every cell;
+        each record carries the cells there of a table fed alongside."""
+        x = np.array(cells[: len(cells) // n * n] or cells[:1] * n).reshape(-1, n)
+        tag = np.arange(x.size, dtype=float).reshape(x.shape)
+        records, k0 = _Records(), 0
+        for size in blocks * len(x):
+            if k0 >= len(x):
+                break
+            records.add(x[k0:k0 + size], range(k0 + 1, len(x) + 1), tag[k0:k0 + size])
+            k0 += size
+        assert all(tag[k - 1, i - 1] == t for _, k, i, t in records)
+        over = np.argwhere(x > bound)
+        first = records.past(bound)
+        assert (first[1:3] if first else None) == (tuple(over[0] + 1) if over.size else None)
+        top = np.where(np.isnan(x), -np.inf, x)
+        k, i = np.unravel_index(top.argmax(), x.shape)
+        assert [r[1:3] for r in records[-1:]] == ([(k + 1, i + 1)] if top[k, i] > 0 else [])
+        if first:
+            assert first[0] == x[first[1] - 1, first[2] - 1]
 
     @staticmethod
     def _cumsum_waiting(states, tau):
