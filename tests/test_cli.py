@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 
 from tandemax import cli, engine
 from tandemax.cli import (
-    _CHUNK_ROWS,
     ConfigError,
-    _write_rows,
     build_parser,
     main,
     parse_config,
@@ -29,6 +27,7 @@ from tandemax.cli import (
     validate,
 )
 from tandemax.core import EPS, matvec
+from tandemax.csvout import _CHUNK_ROWS, _header, _write_rows
 from tandemax.engine import oracle_lindley, simulate, simulate_serial
 from tandemax.measures import _Records, trajectory_sojourn, trajectory_waiting
 from tandemax.models import ModelConfigError, ServiceTimes, TandemSpec, build_transition
@@ -758,12 +757,13 @@ class TestIntegersPast2To53:
         assert_waiting_below_zero_within_gap(tmp_path, dict(BIG_INTEGERS, seed=2))
 
 
-def _write_measure(rows, prefix, path):
+def _write_measure(rows, prefix, path, exact=None):
     """A whole table as ``run`` writes it: the header, then the rows of
-    customers 1..K through the CSV encoder."""
+    customers 1..K through the CSV encoder, checked block by block unless
+    exact."""
     with path.open("w") as fh:
-        fh.write("k," + ",".join(f"{prefix}_{i}" for i in range(1, rows.shape[1] + 1)) + "\n")
-        _write_rows(fh, rows, 0)
+        fh.write(_header(prefix, rows.shape[1]))
+        _write_rows(fh, rows, 0, exact)
 
 
 def reference_csv(rows, prefix):
@@ -860,15 +860,26 @@ class TestWriter:
         chunks=st.lists(st.tuples(st.sampled_from(["integer", "float", "mixed"]),
                                   st.sampled_from(TRICKY)), min_size=4, max_size=4),
         seed=st.integers(0, 2**32 - 1),
+        exact=st.sampled_from([None, True]),
     )
     # the two integer-valued cells the int64 digits would print wrongly
-    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", -0.0)] * 2, seed=0)
-    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", 1e17)] * 2, seed=0)
-    def test_byte_identical_to_per_cell_writer(self, K, n, chunks, seed):
+    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", -0.0)] * 2, seed=0,
+             exact=None)
+    @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", 1e17)] * 2, seed=0,
+             exact=None)
+    @example(K=2 * _CHUNK_ROWS + 5, n=4, chunks=[("integer", EPS)] * 4, seed=0, exact=True)
+    def test_byte_identical_to_per_cell_writer(self, K, n, chunks, seed, exact):
         # each chunk is all exact integers, all non-integer or tricky
-        # values, or one tricky value among integers
+        # values, or one tricky value among integers.  Given exact, every
+        # chunk is integer, of 1-16 digits and either sign (below 2**53,
+        # no -0.0), and the table is also written as one unchecked block
         rng = np.random.default_rng(seed)
         rows = rng.integers(-10**6, 10**6, size=(K, n)).astype(np.float64)
+        if exact:
+            chunks = [("integer", tricky) for _, tricky in chunks]
+            d = rng.integers(1, 17, size=(K, n))
+            rows = rng.integers(10 ** (d - 1), np.minimum(10**d, 2**53)).astype(np.float64)
+            rows[rng.random((K, n)) < 0.5] *= -1
         for (kind, tricky), k0 in zip(chunks * 3, range(0, K, _CHUNK_ROWS)):
             block = rows[k0:k0 + _CHUNK_ROWS]
             if kind == "integer":
@@ -880,7 +891,11 @@ class TestWriter:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
             _write_measure(rows, "d", path)
-            assert path.read_text() == reference_csv(rows, "d")
+            text = path.read_text()
+            if exact:
+                _write_measure(rows, "d", path, exact)
+                assert path.read_text() == text
+        assert text == reference_csv(rows, "d")
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1112,7 +1127,7 @@ class TestStream:
         flags = []
         real = cli._write_rows
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_write_rows", lambda fh, rows, k0, exact=None:
+            mp.setattr(cli, "_write_rows", lambda fh, rows, k0, exact:
                        flags.append(exact) or real(fh, rows, k0, exact))
             source = write_trace(Path(tmp), tau)
             code, paths = stream(Path(tmp), **model, n=n, K=K, measures=measures, source=source)
@@ -1145,7 +1160,7 @@ class TestStream:
             exact.append(carry.exact)
             return carry, states
 
-        def write(fh, rows, k0, flag=None):
+        def write(fh, rows, k0, flag):
             written.append((len(exact) - 1, k0, flag, rows.copy()))
             real_write(fh, rows, k0, flag)
 
