@@ -24,7 +24,7 @@ from .engine import (
 from .measures import (
     MeasureConsistencyError, _check_lows, _Records, _waiting, trajectory_sojourn,
 )
-from .models import ModelConfigError, TandemSpec, _rounding_gap
+from .models import ModelConfigError, ServiceTimes, TandemSpec, _rounding_gap
 from .sources import ServiceTimeSource, SourceConfigError
 
 MEASURES = ("departures", "sojourn", "waiting")
@@ -229,11 +229,13 @@ def _first_past(records: _Records, bound: float, label: str, t: int) -> None:
                         f"gap {gap:.3g} > bound {bound:.3g} (trial {t})")
 
 
-def _trial(spec: TandemSpec, source: ServiceTimeSource, steps: list, t: int) -> tuple:
-    """Trial t of ``validate``, streamed as ``run`` streams.  Per chunk, step
-    the route (a tracked carry: its exactness picks the scan) and, where it
-    scanned, an untracked oracle carry, recording their gaps; elsewhere the
-    route's rows are the oracle's.  Keep T_k's top rows and the oracle's
+def _trial(spec: TandemSpec, chunks, steps: list, t: int) -> tuple:
+    """Trial t of ``validate``, streamed as ``run`` streams, from its chunks
+    (k0, tau, tops): the ServiceTimes of customers k0+1.. and the top rows
+    of T_k for the k in steps that the chunk holds, or None (``_trials``).
+    Per chunk, step the route (a tracked carry: its exactness picks the
+    scan) and, where it scanned, an untracked oracle carry, recording their
+    gaps; elsewhere the route's rows are the oracle's.  Keep the oracle's
     state for each k in steps.  The bound comes at the end, from the route's
     exactness and d(K): then the scan's first gap past it, then the state
     equation's.  Returns (gap, bound, k, i) of the row-major first largest."""
@@ -241,7 +243,7 @@ def _trial(spec: TandemSpec, source: ServiceTimeSource, steps: list, t: int) -> 
     route = _start(spec, True)
     oracle = route._replace(exact=None)
     scans, pairs = _Records(), []
-    for k0, tau in zip(range(0, K, _CHUNK), source._chunks(n, K, _CHUNK)):
+    for k0, tau, tops in chunks:
         hist = oracle.rows
         route, got = _step_block(spec, route, tau)
         _check_overflow(got, k0)
@@ -253,8 +255,7 @@ def _trial(spec: TandemSpec, source: ServiceTimeSource, steps: list, t: int) -> 
         ks = [k for k in steps if k0 < k <= k0 + tau.horizon]
         if ks:
             rows = np.concatenate((hist, want[1:]))  # d(k0 + 1 - len(hist)), ..., d(k1)
-            pairs += zip(_tops(spec, tau.tau, [k - k0 - 1 for k in ks]),
-                         [_state(spec, rows, k - k0 + len(hist) - 1) for k in ks],
+            pairs += zip(tops, [_state(spec, rows, k - k0 + len(hist) - 1) for k in ks],
                          want[[k - k0 for k in ks]], ks)
     bound = 0.0 if route.exact else _rounding_gap(n, K, oracle.rows[-1])
     _first_past(scans, bound, "mismatch at k={} i={}: scan", t)
@@ -269,6 +270,34 @@ def _trial(spec: TandemSpec, source: ServiceTimeSource, steps: list, t: int) -> 
     return gap, bound, -k, -i
 
 
+def _streamed(spec: TandemSpec, source: ServiceTimeSource, steps: list):
+    """One trial's chunks of _CHUNK customers, each sampled alone, with one
+    ``_tops`` call per chunk that holds a k of steps."""
+    n, K = spec.n, spec.horizon
+    for k0, tau in zip(range(0, K, _CHUNK), source._chunks(n, K, _CHUNK)):
+        cols = [k - k0 - 1 for k in steps if k0 < k <= k0 + tau.horizon]
+        yield k0, tau, _tops(spec, tau.tau, cols) if cols else None
+
+
+def _trials(spec: TandemSpec, source: ServiceTimeSource, steps: list, trials: int):
+    """The chunks of trials 0, 1, ... in turn, on seeds seed, seed+1, ...,
+    for ``_trial``.  A group is as many whole trials as fit in the cells of
+    one chunk, G = _CHUNK // (K + len(steps) m): one ``_draws`` call samples
+    its (G, n, K) service times and one ``_tops`` call builds its top rows,
+    and each trial is one chunk, whose ServiceTimes is made, and so checked,
+    only in its turn.  A group of one trial streams (``_streamed``)."""
+    n, K = spec.n, spec.horizon
+    size = max(1, _CHUNK // (K + len(steps) * spec.arity))
+    for t0 in range(0, trials, size):
+        group, g = replace(source, seed=source.seed + t0), min(size, trials - t0)
+        if g == 1:
+            yield _streamed(spec, group, steps)
+            continue
+        taus = group._draws(n, K, trials=g)
+        tops = _tops(spec, taus, [k - 1 for k in steps]) if steps else [None] * g
+        yield from ([(0, ServiceTimes(tau), top)] for tau, top in zip(taus, tops))
+
+
 def validate(config: RunConfig, trials: int = 10) -> int:
     """Two checks per trial (``_trial``), seeds seed, seed+1, ..., exact
     while tau is exact and else within ``models._rounding_gap``; exit 1
@@ -280,8 +309,12 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     blocking or closed feedback first reads d(0)) and K, or none past
     m = _STATE_CHECK_ARITY.  The ok line names the largest gap over both
     checks, the row-major first.  A trace or constant source ignores the
-    seed, so it gives one trial.  Memory is O((_CHUNK + lag) n + 3 n m)
-    for a generated source, whatever K and the trials."""
+    seed, so it gives one trial.  Trials are sampled and built by the
+    group (``_trials``), as many whole trials as fit in one chunk's cells,
+    but stepped and checked one by one: errors and mismatches come in
+    trial order, and no trial runs after one fails.  Memory is
+    O((_CHUNK + lag) n + 3 n m) for a generated source, whatever K and
+    the trials."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -291,9 +324,8 @@ def validate(config: RunConfig, trials: int = 10) -> int:
               else f"state equation skipped (m = {m} > {_STATE_CHECK_ARITY})")
     worst = (0.0, 0.0, 0, 0)
     try:
-        for t in range(trials):
-            source = replace(config.source, seed=config.source.seed + t)
-            worst = max(worst, _trial(spec, source, steps, t))
+        for t, chunks in enumerate(_trials(spec, config.source, steps, trials)):
+            worst = max(worst, _trial(spec, chunks, steps, t))
     except _Mismatch as failed:
         print(failed)
         return 1

@@ -198,17 +198,27 @@ def service_diag(tau_k) -> MaxPlusMatrix:
 _SUM_OVERFLOW = "a prefix sum of the service times overflows float64"
 
 
+@functools.cache
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n masks of i >= j and of i < j, read-only, made once per n."""
+    lower = np.tri(n, dtype=bool)
+    upper = ~lower
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return lower, upper
+
+
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
     """D[..., i, j] = tau_i + tau_{i-1} + ... + tau_j for i >= j, eps above,
     for each service vector in v (..., n): S_k (x) T_k with
     S_k = (T_k (x) G)*, summed in the star's order D[i, j] = D[i, j+1] +
     tau_j, so it equals the star product bit for bit.  A sum that
     overflows is left +inf, for the caller to report."""
-    lower = np.tri(v.shape[-1], dtype=bool)
+    lower, upper = _triangles(v.shape[-1])
     # adding e gives a -0.0 sum the sign the star products give it
     with np.errstate(over="ignore"):
         d = np.cumsum(np.where(lower, v[..., None, :], 0.0)[..., ::-1], axis=-1)[..., ::-1] + E
-    d[..., ~lower] = EPS
+    d[..., upper] = EPS
     return d
 
 

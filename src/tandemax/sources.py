@@ -2,9 +2,10 @@
 
 The random kinds use a counter-based generator: the splitmix64 finalizer
 applied twice to a key of (seed, station i, customer k), evaluated on
-the whole n x K index grid (or a chunk of its customers) at once in
-numpy uint64 arithmetic, so tau_ik is the same on every platform, in
-every iteration order and in chunks of any size.  Uniform sampling
+the whole n x K index grid (a chunk of its customers, or the grids of
+several seeds) at once in numpy uint64 arithmetic, so tau_ik is the same
+on every platform, in every iteration order, in chunks of any size and
+in stacks of any seeds.  Uniform sampling
 scales the 53-bit mantissa fraction; exponential sampling is
 -log1p(-u) / rate per cell with the platform libm's log1p (numpy's SIMD
 log1p can differ in the last bit).  Integer mode rounds samples to the
@@ -33,14 +34,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform01(seed: int, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _uniform01(seed, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index
-    arrays; the seed is an int reduced mod 2**64."""
+    arrays.  The seed is one int, or one per trial, ints whose grids stack
+    on a new first axis; each is reduced mod 2**64."""
     # the key is written into an array: a 0-d array, unlike a scalar, wraps silently
     z = np.empty(np.broadcast(i, k).shape, np.uint64)
     np.bitwise_xor(i << np.uint64(32), k, out=z)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed % 2**64)
+    if isinstance(seed, int):
+        z += np.uint64(seed % 2**64)
+    else:
+        z = np.add.outer(np.array([s % 2**64 for s in seed], np.uint64), z)
     z = _mix64(_mix64(z))
     z >>= np.uint64(11)
     return z * 2.0 ** -53
@@ -84,13 +89,17 @@ class ServiceTimeSource:
             return load_trace(self.path, n, horizon)
         return ServiceTimes(self._draws(n, horizon))
 
-    def _draws(self, n: int, horizon: int, k0: int = 0) -> np.ndarray:
-        """The service times of customers k0+1..K, an n x (K - k0) array
-        from one ``_uniform01`` call, or the constant; a trace has none."""
+    def _draws(self, n: int, horizon: int, k0: int = 0, trials: int | None = None) -> np.ndarray:
+        """The service times of customers k0+1..K, an n x (K - k0) array, or
+        given trials, a (trials, n, K - k0) stack of the seeds seed, ...,
+        seed + trials - 1, each cell its own seed's: from one ``_uniform01``
+        call, or the constant; a trace has none."""
         if self.kind == "constant":
-            tau = np.full((n, horizon - k0), self.value, dtype=float)
+            shape = (n, horizon - k0) if trials is None else (trials, n, horizon - k0)
+            tau = np.full(shape, self.value, dtype=float)
         else:
-            tau = _uniform01(self.seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
+            seed = self.seed if trials is None else range(self.seed, self.seed + trials)
+            tau = _uniform01(seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
                              np.arange(k0 + 1, horizon + 1, dtype=np.uint64))
             if self.kind == "uniform":
                 tau *= self.high - self.low

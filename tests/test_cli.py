@@ -204,6 +204,24 @@ class TestPortableGenerator:
                 got = np.concatenate([c.tau for c in chunks], axis=1)
                 assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
+    @pytest.mark.parametrize("kind", ["uniform", "exponential", "constant"])
+    @pytest.mark.parametrize("integer_times", [False, True])
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_group_draw_equals_each_seeds_own_draw(self, kind, integer_times, trials):
+        """``_draws`` over a group of trials stacks each seed's own draw, bit
+        for bit, sign bits included, from the chunk's first customer on;
+        the seeds wrap mod 2**64 inside a group as they do alone."""
+        src = ServiceTimeSource(kind=kind, value=2.5, low=0.0, high=3.0, rate=2.5,
+                                integer_times=integer_times)
+        for seed in (0, -2, 2**64 - 3, 2**64 - 1, 2**64 + 1, 2**70 + 3):
+            for k0 in (0, 7):
+                group = replace(src, seed=seed)._draws(5, 30, k0, trials=trials)
+                assert group.shape == (trials, 5, 30 - k0)
+                for t, got in enumerate(group):
+                    own = replace(src, seed=seed + t)._draws(5, 30, k0)
+                    assert np.array_equal(got.view(np.int64), own.view(np.int64))
+                    assert np.array_equal(np.signbit(got), np.signbit(own))
+
     def test_range_and_spread(self):
         us = [cell_u(7, i, k) for i in range(1, 20) for k in range(1, 20)]
         assert all(0 <= u < 1 for u in us)
@@ -610,10 +628,10 @@ class TestRun:
 
         draws = ServiceTimeSource._draws
 
-        def inf_at_trial_1(self, n, horizon, k0=0):
-            tau = draws(self, n, horizon, k0)
-            if self.seed == 2:
-                tau[0, 0] = np.inf  # tau_1(1)
+        def inf_at_trial_1(self, n, horizon, k0=0, trials=None):
+            tau = draws(self, n, horizon, k0, trials)
+            if trials is not None and self.seed <= 2 < self.seed + trials:
+                tau[2 - self.seed, 0, 0] = np.inf  # tau_1(1) of the trial on seed 2
             return tau
 
         monkeypatch.setattr(engine, "_prefix_scan", route)
@@ -637,30 +655,33 @@ class TestRun:
 
     def test_validate_builds_each_chunks_steps_in_one_call(self, capsys, monkeypatch):
         """A serial validate builds the top block rows, n x m, of the T_k of
-        the k = 1, lag and K checks in one stacked call per chunk that
+        the k = 1, lag and K checks in one stacked call per group of whole
+        trials that fit in one chunk, or, for a trial alone, per chunk that
         holds any of them, and runs no other build; the line is the same
         whatever the chunk."""
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         built, real = [], engine._transitions
 
-        def counting(spec, v):  # v: (steps, n) service vectors
+        def counting(spec, v):  # v: ([trials,] steps, n) service vectors
             top = real(spec, v)
-            assert top.shape == v.shape[:-1] + (6, 12)
-            built.append(len(v))
+            assert top.shape == v.shape + (12,)
+            built.append(v.shape[:-1])
             return top
 
         monkeypatch.setattr(engine, "_transitions", counting)
         assert validate(config, trials=3) == 0
         line = capsys.readouterr().out
         assert ", state equation at k=1,2,300, " in line
-        assert built == [3] * 3
+        # a trial takes K + 3 m = 336 of a chunk's 768 customers' cells:
+        # trials 0 and 1 are one group, trial 2 is alone
+        assert built == [(2, 3), (3,)]
         built.clear()
         # chunks of 100 customers: k = 1, 2 in the first, k = 300 in the third
         monkeypatch.setattr(cli, "_CHUNK", 100)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
-        assert built == [2, 1] * 3
+        assert built == [(2,), (1,)] * 3
 
     def test_validate_builds_nothing_when_it_skips_the_state_equation(self, capsys, monkeypatch):
         """Past m = _STATE_CHECK_ARITY a serial validate makes no T_k at
@@ -674,24 +695,33 @@ class TestRun:
         assert built == []
 
     def test_validate_samples_each_trial_chunk_by_chunk(self, capsys, monkeypatch):
-        """Each trial's service times come from one generator call per
-        chunk, trial after trial, seeds past 2**64 wrapping; the lines are
-        the same whatever the chunk, ok and failure alike, and a failure
-        names its trial."""
+        """The service times of a group of whole trials that fit in one
+        chunk come from one generator call over their seeds, and a trial
+        alone's from one call per chunk, trial after trial, seeds past
+        2**64 wrapping; the lines are the same whatever the chunk, ok and
+        failure alike, and a failure names its trial."""
         from tandemax import sources
 
         calls, real = [], sources._uniform01
         monkeypatch.setattr(sources, "_uniform01",
                             lambda seed, i, k: calls.append((seed, k.size)) or real(seed, i, k))
-        source = {"kind": "uniform", "low": 0, "high": 5, "seed": 2**64 - 3, "integer_times": True}
+        s = 2**64 - 3
+        source = {"kind": "uniform", "low": 0, "high": 5, "seed": s, "integer_times": True}
         config = parse_config(make_config(n=4, K=50, source=source))
+        # a trial takes K + 2 m = 58 customers' cells (k = 1 and 50, m = 4)
+        streamed = lambda chunk: [(s + t, min(chunk, 50 - k0))  # noqa: E731
+                                  for t in range(12) for k0 in range(0, 50, chunk)]
+        want = {cli._CHUNK: [(range(s, s + 12), 50)],
+                11 * 58: [(range(s, s + 11), 50), (s + 11, 50)],
+                5 * 58: [(range(s, s + 5), 50), (range(s + 5, s + 10), 50),
+                         (range(s + 10, s + 12), 50)],
+                20: streamed(20), 1: streamed(1)}
         lines = []
-        for chunk in (cli._CHUNK, 20, 1):
+        for chunk, calls_of_chunk in want.items():
             monkeypatch.setattr(cli, "_CHUNK", chunk)
             calls.clear()
             assert validate(config, trials=12) == 0
-            assert calls == [(2**64 - 3 + t, min(chunk, 50 - k0))
-                             for t in range(12) for k0 in range(0, 50, chunk)]
+            assert calls == calls_of_chunk
             with monkeypatch.context() as m:  # trial 7's route is off at d_2(5)
                 m.setattr(engine, "_prefix_scan", ScanFault(50, [(7, 5, 1)]))
                 assert validate(config, trials=12) == 1
@@ -982,6 +1012,14 @@ STREAM_MODELS = [
 ]
 
 
+# the families of perfbench's variant-grid workload
+GRID_MODELS = [
+    {"variant": "closed", "c": 1}, {"variant": "closed", "c": 2}, {"variant": "open_infinite"},
+    {"variant": "open_mfg", "b": 0}, {"variant": "open_mfg", "b": 2},
+    {"variant": "open_comm", "b": 0}, {"variant": "open_comm", "b": 1},
+]
+
+
 def stream(tmp_path, **doc):
     """Run ``simulate`` on a config; return its exit code and its tables'
     paths by measure."""
@@ -1072,6 +1110,77 @@ class TestStream:
         assert out.endswith("(trial 1)\n")
         monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
         assert out == reference_validate(config, 3, top_rows)
+
+    @pytest.mark.parametrize("K", [200, 400])
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: "-".join(map(str, m.values())))
+    def test_validate_lines_across_group_edges(self, capsys, model, integer, K):
+        """validate samples and builds as many whole trials as fit in one
+        chunk's cells, G = _CHUNK // (K + len(steps) m), at once: its line
+        and exit code are the whole-trial reference's for T = 1, G - 1, G,
+        G + 1 and 2 G + 1 trials, at n = 8 on every variant of the grid,
+        both kinds of tau, K = 200 (G = 2 or 3) and K = 400 (G = 1)."""
+        config = parse_config(make_config(**model, n=8, K=K, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": integer}))
+        m = config.spec.arity
+        steps = {1, m // 8, K}
+        G = max(1, C // (K + len(steps) * m))
+        assert G == ((2 if m == 24 else 3) if K == 200 else 1)
+        for trials in sorted({1, G - 1, G, G + 1, 2 * G + 1} - {0}):
+            code = validate(config, trials)
+            out = capsys.readouterr().out
+            assert out == reference_validate(config, trials)
+            assert code == (0 if out.startswith("validate: ok") else 1)
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 6])
+    def test_validate_faults_across_group_edges(self, capsys, monkeypatch, t):
+        """A scan fault in trial t of 7, G = 3 to a group, or a T_k fault in
+        every trial: the one line is the reference's and names trial t, or
+        trial 0, the first to run."""
+        config = parse_config(make_config(n=8, K=200, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": True}))
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(200, [(t, 150, 4)]))
+        assert validate(config, trials=7) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("mismatch at k=150 i=5: ") and out.endswith(f"(trial {t})\n")
+        monkeypatch.setattr(engine, "_prefix_scan", ScanFault(200, [(t, 150, 4)]))
+        assert out == reference_validate(config, 7)
+        comm = parse_config(make_config(variant="open_comm", b=1, n=8, K=200, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3 + t}))
+        monkeypatch.setattr(engine, "_transitions", wrong_transitions)
+        assert validate(comm, trials=7) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("state equation fails at ") and out.endswith("(trial 0)\n")
+        top_rows = lambda v: wrong_transitions(comm.spec, v[None])[0]  # noqa: E731
+        assert out == reference_validate(comm, 7, top_rows)
+
+    def test_validate_builds_at_most_one_chunks_cells(self, capsys, monkeypatch):
+        """No ``_transitions`` call of validate holds more than one chunk's
+        cells of service times and top rows, whatever the variant; at
+        m = 1024 a trial's top rows pass that, so each trial is a group of
+        its own."""
+        built, real = [], engine._transitions
+
+        def counting(spec, v):  # v: ([trials,] steps, n) service vectors
+            built.append((spec, v.shape))
+            return real(spec, v)
+
+        monkeypatch.setattr(engine, "_transitions", counting)
+        for model in GRID_MODELS:
+            config = parse_config(make_config(**model, n=8, K=200, source={
+                "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+            assert validate(config, trials=10) == 0
+        assert len(built) == 6 * 4 + 5  # groups of 3, 3, 3 and 1 trials; of 2 at m = 24
+        for spec, shape in built:
+            g, steps = shape[0] if len(shape) == 3 else 1, shape[-2]
+            assert g * (spec.horizon + steps * spec.arity) <= C
+        capsys.readouterr()
+        built.clear()
+        config = parse_config(make_config(variant="open_mfg", b=511, n=2, K=3, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
+        assert validate(config, trials=10) == 0
+        assert ", state equation at k=1,3, " in capsys.readouterr().out
+        assert [shape for _, shape in built] == [(2, 2)] * 10
 
     @pytest.mark.parametrize("late", ["half", "past 2**53"])
     def test_exactness_is_carried_chunk_by_chunk(self, tmp_path, monkeypatch, late):
