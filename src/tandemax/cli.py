@@ -181,7 +181,8 @@ def run(config: RunConfig) -> int:
     try:
         with contextlib.ExitStack() as stack:
             files = {}
-            for k0, tau in zip(range(0, K, _CHUNK), config.source._chunks(n, K, _CHUNK)):
+            for k0, tau in config.source._chunks(n, K, _CHUNK):
+                tau = ServiceTimes(tau[0])
                 carry, states = _step_block(spec, carry or _start(spec, track), tau)
                 _check_overflow(states, k0)
                 if not files:  # opened once the first chunk passes: its errors leave no file
@@ -198,7 +199,7 @@ def run(config: RunConfig) -> int:
                     lows.add(-w, range(k0 + 1, K + 1))
                     _write_rows(files["waiting"], w, k0, carry.exact)
                 del tau, states, s  # the next chunk is sampled and stepped without this one's
-        _check_lows(lows, 0.0 if carry.exact or not lows else _rounding_gap(n, K, carry.rows[-1]))
+        _check_lows(lows, _rounding_gap(n, K, carry.rows[-1], carry.exact) if lows else 0.0)
         for m, part in parts.items():
             part.replace(paths[m])
     except BaseException:
@@ -229,21 +230,20 @@ def _first_past(records: _Records, bound: float, label: str, t: int) -> None:
                         f"gap {gap:.3g} > bound {bound:.3g} (trial {t})")
 
 
-def _trial(spec: TandemSpec, chunks, steps: list, t: int) -> tuple:
+def _trial(spec: TandemSpec, chunks, t: int) -> tuple:
     """Trial t of ``validate``, streamed as ``run`` streams, from its chunks
-    (k0, tau, tops): the ServiceTimes of customers k0+1.. and the top rows
-    of T_k for the k in steps that the chunk holds, or None (``_trials``).
+    (k0, tau, ks, tops): the ServiceTimes of customers k0+1.., the k of
+    steps that the chunk holds and their top rows of T_k (``_trials``).
     Per chunk, step the route (a tracked carry: its exactness picks the
     scan) and, where it scanned, an untracked oracle carry, recording their
     gaps; elsewhere the route's rows are the oracle's.  Keep the oracle's
-    state for each k in steps.  The bound comes at the end, from the route's
+    state for each k in ks.  The bound comes at the end, from the route's
     exactness and d(K): then the scan's first gap past it, then the state
     equation's.  Returns (gap, bound, k, i) of the row-major first largest."""
     n, K = spec.n, spec.horizon
-    route = _start(spec, True)
-    oracle = route._replace(exact=None)
+    route, oracle = _start(spec, True), _start(spec)
     scans, pairs = _Records(), []
-    for k0, tau, tops in chunks:
+    for k0, tau, ks, tops in chunks:
         hist = oracle.rows
         route, got = _step_block(spec, route, tau)
         _check_overflow(got, k0)
@@ -252,12 +252,13 @@ def _trial(spec: TandemSpec, chunks, steps: list, t: int) -> tuple:
             scans.add(np.abs(got[1:] - want[1:]), range(k0 + 1, K + 1), got[1:], want[1:])
         else:
             oracle, want = route, got
-        ks = [k for k in steps if k0 < k <= k0 + tau.horizon]
         if ks:
             rows = np.concatenate((hist, want[1:]))  # d(k0 + 1 - len(hist)), ..., d(k1)
-            pairs += zip(tops, [_state(spec, rows, k - k0 + len(hist) - 1) for k in ks],
-                         want[[k - k0 for k in ks]], ks)
-    bound = 0.0 if route.exact else _rounding_gap(n, K, oracle.rows[-1])
+            xs = np.array([_state(spec, rows, k - k0 + len(hist) - 1) for k in ks])  # copies
+            pairs += zip(tops, xs, want[[k - k0 for k in ks]], ks)
+            del rows
+        del tau, got, want  # the next chunk is sampled and stepped without this one's
+    bound = _rounding_gap(n, K, oracle.rows[-1], route.exact)
     _first_past(scans, bound, "mismatch at k={} i={}: scan", t)
     eqs = _Records()
     if pairs:
@@ -270,32 +271,30 @@ def _trial(spec: TandemSpec, chunks, steps: list, t: int) -> tuple:
     return gap, bound, -k, -i
 
 
-def _streamed(spec: TandemSpec, source: ServiceTimeSource, steps: list):
-    """One trial's chunks of _CHUNK customers, each sampled alone, with one
-    ``_tops`` call per chunk that holds a k of steps."""
-    n, K = spec.n, spec.horizon
-    for k0, tau in zip(range(0, K, _CHUNK), source._chunks(n, K, _CHUNK)):
-        cols = [k - k0 - 1 for k in steps if k0 < k <= k0 + tau.horizon]
-        yield k0, tau, _tops(spec, tau.tau, cols) if cols else None
-
-
 def _trials(spec: TandemSpec, source: ServiceTimeSource, steps: list, trials: int):
-    """The chunks of trials 0, 1, ... in turn, on seeds seed, seed+1, ...,
-    for ``_trial``.  A group is as many whole trials as fit in the cells of
-    one chunk, G = _CHUNK // (K + len(steps) m): one ``_draws`` call samples
-    its (G, n, K) service times and one ``_tops`` call builds its top rows,
-    and each trial is one chunk, whose ServiceTimes is made, and so checked,
-    only in its turn.  A group of one trial streams (``_streamed``)."""
+    """The chunks of trials 0, 1, ... on seeds seed, seed+1, ..., for
+    ``_trial``.  A group is as many whole trials as fit in the cells of one
+    chunk, G = max(1, _CHUNK // (K + len(steps) m)): per chunk of _CHUNK
+    customers, one ``_draws`` call samples its (G, n, L) service times and,
+    if the chunk holds a k of steps, one ``_tops`` call builds their top
+    rows.  A trial's ServiceTimes is made, and so checked, in its turn."""
     n, K = spec.n, spec.horizon
     size = max(1, _CHUNK // (K + len(steps) * spec.arity))
+
+    def built(chunk):
+        k0, taus = chunk
+        ks = [k for k in steps if k0 < k <= k0 + taus.shape[-1]]
+        tops = _tops(spec, taus, [k - k0 - 1 for k in ks]) if ks else [None] * len(taus)
+        return k0, taus, ks, tops
+
     for t0 in range(0, trials, size):
-        group, g = replace(source, seed=source.seed + t0), min(size, trials - t0)
-        if g == 1:
-            yield _streamed(spec, group, steps)
-            continue
-        taus = group._draws(n, K, trials=g)
-        tops = _tops(spec, taus, [k - 1 for k in steps]) if steps else [None] * g
-        yield from ([(0, ServiceTimes(tau), top)] for tau, top in zip(taus, tops))
+        g = min(size, trials - t0)
+        # map, unlike a generator's loop, keeps no chunk it gave: the next is drawn without it
+        chunks = map(built, replace(source, seed=source.seed + t0)._chunks(n, K, _CHUNK, g))
+        if g > 1:  # then K < _CHUNK: one chunk, built once and read by each trial
+            chunks = list(chunks)
+        for j in range(g):
+            yield map(lambda c, j=j: (c[0], ServiceTimes(c[1][j]), c[2], c[3][j]), chunks)
 
 
 def validate(config: RunConfig, trials: int = 10) -> int:
@@ -310,11 +309,11 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     m = _STATE_CHECK_ARITY.  The ok line names the largest gap over both
     checks, the row-major first.  A trace or constant source ignores the
     seed, so it gives one trial.  Trials are sampled and built by the
-    group (``_trials``), as many whole trials as fit in one chunk's cells,
-    but stepped and checked one by one: errors and mismatches come in
-    trial order, and no trial runs after one fails.  Memory is
-    O((_CHUNK + lag) n + 3 n m) for a generated source, whatever K and
-    the trials."""
+    group, chunk by chunk (``_trials``), as many whole trials as fit in one
+    chunk's cells, but stepped and checked one by one: errors and
+    mismatches come in trial order, and no trial runs after one fails.
+    Memory is O((_CHUNK + lag) n + 3 n m) for a generated source, whatever
+    K and the trials."""
     _require(trials >= 1, "'--trials' must be >= 1")
     trials = 1 if config.source.kind in ("trace", "constant") else trials
     spec = config.spec
@@ -325,7 +324,7 @@ def validate(config: RunConfig, trials: int = 10) -> int:
     worst = (0.0, 0.0, 0, 0)
     try:
         for t, chunks in enumerate(_trials(spec, config.source, steps, trials)):
-            worst = max(worst, _trial(spec, chunks, steps, t))
+            worst = max(worst, _trial(spec, chunks, t))
     except _Mismatch as failed:
         print(failed)
         return 1

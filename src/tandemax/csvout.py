@@ -128,13 +128,12 @@ def _header(measure: str, n: int) -> str:
     return f"k,{','.join(f'{measure[0]}_{i}' for i in range(1, n + 1))}\n"
 
 
-def _write_rows(fh, rows: np.ndarray, k0: int, exact: bool | None) -> None:
+def _write_rows(fh, rows: np.ndarray, k0: int, exact: bool) -> None:
     """Write rows (L x n), those of customers k0+1..k0+L, under their k
     column as CSV, each cell as ``.17g`` text (see above).  Given exact
     (the rows of a chunk whose run is exact, ``engine._Carry``: every cell
     an integer below 2**53), they are one integer block, unchecked; else
-    (false, or None if the run does not track it) one block of _CHUNK_ROWS
-    rows at a time, each checked."""
+    one block of _CHUNK_ROWS rows at a time, each checked."""
     step = len(rows) if exact else _CHUNK_ROWS
     for j in range(0, len(rows), step):
         block = rows[j:j + step]

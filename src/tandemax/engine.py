@@ -108,10 +108,11 @@ _BLOCK = 256
 
 class _Carry(NamedTuple):
     """A run so far: its last lag = min(m / n, K + 1) rows of d, eps before 0,
-    and ``ServiceTimes.exact`` of its tau (None: untracked), summing to ``total``."""
+    and ``ServiceTimes.exact`` of its tau, summing to ``total``.  False stays
+    False: an untracked carry (the oracle's, or a run's) never scans."""
 
     rows: np.ndarray
-    exact: bool | None = None
+    exact: bool = False
     total: float = 0.0
 
 
@@ -119,20 +120,21 @@ def _start(spec: TandemSpec, track: bool = False) -> _Carry:
     """The carry at k = 0: d(0) = ``initial_state`` under lag - 1 eps rows."""
     rows = np.full((min(spec.arity // spec.n, spec.horizon + 1), spec.n), EPS)
     rows[-1] = initial_state(spec)
-    return _Carry(rows, True if track else None)
+    return _Carry(rows, track)
 
 
 def _step_block(spec: TandemSpec, carry: _Carry, tau: ServiceTimes) -> tuple[_Carry, np.ndarray]:
     """Step the carry after k0 over customers k0+1..k1, whose service times
-    are tau; returns the carry after k1 and the rows d(k0..k1).  It scans
-    only while all tau so far is exact, so it gives ``_lindley``'s bits."""
+    are tau; returns the carry after k1, whose rows are a copy (no view
+    keeps the table alive), and the rows d(k0..k1).  It scans only while
+    all tau so far is exact, so it gives ``_lindley``'s bits."""
     exact, total = carry.exact, carry.total
     if exact:
-        exact = tau.exact and (total := total + tau.tau.sum()) < 2.0**53
+        exact = tau.exact and bool((total := total + tau.tau.sum()) < 2.0**53)
     lag = len(carry.rows)
     kernel = _prefix_scan if _kernel(spec, exact) == "scan" else _lindley
     table = kernel(spec, carry.rows, tau.tau)
-    return _Carry(table[-lag:], exact, total), table[lag - 1:]
+    return _Carry(table[-lag:].copy(), exact, total), table[lag - 1:]
 
 
 def _rows(table: np.ndarray) -> np.ndarray:
@@ -413,7 +415,7 @@ def _paper_formulas(n: int, K: int, P: int) -> dict:
     }
 
 
-def _kernel(spec: TandemSpec, exact: bool | None) -> str:
+def _kernel(spec: TandemSpec, exact: bool) -> str:
     """The kernel every strategy runs: ``"scan"`` for open_infinite on exact
     tau (``ServiceTimes.exact``, or a carry's), else ``"recursion"``, ``_lindley``."""
     return "scan" if spec.variant == "open_infinite" and exact else "recursion"

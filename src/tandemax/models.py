@@ -130,17 +130,19 @@ class ServiceTimes:
         rows = max(1, 2**16 // max(1, self.horizon))
         blocks = (tau[i:i + rows] for i in range(0, self.n, rows))
         with np.errstate(over="ignore"):
-            return all((np.rint(b) == b).all() for b in blocks) and tau.sum() < 2.0**53
+            return all((np.rint(b) == b).all() for b in blocks) and bool(tau.sum() < 2.0**53)
 
     def rounding_gap(self, d: np.ndarray) -> float:
-        """Largest gap of two routes that sum tau in different orders to d:
-        0 when ``exact``."""
-        return 0.0 if self.exact else _rounding_gap(self.n, self.horizon, d)
+        """Largest gap of two routes that sum tau in different orders to d."""
+        return _rounding_gap(self.n, self.horizon, d, self.exact)
 
 
-def _rounding_gap(n: int, horizon: int, d: np.ndarray) -> float:
-    """(n + K) * u * max|d| over finite d with u = 2**-53, as each d sums at
+def _rounding_gap(n: int, horizon: int, d: np.ndarray, exact: bool) -> float:
+    """The float contract's one rule: 0 for exact tau (``ServiceTimes.exact``),
+    else (n + K) * u * max|d| over finite d with u = 2**-53, as each d sums at
     most n + K terms (Higham, "The accuracy of floating point summation", SISC 1993)."""
+    if exact:
+        return 0.0
     d = np.asarray(d, dtype=np.float64)
     # max|d| as max(max d, -min d): no temporary as large as d, and a
     # finite mask only when eps, inf or NaN cells must be skipped

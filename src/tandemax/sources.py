@@ -1,12 +1,12 @@
 """Service-time sourcing: trace files and a portable seeded generator.
 
 The random kinds use a counter-based generator: the splitmix64 finalizer
-applied twice to a key of (seed, station i, customer k), evaluated on
-the whole n x K index grid (a chunk of its customers, or the grids of
-several seeds) at once in numpy uint64 arithmetic, so tau_ik is the same
-on every platform, in every iteration order, in chunks of any size and
-in stacks of any seeds.  Uniform sampling
-scales the 53-bit mantissa fraction; exponential sampling is
+applied twice to a key of (seed, station i, customer k), evaluated on the
+n x K index grids of a stack of seeds, one per trial, a chunk of their
+customers at a time, in numpy uint64 arithmetic, so tau_ik is the same on
+every platform, in every iteration order, in chunks of any size and in
+stacks of any seeds: every draw is a (trials, n, L) stack.  Uniform
+sampling scales the 53-bit mantissa fraction; exponential sampling is
 -log1p(-u) / rate per cell with the platform libm's log1p (numpy's SIMD
 log1p can differ in the last bit).  Integer mode rounds samples to the
 nearest integer so cross-route comparisons are exact.
@@ -34,18 +34,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform01(seed, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _uniform01(seeds, i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """u in [0, 1) at cells (i, k), 1-based, over broadcastable uint64 index
-    arrays.  The seed is one int, or one per trial, ints whose grids stack
-    on a new first axis; each is reduced mod 2**64."""
+    arrays, for each of the int seeds, each reduced mod 2**64: a stack of
+    their grids on a new first axis, each cell its own seed's."""
     # the key is written into an array: a 0-d array, unlike a scalar, wraps silently
-    z = np.empty(np.broadcast(i, k).shape, np.uint64)
+    z = np.empty((len(seeds),) + np.broadcast(i, k).shape, np.uint64)
     np.bitwise_xor(i << np.uint64(32), k, out=z)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    if isinstance(seed, int):
-        z += np.uint64(seed % 2**64)
-    else:
-        z = np.add.outer(np.array([s % 2**64 for s in seed], np.uint64), z)
+    z += np.array([s % 2**64 for s in seeds], np.uint64).reshape((-1,) + (1,) * (z.ndim - 1))
     z = _mix64(_mix64(z))
     z >>= np.uint64(11)
     return z * 2.0 ** -53
@@ -87,19 +84,17 @@ class ServiceTimeSource:
     def sample(self, n: int, horizon: int) -> ServiceTimes:
         if self.kind == "trace":
             return load_trace(self.path, n, horizon)
-        return ServiceTimes(self._draws(n, horizon))
+        return ServiceTimes(self._draws(n, horizon)[0])
 
-    def _draws(self, n: int, horizon: int, k0: int = 0, trials: int | None = None) -> np.ndarray:
-        """The service times of customers k0+1..K, an n x (K - k0) array, or
-        given trials, a (trials, n, K - k0) stack of the seeds seed, ...,
-        seed + trials - 1, each cell its own seed's: from one ``_uniform01``
-        call, or the constant; a trace has none."""
+    def _draws(self, n: int, horizon: int, k0: int = 0, trials: int = 1) -> np.ndarray:
+        """The service times of customers k0+1..K on the seeds seed, ...,
+        seed + trials - 1: a (trials, n, K - k0) stack, each cell its own
+        seed's, from one ``_uniform01`` call, or the constant; a trace has none."""
         if self.kind == "constant":
-            shape = (n, horizon - k0) if trials is None else (trials, n, horizon - k0)
-            tau = np.full(shape, self.value, dtype=float)
+            tau = np.full((trials, n, horizon - k0), self.value, dtype=float)
         else:
-            seed = self.seed if trials is None else range(self.seed, self.seed + trials)
-            tau = _uniform01(seed, np.arange(1, n + 1, dtype=np.uint64)[:, None],
+            tau = _uniform01(range(self.seed, self.seed + trials),
+                             np.arange(1, n + 1, dtype=np.uint64)[:, None],
                              np.arange(k0 + 1, horizon + 1, dtype=np.uint64))
             if self.kind == "uniform":
                 tau *= self.high - self.low
@@ -112,13 +107,15 @@ class ServiceTimeSource:
             np.rint(tau, out=tau)
         return tau
 
-    def _chunks(self, n: int, horizon: int, size: int):
-        """``sample``'s cells as ServiceTimes of customers k0+1..k0+size, k0 =
-        0, size, ...: each drawn alone, or cut from a trace loaded whole."""
-        whole = self.sample(n, horizon).tau if self.kind == "trace" else None
+    def _chunks(self, n: int, horizon: int, size: int, trials: int = 1):
+        """``sample``'s cells in chunks of customers k0+1..k0+size, k0 = 0,
+        size, ...: (k0, a (trials, n, L) stack of ``_draws``), each drawn
+        alone, or, for a trace, sliced from the table loaded whole, with a
+        leading axis of 1.  Raw arrays: the caller makes each ServiceTimes."""
+        whole = self.sample(n, horizon).tau[None] if self.kind == "trace" else None
         for k0 in range(0, horizon, size):
-            yield ServiceTimes(whole[:, k0:k0 + size] if whole is not None else
-                               self._draws(n, min(k0 + size, horizon), k0))
+            k1 = min(k0 + size, horizon)
+            yield k0, whole[:, :, k0:k1] if whole is not None else self._draws(n, k1, k0, trials)
 
 
 TRACE_HEADER = ["k", "i", "tau"]

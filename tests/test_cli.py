@@ -165,8 +165,11 @@ PINNED_U = {
 
 
 def cell_u(seed, i, k):
-    """u at one cell, from the generator on 0-d uint64 index arrays."""
-    return float(_uniform01(seed, np.array(i, np.uint64), np.array(k, np.uint64)))
+    """u at one cell, from the generator on 0-d uint64 index arrays and a
+    stack of one seed."""
+    u = _uniform01([seed], np.array(i, np.uint64), np.array(k, np.uint64))
+    assert u.shape == (1,)
+    return float(u[0])
 
 
 class TestPortableGenerator:
@@ -188,9 +191,9 @@ class TestPortableGenerator:
     @pytest.mark.parametrize("kind", ["uniform", "exponential"])
     @pytest.mark.parametrize("integer_times", [False, True])
     def test_chunked_draws_equal_the_whole_draw(self, kind, integer_times):
-        """``_chunks`` of any size give ``sample``'s grid bit for bit, sign
-        bits included, and a seed is the seed mod 2**64, across the wrap
-        and past it."""
+        """``_chunks`` of any size give (k0, a (1, n, L) stack) whose stacks
+        are ``sample``'s grid bit for bit, sign bits included, and a seed is
+        the seed mod 2**64, across the wrap and past it."""
         src = ServiceTimeSource(kind=kind, low=0.5, high=3.0, rate=2.5,
                                 integer_times=integer_times)
         for seed in (0, 7, -1, 2**64 - 2, 2**64 + 1, 2**70 + 3):
@@ -199,9 +202,10 @@ class TestPortableGenerator:
             assert np.array_equal(whole.view(np.int64), wrapped.view(np.int64))
             for size in (1, 7, 29, 30, 31):
                 chunks = list(replace(src, seed=seed)._chunks(5, 30, size))
-                sizes = [min(size, 30 - k0) for k0 in range(0, 30, size)]
-                assert [c.horizon for c in chunks] == sizes
-                got = np.concatenate([c.tau for c in chunks], axis=1)
+                assert [k0 for k0, _ in chunks] == list(range(0, 30, size))
+                assert [c.shape for _, c in chunks] == [(1, 5, min(size, 30 - k0))
+                                                        for k0 in range(0, 30, size)]
+                got = np.concatenate([c[0] for _, c in chunks], axis=1)
                 assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
     @pytest.mark.parametrize("kind", ["uniform", "exponential", "constant"])
@@ -219,6 +223,8 @@ class TestPortableGenerator:
                 assert group.shape == (trials, 5, 30 - k0)
                 for t, got in enumerate(group):
                     own = replace(src, seed=seed + t)._draws(5, 30, k0)
+                    assert own.shape == (1, 5, 30 - k0)
+                    own = own[0]
                     assert np.array_equal(got.view(np.int64), own.view(np.int64))
                     assert np.array_equal(np.signbit(got), np.signbit(own))
 
@@ -655,15 +661,15 @@ class TestRun:
 
     def test_validate_builds_each_chunks_steps_in_one_call(self, capsys, monkeypatch):
         """A serial validate builds the top block rows, n x m, of the T_k of
-        the k = 1, lag and K checks in one stacked call per group of whole
-        trials that fit in one chunk, or, for a trial alone, per chunk that
-        holds any of them, and runs no other build; the line is the same
-        whatever the chunk."""
+        the k = 1, lag and K checks in one stacked call per chunk that holds
+        any of them, over its group of whole trials that fit in one chunk (a
+        group of one for a trial alone), and runs no other build; the line
+        is the same whatever the chunk."""
         config = parse_config(make_config(variant="open_comm", b=1, n=6, K=300, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         built, real = [], engine._transitions
 
-        def counting(spec, v):  # v: ([trials,] steps, n) service vectors
+        def counting(spec, v):  # v: (trials, steps, n) service vectors
             top = real(spec, v)
             assert top.shape == v.shape + (12,)
             built.append(v.shape[:-1])
@@ -675,13 +681,13 @@ class TestRun:
         assert ", state equation at k=1,2,300, " in line
         # a trial takes K + 3 m = 336 of a chunk's 768 customers' cells:
         # trials 0 and 1 are one group, trial 2 is alone
-        assert built == [(2, 3), (3,)]
+        assert built == [(2, 3), (1, 3)]
         built.clear()
         # chunks of 100 customers: k = 1, 2 in the first, k = 300 in the third
         monkeypatch.setattr(cli, "_CHUNK", 100)
         assert validate(config, trials=3) == 0
         assert capsys.readouterr().out == line
-        assert built == [(2,), (1,)] * 3
+        assert built == [(1, 2), (1, 1)] * 3
 
     def test_validate_builds_nothing_when_it_skips_the_state_equation(self, capsys, monkeypatch):
         """Past m = _STATE_CHECK_ARITY a serial validate makes no T_k at
@@ -697,9 +703,9 @@ class TestRun:
     def test_validate_samples_each_trial_chunk_by_chunk(self, capsys, monkeypatch):
         """The service times of a group of whole trials that fit in one
         chunk come from one generator call over their seeds, and a trial
-        alone's from one call per chunk, trial after trial, seeds past
-        2**64 wrapping; the lines are the same whatever the chunk, ok and
-        failure alike, and a failure names its trial."""
+        alone's from one call per chunk over its one seed, trial after
+        trial, seeds past 2**64 wrapping; the lines are the same whatever
+        the chunk, ok and failure alike, and a failure names its trial."""
         from tandemax import sources
 
         calls, real = [], sources._uniform01
@@ -709,10 +715,10 @@ class TestRun:
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": s, "integer_times": True}
         config = parse_config(make_config(n=4, K=50, source=source))
         # a trial takes K + 2 m = 58 customers' cells (k = 1 and 50, m = 4)
-        streamed = lambda chunk: [(s + t, min(chunk, 50 - k0))  # noqa: E731
+        streamed = lambda chunk: [(range(s + t, s + t + 1), min(chunk, 50 - k0))  # noqa: E731
                                   for t in range(12) for k0 in range(0, 50, chunk)]
         want = {cli._CHUNK: [(range(s, s + 12), 50)],
-                11 * 58: [(range(s, s + 11), 50), (s + 11, 50)],
+                11 * 58: [(range(s, s + 11), 50), (range(s + 11, s + 12), 50)],
                 5 * 58: [(range(s, s + 5), 50), (range(s + 5, s + 10), 50),
                          (range(s + 10, s + 12), 50)],
                 20: streamed(20), 1: streamed(1)}
@@ -1111,6 +1117,36 @@ class TestStream:
         monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
         assert out == reference_validate(config, 3, top_rows)
 
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("model", [{"variant": "open_infinite"},
+                                       {"variant": "open_comm", "b": 3}],
+                             ids=lambda m: "-".join(map(str, m.values())))
+    def test_validate_on_a_trace(self, tmp_path, capsys, monkeypatch, model, integer):
+        """validate on a trace of K = 2 _CHUNK + 5 customers runs one trial,
+        in chunks sliced from the table loaded whole: its line is the
+        whole-trial reference's and its generated twin's, one trial on the
+        seed the trace was dumped from; also when the scan is off in the
+        last chunk, a line that names the cell's values there."""
+        K = 2 * C + 5
+        twin = parse_config(make_config(**model, n=3, K=K, source={
+            "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": integer}))
+        source = write_trace(tmp_path, twin.source.sample(3, K).tau)
+        trace = parse_config(make_config(**model, n=3, K=K, source=source))
+        runs = [lambda: validate(trace, trials=10), lambda: validate(twin, trials=1),
+                lambda: print(reference_validate(trace, 1), end="")]
+        for cells in ([], [(0, 2 * C + 3, 1)]):
+            lines = []
+            for run in runs:
+                monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
+                code = run()
+                lines.append(capsys.readouterr().out)
+                ok = lines[-1].startswith("validate: ok (1 trial(s), ")
+                assert code in (None, 0 if ok else 1)
+            assert lines[0] == lines[1] == lines[2]
+        scanned = integer and model["variant"] == "open_infinite"
+        assert lines[0].startswith(f"mismatch at k={2 * C + 3} i=2: " if scanned
+                                   else "validate: ok")
+
     @pytest.mark.parametrize("K", [200, 400])
     @pytest.mark.parametrize("integer", [True, False])
     @pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: "-".join(map(str, m.values())))
@@ -1161,7 +1197,7 @@ class TestStream:
         its own."""
         built, real = [], engine._transitions
 
-        def counting(spec, v):  # v: ([trials,] steps, n) service vectors
+        def counting(spec, v):  # v: (trials, steps, n) service vectors
             built.append((spec, v.shape))
             return real(spec, v)
 
@@ -1172,7 +1208,7 @@ class TestStream:
             assert validate(config, trials=10) == 0
         assert len(built) == 6 * 4 + 5  # groups of 3, 3, 3 and 1 trials; of 2 at m = 24
         for spec, shape in built:
-            g, steps = shape[0] if len(shape) == 3 else 1, shape[-2]
+            g, steps, _ = shape
             assert g * (spec.horizon + steps * spec.arity) <= C
         capsys.readouterr()
         built.clear()
@@ -1180,7 +1216,7 @@ class TestStream:
             "kind": "uniform", "low": 0, "high": 5, "seed": 1}))
         assert validate(config, trials=10) == 0
         assert ", state equation at k=1,3, " in capsys.readouterr().out
-        assert [shape for _, shape in built] == [(2, 2)] * 10
+        assert [shape for _, shape in built] == [(1, 2, 2)] * 10
 
     @pytest.mark.parametrize("late", ["half", "past 2**53"])
     def test_exactness_is_carried_chunk_by_chunk(self, tmp_path, monkeypatch, late):
@@ -1291,23 +1327,26 @@ class TestStream:
             **model, n=n, K=K, measures=list(cli.MEASURES), source=source)))
 
     @pytest.mark.parametrize("integer_times", [True, False])
-    def test_memory_stays_bounded(self, tmp_path, integer_times):
+    def test_memory_stays_bounded(self, tmp_path, capsys, integer_times):
         """The traced peak of one simulate at K = 20 _CHUNK (n = 16, all
-        three tables) stays within 1.25 times its peak at K = _CHUNK."""
+        three tables), and of one validate trial, stays within 1.25 times
+        its peak at K = _CHUNK."""
         source = {"kind": "uniform", "low": 0, "high": 5, "seed": 1, "integer_times": integer_times}
-        peaks = []
-        for K in (C, 20 * C):
-            cfg = tmp_path / f"c{K}.json"
-            cfg.write_text(make_config(n=16, K=K, measures=list(cli.MEASURES), source=source,
-                                       output=str(tmp_path / "r.csv")))
-            assert main(["simulate", "--config", str(cfg)]) == 0  # warm
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--config", str(cfg)]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.25 * peaks[0]
+        for argv in (["simulate"], ["validate", "--trials", "1"]):
+            peaks = []
+            for K in (C, 20 * C):
+                cfg = tmp_path / f"c{K}.json"
+                cfg.write_text(make_config(n=16, K=K, measures=list(cli.MEASURES), source=source,
+                                           output=str(tmp_path / "r.csv")))
+                assert main([*argv, "--config", str(cfg)]) == 0  # warm
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--config", str(cfg)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.25 * peaks[0], (argv, peaks)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("model", [{"variant": "open_infinite"},
                                        {"variant": "open_comm", "b": 1},
@@ -1474,10 +1513,11 @@ class TestMainExitCodes:
         never reached: one stderr line, exit 2."""
         draws = ServiceTimeSource._draws
 
-        def inf_in_chunk_2(self, n, horizon, k0=0):
-            tau = draws(self, n, horizon, k0)
+        def inf_in_chunk_2(self, n, horizon, k0=0, trials=1):
+            tau = draws(self, n, horizon, k0, trials)
+            assert tau.shape == (1, 3, cli._CHUNK)  # one trial, alone: it streams
             if k0 == cli._CHUNK:
-                tau[0, 5] = np.inf
+                tau[0, 0, 5] = np.inf
             return tau
 
         monkeypatch.setattr(ServiceTimeSource, "_draws", inf_in_chunk_2)
