@@ -18,8 +18,8 @@ import numpy as np
 
 from .csvout import _header, _write_rows
 from .engine import (
-    STRATEGIES, _check_overflow, _kernel, _ledger, _paper_formulas, _start, _state, _step,
-    _step_block, _tops, check_strategy,
+    STRATEGIES, _kernel, _ledger, _paper_formulas, _start, _state, _step, _step_block, _tops,
+    check_strategy,
 )
 from .measures import (
     MeasureConsistencyError, _check_lows, _Records, _waiting, trajectory_sojourn,
@@ -166,25 +166,23 @@ _CHUNK = 768
 
 def run(config: RunConfig) -> int:
     """Execute one simulation in memory O((_CHUNK + lag) n): per chunk,
-    sample tau, step the carry (``engine._step_block``), check for an
-    overflow and append each table's rows to its ``.part`` file, in one
-    integer block while the carry is exact (``_write_rows``).  The waiting
-    check waits for the rounding gap, from the carry's exactness and d(K),
-    the largest departure.  Success renames the tables."""
+    sample tau, step the run's tracked carry (``engine._step_block``, which
+    names an overflow) and append each table's rows to its ``.part`` file,
+    in one integer block while the carry is exact (``_write_rows``).  The
+    waiting check waits for the rounding gap, from the carry's exactness
+    and d(K), the largest departure.  Success renames the tables."""
     spec, n, K = config.spec, config.spec.n, config.spec.horizon
     out = Path(config.output_path)
     paths = {m: out if m == "departures" else out.with_name(f"{out.stem}_{m}.csv")
              for m in MEASURES if m in (config.measures or ("departures",))}
     parts = {m: path.with_name(path.name + ".part") for m, path in paths.items()}
-    track = spec.variant == "open_infinite" or "waiting" in paths
     carry, lows = None, _Records()  # the carry waits for a sampled chunk: a huge n fails there
     try:
         with contextlib.ExitStack() as stack:
             files = {}
             for k0, tau in config.source._chunks(n, K, _CHUNK):
                 tau = ServiceTimes(tau[0])
-                carry, states = _step_block(spec, carry or _start(spec, track), tau)
-                _check_overflow(states, k0)
+                carry, states = _step_block(spec, carry or _start(spec, True), tau)
                 if not files:  # opened once the first chunk passes: its errors leave no file
                     for m, part in parts.items():
                         files[m] = stack.enter_context(part.open("w"))
@@ -246,7 +244,6 @@ def _trial(spec: TandemSpec, chunks, t: int) -> tuple:
     for k0, tau, ks, tops in chunks:
         hist = oracle.rows
         route, got = _step_block(spec, route, tau)
-        _check_overflow(got, k0)
         if _kernel(spec, route.exact) == "scan":
             oracle, want = _step_block(spec, oracle, tau)
             scans.add(np.abs(got[1:] - want[1:]), range(k0 + 1, K + 1), got[1:], want[1:])

@@ -1,10 +1,10 @@
 """The CSV tables of ``cli.run``: ``_header``, then ``_write_rows`` per chunk.
 
-Tables are written as the bytes of %.17g (README, "Config schema"), a
-chunk of an exact run as one block, others in checked blocks of _CHUNK_ROWS
-rows: exact integers below 2**53 (not -0.0) as |x| after their sign, other
-blocks from _fixed17, with exponent-form cells spliced in.  Larger blocks
-write integer tables faster, but each float block's _fixed17 temporaries
+Tables are written as the bytes of %.17g (README, "Config schema"): a
+chunk of an exact run (``engine._Carry``) as one block of integers, |x|
+after their sign; any other in blocks of _CHUNK_ROWS rows from _fixed17,
+exponent-form cells spliced in, integer cells printed as %.17g does too.
+Larger blocks write faster, but each float block's _fixed17 temporaries
 grow with it (variant-grid's peak RSS: +1% at 512, +3% at 1024).
 """
 
@@ -130,16 +130,16 @@ def _header(measure: str, n: int) -> str:
 
 def _write_rows(fh, rows: np.ndarray, k0: int, exact: bool) -> None:
     """Write rows (L x n), those of customers k0+1..k0+L, under their k
-    column as CSV, each cell as ``.17g`` text (see above).  Given exact
-    (the rows of a chunk whose run is exact, ``engine._Carry``: every cell
-    an integer below 2**53), they are one integer block, unchecked; else
-    one block of _CHUNK_ROWS rows at a time, each checked."""
+    column as CSV, each cell as ``.17g`` text (see above): one integer
+    block, unchecked, if and only if exact (the rows of a chunk whose run is
+    exact, ``engine._Carry``: every cell an integer below 2**53), else float
+    blocks of _CHUNK_ROWS rows."""
     step = len(rows) if exact else _CHUNK_ROWS
     for j in range(0, len(rows), step):
         block = rows[j:j + step]
         table = np.column_stack((np.arange(k0 + j + 1, k0 + j + len(block) + 1), block))
         a, neg = np.abs(table.ravel()), np.signbit(table.ravel())
-        if exact or np.all((a < 2.0**53) & (a == np.rint(a)) & ((a != 0) | ~neg)):
+        if exact:
             fh.write(_layout(table, neg, a))
         else:
             mag, cols, point = _fixed17(a)

@@ -108,33 +108,37 @@ _BLOCK = 256
 
 class _Carry(NamedTuple):
     """A run so far: its last lag = min(m / n, K + 1) rows of d, eps before 0,
-    and ``ServiceTimes.exact`` of its tau, summing to ``total``.  False stays
-    False: an untracked carry (the oracle's, or a run's) never scans."""
+    ``ServiceTimes.exact`` of its tau (False stays False), summing to ``total``,
+    and k, its customers.  Only the oracle's is untracked: exact False, k None."""
 
     rows: np.ndarray
     exact: bool = False
     total: float = 0.0
+    k: int | None = None
 
 
 def _start(spec: TandemSpec, track: bool = False) -> _Carry:
     """The carry at k = 0: d(0) = ``initial_state`` under lag - 1 eps rows."""
     rows = np.full((min(spec.arity // spec.n, spec.horizon + 1), spec.n), EPS)
     rows[-1] = initial_state(spec)
-    return _Carry(rows, track)
+    return _Carry(rows, track, k=0 if track else None)
 
 
 def _step_block(spec: TandemSpec, carry: _Carry, tau: ServiceTimes) -> tuple[_Carry, np.ndarray]:
     """Step the carry after k0 over customers k0+1..k1, whose service times
-    are tau; returns the carry after k1, whose rows are a copy (no view
-    keeps the table alive), and the rows d(k0..k1).  It scans only while
-    all tau so far is exact, so it gives ``_lindley``'s bits."""
-    exact, total = carry.exact, carry.total
+    are tau; returns the carry after k1, its rows a copy (no view keeps the
+    table alive), and the rows d(k0..k1).  It scans only while all tau so far
+    is exact, giving ``_lindley``'s bits; if tracked, it names an overflow."""
+    exact, total, k = carry.exact, carry.total, carry.k
     if exact:
         exact = tau.exact and bool((total := total + tau.tau.sum()) < 2.0**53)
     lag = len(carry.rows)
     kernel = _prefix_scan if _kernel(spec, exact) == "scan" else _lindley
     table = kernel(spec, carry.rows, tau.tau)
-    return _Carry(table[-lag:].copy(), exact, total), table[lag - 1:]
+    if k is not None:
+        _check_overflow(table[lag - 1:], k)
+        k += tau.horizon
+    return _Carry(table[-lag:].copy(), exact, total, k), table[lag - 1:]
 
 
 def _rows(table: np.ndarray) -> np.ndarray:
@@ -265,7 +269,7 @@ def _prefix_scan(spec: TandemSpec, hist: np.ndarray, tau: np.ndarray) -> np.ndar
     return states
 
 
-def _check_overflow(states: np.ndarray, k0: int = 0) -> None:
+def _check_overflow(states: np.ndarray, k0: int) -> None:
     """Name the row-major first departure of the rows d(k0), ... of states
     that overflowed float64 to +inf (eps is legal) in a configuration error."""
     if not states.max() < np.inf:  # NaN too: eps cells after an overflow hold NaN
@@ -424,14 +428,13 @@ def _kernel(spec: TandemSpec, exact: bool) -> str:
 def simulate(
     spec: TandemSpec, tau: ServiceTimes, strategy: str = "serial", processors: int = 1
 ) -> Trajectory:
-    """Run one strategy: check its rules and tau's shape, step over all K
-    customers (``_step_block``) and charge the strategy's cost model;
-    ``processors`` reaches only the cost model.  A departure that
-    overflows float64 to +inf is a configuration error (``_check_overflow``)."""
+    """Run one strategy: check its rules and tau's shape, step a tracked
+    carry over all K customers (``_step_block``) and charge the strategy's
+    cost model; ``processors`` reaches only the cost model.  A departure
+    that overflows float64 to +inf is a configuration error."""
     check_strategy(spec, strategy, processors)
     _check_inputs(spec, tau)
-    states = _step_block(spec, _start(spec, spec.variant == "open_infinite"), tau)[1]
-    _check_overflow(states)
+    states = _step_block(spec, _start(spec, True), tau)[1]
     return Trajectory(states, spec, _ledger(spec, strategy, processors), strategy)
 
 

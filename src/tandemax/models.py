@@ -200,9 +200,9 @@ def service_diag(tau_k) -> MaxPlusMatrix:
 _SUM_OVERFLOW = "a prefix sum of the service times overflows float64"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n masks of i >= j and of i < j, read-only, made once per n."""
+    """The n x n masks of i >= j and of i < j, read-only, kept for the last 8 n."""
     lower = np.tri(n, dtype=bool)
     upper = ~lower
     lower.setflags(write=False)

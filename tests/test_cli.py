@@ -512,9 +512,10 @@ class TestRun:
     @pytest.mark.parametrize("integer_times", [True, False])
     def test_exactness_decided_once_per_service_times(self, tmp_path, monkeypatch,
                                                       integer_times):
-        """The kernel choice, the waiting check and the validate bound all
-        read one ``ServiceTimes.exact``; a run that needs none of them
-        never evaluates it."""
+        """The kernel choice, the waiting check, the validate bound and the
+        writer all read one ``ServiceTimes.exact``: every run tracks it, so
+        a departures-only open_mfg run evaluates it once per chunk while its
+        tau is exact, and on float tau only in its first chunk."""
         calls = []
         real = ServiceTimes.exact.func
         exact = functools.cached_property(lambda tau: calls.append(tau) or real(tau))
@@ -531,10 +532,11 @@ class TestRun:
         assert main(["validate", "--config", str(cfg), "--trials", "3"]) == 0
         assert len(calls) == 3 and len({id(tau) for tau in calls}) == 3
         calls.clear()
-        cfg.write_text(make_config(variant="open_mfg", n=4, K=50, b=1, source=source,
-                                   output=str(tmp_path / "d.csv")))
+        cfg.write_text(make_config(variant="open_mfg", n=4, K=2 * cli._CHUNK + 5, b=1,
+                                   source=source, output=str(tmp_path / "d.csv")))
         assert main(["simulate", "--config", str(cfg)]) == 0
-        assert calls == []
+        assert len(calls) == (3 if integer_times else 1)
+        assert len({id(tau) for tau in calls}) == len(calls)
 
     def test_float_waiting_within_rounding_gap(self, tmp_path):
         # departures and service prefixes are summed in different orders,
@@ -795,8 +797,8 @@ class TestIntegersPast2To53:
 
 def _write_measure(rows, prefix, path, exact=None):
     """A whole table as ``run`` writes it: the header, then the rows of
-    customers 1..K through the CSV encoder, checked block by block unless
-    exact."""
+    customers 1..K through the CSV encoder, one integer block if exact, else
+    float blocks."""
     with path.open("w") as fh:
         fh.write(_header(prefix, rows.shape[1]))
         _write_rows(fh, rows, 0, exact)
@@ -852,12 +854,14 @@ class TestWriter:
     @pytest.mark.parametrize("top", sorted({abs(e) for e in EDGES}))
     def test_integer_edges(self, tmp_path, top):
         # one block whose largest magnitude is top, holding every smaller
-        # edge, as one column and as one row
+        # edge, as one column and as one row, written as an integer block
+        # and as float blocks
         cells = np.array([e for e in EDGES if abs(e) <= top], dtype=np.float64)
         path = tmp_path / "m.csv"
         for rows in (cells[:, None], cells[None, :]):
-            _write_measure(rows, "d", path)
-            assert path.read_text() == reference_csv(rows, "d")
+            for exact in (True, None):
+                _write_measure(rows, "d", path, exact)
+                assert path.read_text() == reference_csv(rows, "d")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -883,7 +887,7 @@ class TestWriter:
         rows = np.where(rng.random((K, n)) < negative, -rows, rows).astype(np.float64)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            _write_measure(rows, "d", path)
+            _write_measure(rows, "d", path, exact=True)
             data = path.read_bytes()
         assert b"\0" not in data
         assert data == reference_csv(rows, "d").encode()
@@ -898,7 +902,8 @@ class TestWriter:
         seed=st.integers(0, 2**32 - 1),
         exact=st.sampled_from([None, True]),
     )
-    # the two integer-valued cells the int64 digits would print wrongly
+    # the two integer-valued cells the integer digits would print wrongly, which
+    # float blocks print as %.17g does
     @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", -0.0)] * 2, seed=0,
              exact=None)
     @example(K=_CHUNK_ROWS + 1, n=3, chunks=[("integer", EPS), ("mixed", 1e17)] * 2, seed=0,
@@ -1125,16 +1130,29 @@ class TestStream:
         """validate on a trace of K = 2 _CHUNK + 5 customers runs one trial,
         in chunks sliced from the table loaded whole: its line is the
         whole-trial reference's and its generated twin's, one trial on the
-        seed the trace was dumped from; also when the scan is off in the
-        last chunk, a line that names the cell's values there."""
+        seed the trace was dumped from; also with faults in the last chunk,
+        the scan off at k = 2 _CHUNK + 3 and row 2 of T_K off by one, a line
+        that names the scan's values there, or else T_K's, which depend on
+        the tau of every chunk even where the ok line's gap and bound are 0."""
         K = 2 * C + 5
         twin = parse_config(make_config(**model, n=3, K=K, source={
             "kind": "uniform", "low": 0, "high": 5, "seed": 3, "integer_times": integer}))
-        source = write_trace(tmp_path, twin.source.sample(3, K).tau)
+        tau = twin.source.sample(3, K).tau
+        steps = sorted({1, twin.spec.arity // 3, K})
+        assert all((tau[:, k - 1] != tau[:, -1]).any() for k in steps[:-1])  # T_K alone is off
+
+        def wrong(spec, v):
+            top = _TRANSITIONS(spec, v)
+            top[(v == tau[:, -1]).all(-1), 1] += 1.0
+            return top
+
+        source = write_trace(tmp_path, tau)
         trace = parse_config(make_config(**model, n=3, K=K, source=source))
-        runs = [lambda: validate(trace, trials=10), lambda: validate(twin, trials=1),
-                lambda: print(reference_validate(trace, 1), end="")]
-        for cells in ([], [(0, 2 * C + 3, 1)]):
+        for cells, fault in (([], False), ([(0, 2 * C + 3, 1)], True)):
+            monkeypatch.setattr(engine, "_transitions", wrong if fault else _TRANSITIONS)
+            top_rows = (lambda v: wrong(trace.spec, v[None])[0]) if fault else None
+            runs = [lambda: validate(trace, trials=10), lambda: validate(twin, trials=1),
+                    lambda: print(reference_validate(trace, 1, top_rows), end="")]
             lines = []
             for run in runs:
                 monkeypatch.setattr(engine, "_prefix_scan", ScanFault(K, cells))
@@ -1145,7 +1163,7 @@ class TestStream:
             assert lines[0] == lines[1] == lines[2]
         scanned = integer and model["variant"] == "open_infinite"
         assert lines[0].startswith(f"mismatch at k={2 * C + 3} i=2: " if scanned
-                                   else "validate: ok")
+                                   else f"state equation fails at k={K} i=2: ")
 
     @pytest.mark.parametrize("K", [200, 400])
     @pytest.mark.parametrize("integer", [True, False])
@@ -1248,7 +1266,7 @@ class TestStream:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        model=st.sampled_from([m for m in STREAM_MODELS if m["variant"] != "closed"]),
+        model=st.sampled_from(STREAM_MODELS),
         measures=st.sets(st.sampled_from(cli.MEASURES), min_size=1),
         n=st.integers(2, 4),
         K=st.sampled_from([1, C - 1, C, C + 1, 2 * C + 5]),
@@ -1257,14 +1275,20 @@ class TestStream:
     )
     @example(model={"variant": "open_comm", "b": 1}, measures={"waiting"}, n=4, K=2 * C + 5,
              zeros=0.5, seed=0)
+    @example(model={"variant": "open_mfg", "b": 2}, measures={"departures"}, n=3, K=2 * C + 5,
+             zeros=0.1, seed=1)
+    @example(model={"variant": "open_comm", "b": 3}, measures={"departures"}, n=4, K=C + 1,
+             zeros=0.5, seed=2)
+    @example(model={"variant": "closed", "c": 2}, measures={"departures"}, n=4, K=2 * C + 5,
+             zeros=0.1, seed=3)
     def test_exact_chunks_byte_identical(self, model, measures, n, K, zeros, seed):
-        """The runs that track exactness (open_infinite with any tables, a
-        blocking variant with its waiting table) write each chunk of exact
-        tau as one unchecked integer block, and the bytes are the per-cell
+        """Every run tracks exactness, and writes each chunk of exact tau as
+        one unchecked integer block, whatever its variant and tables (the
+        closed variant's are its departures), and the bytes are the per-cell
         writer's: integer tau with some -0.0 cells, and K on both sides of
         the chunk edges."""
-        if model["variant"] != "open_infinite":
-            measures = measures | {"waiting"}
+        if model["variant"] == "closed":
+            measures = {"departures"}
         measures = [m for m in cli.MEASURES if m in measures]
         rng = np.random.default_rng(seed)
         tau = rng.integers(0, 6, (n, K)).astype(float)

@@ -707,6 +707,34 @@ class TestProperties:
         with pytest.raises(ModelConfigError, match=message):
             simulate(spec, ServiceTimes(cells))
 
+    @pytest.mark.parametrize("variant,kwargs", [("open_infinite", {}),
+                                                ("open_comm", {"buffer_capacity": 1}),
+                                                ("closed", {"population": 2})])
+    def test_tracked_carry_names_overflow_in_a_later_chunk(self, variant, kwargs):
+        """A tracked carry counts its customers, so stepped over two chunks
+        it names the run's row-major first +inf, in the second chunk, by its
+        k in the whole run; the oracle's untracked carry over the same tau
+        raises nothing and returns the rows with their +inf cells."""
+        n, K, L = 3, 40, 16
+        cells = np.ones((n, K))
+        cells[1, 20:] = 1e308
+        spec = TandemSpec(variant, n, K, **kwargs)
+        want = reference_lindley(spec, ServiceTimes(cells))
+        k, i = np.argwhere(np.isposinf(want))[0]
+        assert k > L
+        chunks = [ServiceTimes(cells[:, :L]), ServiceTimes(cells[:, L:])]
+        carry = engine._step_block(spec, engine._start(spec, True), chunks[0])[0]
+        assert carry.k == L and carry.exact  # chunk 1 is exact; chunk 2 is not
+        message = rf"^departure d_{i + 1}\({k}\) overflows float64$"
+        with pytest.raises(ModelConfigError, match=message):
+            engine._step_block(spec, carry, chunks[1])
+        oracle, first = engine._step_block(spec, engine._start(spec), chunks[0])
+        oracle, second = engine._step_block(spec, oracle, chunks[1])
+        assert oracle.k is None
+        assert np.array_equal(first, want[:L + 1])
+        assert tuple(np.argwhere(np.isposinf(second))[0]) == (k - L, i)
+        assert np.array_equal(second[:k - L + 1], want[L:k + 1])
+
     @pytest.mark.parametrize("strategy", ["vector", "batched"])
     def test_dense_routes_stop_at_overflow(self, monkeypatch, strategy):
         """vector and batched, whose cost models are the dense algorithms,

@@ -16,6 +16,7 @@ from tandemax.models import (
     transition_mfg_b0,
     transition_open_infinite,
     _transitions,
+    _triangles,
 )
 from tandemax.solver import nilpotency_index, star_truncated
 
@@ -267,6 +268,27 @@ def test_stacked_build_equals_build_transition(variant, kwargs):
                 assert np.array_equal(np.signbit(stacked[k]), np.signbit(want[:n]))
                 assert np.array_equal(want[n:], below)
                 assert np.array_equal(np.signbit(want[n:]), np.signbit(below))
+
+
+def test_triangle_masks_stay_bounded_over_a_sweep_of_n():
+    """``_prefix_sums`` keeps the masks of a few n only: sweeping n past that
+    bound twice leaves the cache at its bound, and each n's top rows, also
+    after its masks were dropped and made again, are D[i, j] = tau_j + ... +
+    tau_i below the diagonal and eps above."""
+    _triangles.cache_clear()
+    bound = _triangles.cache_info().maxsize
+    rng = np.random.default_rng(3)
+    taus = {n: rng.integers(0, 9, (4, n)).astype(float) for n in range(1, 2 * bound + 3)}
+    for sweep in range(2):
+        for n, v in taus.items():
+            top = _transitions(TandemSpec("open_infinite", n, 4), v)
+            assert _triangles.cache_info().currsize == min(n + sweep * len(taus), bound)
+            want = np.full((4, n, n), EPS)
+            for i in range(n):
+                for j in range(i + 1):
+                    want[:, i, j] = v[:, j:i + 1].sum(axis=1)
+            assert np.array_equal(top, want)
+    assert _triangles.cache_info().misses == 2 * len(taus)  # every n's masks made twice
 
 
 class TestSpecValidation:
